@@ -9,12 +9,14 @@ cat M >= cat N.
 
 from .bounds import (
     BoundLedger,
+    CupLength,
     Interval,
     LedgerError,
     MorseData,
     betti_sum,
     cat_bounds,
     cup_length,
+    cup_length_check,
     cup_length_formula,
     cup_length_search,
     morse_lower_bound,
@@ -62,6 +64,7 @@ __all__ = [
     "BitVec",
     "BoundLedger",
     "CriterionVerdict",
+    "CupLength",
     "DimensionMismatch",
     "Element",
     "GeneratorSpec",
@@ -86,6 +89,7 @@ __all__ = [
     "compose",
     "cor_cat_transfer",
     "cup_length",
+    "cup_length_check",
     "cup_length_formula",
     "cup_length_search",
     "expand_to_table",

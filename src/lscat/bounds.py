@@ -2,9 +2,10 @@
 
 The cup-length is computed two independent ways: a closed formula for
 pure-truncation presentations (sum of truncation exponents minus one
-each) and a definitional search on multiplication tables (largest m
-with a nonzero m-th power of the positive-degree ideal).  The two are
-cross-checked whenever the table stays small enough.
+each) and a definitional search (largest m with a nonzero m-th power of
+the positive-degree ideal), which runs on multiplication tables and on
+the compiled form of presentations.  The two are cross-checked whenever
+the presentation stays small enough, once per ring.
 
 The ledger chains every bound the toolkit knows:
 
@@ -18,7 +19,7 @@ cat itself is never computed; known values enter as cited data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .gf2 import XorBasis
 from .rings import (
@@ -26,7 +27,6 @@ from .rings import (
     MultiplicationTable,
     Ring,
     TruncatedPresentation,
-    expand_to_table,
 )
 
 # tables up to this many basis elements get the mandatory formula/search
@@ -110,77 +110,139 @@ def cup_length_search(t: MultiplicationTable) -> int:
     (expansions, tensor products) supply it via ``generator_hint``,
     which spans the same ideals since I^m . I = I^m . (generators).
     """
-    positive = [(l, d) for l, d in t.basis if d > 0]
-    if not positive:
-        return 0
-    top = t.top_degree
     deg_labels: dict[int, list[str]] = {}
     for l, d in t.basis:
         deg_labels.setdefault(d, []).append(l)
     local = {l: i for labels in deg_labels.values() for i, l in enumerate(labels)}
     degree = dict(t.basis)
+    gens = t.generator_hint or [l for l, d in t.basis if d > 0]
+    rows = []
+    for g in gens:
+        dg = degree[g]
+        per_degree = {}
+        for d, labels in deg_labels.items():
+            if d > 0 and d + dg in deg_labels:
+                per_degree[d] = tuple(
+                    sum(1 << local[r] for r in t.product(l, g)) for l in labels
+                )
+        rows.append((dg, per_degree))
+    return _ideal_power_search(
+        {d: len(labels) for d, labels in deg_labels.items()}, rows
+    )
 
-    hint = getattr(t, "generator_hint", None)
-    gens = [(g, degree[g]) for g in hint] if hint else positive
 
-    mask_cache: dict[tuple[str, str], int] = {}
+def _ideal_power_search(
+    dims: Mapping[int, int],
+    generator_rows: Sequence[tuple[int, Mapping[int, Sequence[int]]]],
+) -> int:
+    """The search kernel on integer-indexed rings.
 
-    def product_mask(label: str, g: str) -> int:
-        key = (label, g)
-        m = mask_cache.get(key)
-        if m is None:
-            m = 0
-            for r in t.product(label, g):
-                m |= 1 << local[r]
-            mask_cache[key] = m
-        return m
+    ``dims[d]`` is the dimension in degree d; vectors of degree d are
+    bitmasks over its basis.  ``generator_rows`` lists, per ideal
+    generator, its degree and, per source degree, the row bitmasks of
+    multiplication by it (missing degrees multiply to zero).
 
-    spans: dict[int, XorBasis] = {}
-    for l, d in positive:
-        spans.setdefault(d, XorBasis()).insert(1 << local[l])
-
+    The span of I^(m+1) in degree e depends only on the spans of I^m in
+    the degrees e - deg(g).  Powers of an ideal shrink, so a span whose
+    dimension did not move between I^(m-1) and I^m is the same span;
+    only degrees fed by a moved one are recomputed.
+    """
+    spans = {
+        d: XorBasis(1 << i for i in range(n)) for d, n in dims.items() if d > 0 and n
+    }
+    if not spans:
+        return 0
+    degrees = {dg for dg, _ in generator_rows}
+    moved = set(spans) | {0}  # from I^0, the whole ring, to I
     m = 1
     while True:
-        new_spans: dict[int, XorBasis] = {}
-        for d, span in spans.items():
-            labels = deg_labels[d]
-            for v in span.vectors():
-                for g, dg in gens:
-                    e = d + dg
-                    if e > top or e not in deg_labels:
-                        continue
+        targets = {d + dg for d in moved for dg in degrees}
+        new_spans = {e: span for e, span in spans.items() if e not in targets}
+        for e in targets:
+            image = XorBasis()
+            for dg, rows_by_degree in generator_rows:
+                span, rows = spans.get(e - dg), rows_by_degree.get(e - dg)
+                if span is None or rows is None:
+                    continue
+                for bits in span.vectors():
                     w = 0
-                    bits = v
                     while bits:
                         low = bits & -bits
-                        w ^= product_mask(labels[low.bit_length() - 1], g)
+                        w ^= rows[low.bit_length() - 1]
                         bits ^= low
                     if w:
-                        new_spans.setdefault(e, XorBasis()).insert(w)
-        new_spans = {d: b for d, b in new_spans.items() if len(b)}
+                        image.insert(w)
+            if len(image):
+                new_spans[e] = image
         if not new_spans:
             return m
+        moved = {d for d, span in spans.items() if len(new_spans.get(d, ())) != len(span)}
         spans = new_spans
         m += 1
 
 
-def cup_length(ring: Ring) -> int:
-    """Cup-length of a ring, cross-checking formula against search.
+@dataclass(frozen=True)
+class CupLength:
+    """A ring's cup-length with the computations that certify it.
+
+    ``formula`` is the closed formula (presentations only); ``search``
+    the ideal-power search (every table, and presentations of at most
+    ``CROSS_CHECK_LIMIT`` monomials); ``agree`` compares the two when
+    both ran.  ``value`` is the formula when there is one.
+    """
+
+    value: int
+    formula: int | None
+    search: int | None
+    agree: bool | None
+
+    def to_dict(self) -> dict:
+        return {"formula": self.formula, "search": self.search, "agree": self.agree}
+
+
+# one entry per ring: presentations by value (two parses of one file share
+# it), tables by identity (table equality compares all O(n^2) products);
+# a table entry keeps its table alive so that its id is not reused
+_PRESENTATION_CUP_LENGTHS: dict[TruncatedPresentation, CupLength] = {}
+_TABLE_CUP_LENGTHS: dict[int, tuple[MultiplicationTable, CupLength]] = {}
+
+
+def cup_length_check(ring: Ring) -> CupLength:
+    """Cup-length of a ring by the cross-check policy, computed once per ring.
 
     Presentations use the closed formula; when the monomial basis is
-    small enough the definitional ideal-power search must agree, and a
-    mismatch is an internal consistency failure, not user error.
+    small enough the definitional ideal-power search runs on the
+    compiled form and must agree.  Tables use the search.
     """
     if isinstance(ring, TruncatedPresentation):
-        cl = cup_length_formula(ring)
-        if ring.total_dimension <= CROSS_CHECK_LIMIT:
-            searched = cup_length_search(expand_to_table(ring))
-            if searched != cl:
-                raise RuntimeError(
-                    f"cup-length cross-check failed: formula {cl}, search {searched}"
-                )
-        return cl
-    return cup_length_search(ring)
+        found = _PRESENTATION_CUP_LENGTHS.get(ring)
+        if found is None:
+            formula = cup_length_formula(ring)
+            search = None
+            if ring.total_dimension <= CROSS_CHECK_LIMIT:
+                c = ring.compiled
+                search = _ideal_power_search(c.dims, c.generator_rows)
+            found = CupLength(
+                formula, formula, search, None if search is None else search == formula
+            )
+            _PRESENTATION_CUP_LENGTHS[ring] = found
+        return found
+    entry = _TABLE_CUP_LENGTHS.get(id(ring))
+    if entry is None:
+        searched = cup_length_search(ring)
+        entry = _TABLE_CUP_LENGTHS[id(ring)] = (ring, CupLength(searched, None, searched, None))
+    return entry[1]
+
+
+def cup_length(ring: Ring) -> int:
+    """Cup-length of a ring; a formula/search mismatch is an internal
+    consistency failure, not user error."""
+    check = cup_length_check(ring)
+    if check.agree is False:
+        raise RuntimeError(
+            f"cup-length cross-check failed: formula {check.formula}, search {check.search}"
+        )
+    return check.value
 
 
 class LedgerError(ValueError):

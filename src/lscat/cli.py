@@ -15,12 +15,7 @@ import sys
 from pathlib import Path
 
 from . import catalogue
-from .bounds import (
-    CROSS_CHECK_LIMIT,
-    cup_length_formula,
-    cup_length_search,
-    so_n_presentation,
-)
+from .bounds import CROSS_CHECK_LIMIT, cup_length_check, so_n_presentation
 from .catalogue import SpaceRecord, UnknownSpaceError
 from .homs import (
     CERTIFIED,
@@ -40,7 +35,6 @@ from .rings import (
     MultiplicationTable,
     TruncatedPresentation,
     check_poincare_duality,
-    expand_to_table,
 )
 from .spacefile import (
     SpaceFileError,
@@ -225,23 +219,6 @@ def _record_dict(record: SpaceRecord) -> dict:
     }
 
 
-def _cup_length_info(record: SpaceRecord) -> dict:
-    ring = record.ring
-    if ring is None:
-        return {"formula": None, "search": None, "agree": None}
-    if isinstance(ring, TruncatedPresentation):
-        formula = cup_length_formula(ring)
-        search = None
-        if ring.total_dimension <= CROSS_CHECK_LIMIT:
-            search = cup_length_search(expand_to_table(ring))
-        return {
-            "formula": formula,
-            "search": search,
-            "agree": None if search is None else search == formula,
-        }
-    return {"formula": None, "search": cup_length_search(ring), "agree": None}
-
-
 def cmd_invariants(args) -> int:
     record = _resolve_space(args.space, {})
     payload: dict = {
@@ -263,16 +240,11 @@ def cmd_invariants(args) -> int:
         )
         text.append("no ring data stored; ring invariants not applicable")
     else:
-        poly = record.ring.poincare_polynomial()
-        cl = _cup_length_info(record)
-        table = (
-            record.ring
-            if isinstance(record.ring, MultiplicationTable)
-            else expand_to_table(record.ring)
-        )
-        duality = (
-            check_poincare_duality(table) if table.size <= CROSS_CHECK_LIMIT else None
-        )
+        ring = record.ring
+        poly = ring.poincare_polynomial()
+        cl = cup_length_check(ring).to_dict()
+        size = ring.size if isinstance(ring, MultiplicationTable) else ring.total_dimension
+        duality = check_poincare_duality(ring) if size <= CROSS_CHECK_LIMIT else None
         ledger = record.ledger()
         payload.update(
             {
@@ -308,10 +280,10 @@ def cmd_cup_length(args) -> int:
     if record.ring is None:
         print(f"lscat: error: {record.name} has no ring data", file=sys.stderr)
         return EXIT_USAGE
-    cl = _cup_length_info(record)
+    check = cup_length_check(record.ring)
+    cl = check.to_dict()
     payload = {"space": record.name, "cup_length": cl}
-    value = cl["formula"] if cl["formula"] is not None else cl["search"]
-    text = [f"cup-length of {record.name}: {value}"]
+    text = [f"cup-length of {record.name}: {check.value}"]
     if cl["agree"] is not None:
         text.append(f"formula {cl['formula']} / search {cl['search']}: "
                     + ("agree" if cl["agree"] else "MISMATCH"))
@@ -408,15 +380,14 @@ def cmd_verify_paper(args) -> int:
 
     for n, (dim_expected, truncs_expected, cl_expected) in SO_REFERENCE.items():
         p = so_n_presentation(n)
-        cl_f = cup_length_formula(p)
-        cl_s = cup_length_search(expand_to_table(p))
+        cl = cup_length_check(p)
         record = catalogue.get(f"SO{n}")
         known = record.known_cat[0] if record.known_cat else None
         checks = [
             p.top_degree == dim_expected == n * (n - 1) // 2,
             p.truncations == truncs_expected,
-            cl_f == cl_expected,
-            cl_s == cl_expected,
+            cl.formula == cl_expected,
+            cl.search == cl_expected,
             known == cl_expected,
         ]
         ok = all(checks)
@@ -426,8 +397,8 @@ def cmd_verify_paper(args) -> int:
                 "row": f"SO{n}",
                 "dimension": p.top_degree,
                 "truncations": list(p.truncations),
-                "cup_length_formula": cl_f,
-                "cup_length_search": cl_s,
+                "cup_length_formula": cl.formula,
+                "cup_length_search": cl.search,
                 "known_cat": known,
                 "ok": ok,
             }
@@ -469,10 +440,7 @@ def cmd_verify_paper(args) -> int:
     rng = random.Random(args.seed)
     spot_ok = True
     for i in range(5):
-        p = _random_presentation(rng)
-        cl_f = cup_length_formula(p)
-        cl_s = cup_length_search(expand_to_table(p))
-        spot_ok &= cl_f == cl_s
+        spot_ok &= cup_length_check(_random_presentation(rng)).agree
     ok_all &= spot_ok
     rows.append(
         {"row": "randomized oracle spot-check", "cases": 5, "seed": args.seed, "ok": spot_ok}

@@ -128,6 +128,11 @@ class TruncatedPresentation:
             n *= p
         return n
 
+    @cached_property
+    def compiled(self) -> "CompiledPresentation":
+        """The integer-indexed form, built on first use."""
+        return _compile(self)
+
     def unit(self) -> Element:
         return Element.of((0,) * self.ngens)
 
@@ -237,6 +242,71 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+@dataclass(frozen=True)
+class CompiledPresentation:
+    """Integer-indexed form of a presentation for the cup-length search
+    and the duality check.
+
+    Monomials are numbered in mixed radix with the first generator most
+    significant, so numbering order is lexicographic order on exponent
+    vectors, and each monomial's index within its degree is its position
+    in ``basis_in_degree``.  Vectors of degree d are bitmasks over those
+    indices.  All monomials are kept, so ``top`` is the highest monomial
+    degree; its only monomial (every exponent maximal) is the top class.
+
+    * ``dims[d]`` -- number of monomials of degree d;
+    * ``generator_rows`` -- per nonzero generator, its degree and, for
+      every degree d with d + degree <= top, a tuple of row bitmasks:
+      row i is the i-th monomial of degree d times the generator;
+    * ``pairing[d]`` -- row i marks the monomial of degree top - d whose
+      product with the i-th monomial of degree d is the top class.
+    """
+
+    top: int
+    dims: dict[int, int]
+    generator_rows: tuple[tuple[int, dict[int, tuple[int, ...]]], ...]
+    pairing: dict[int, tuple[int, ...]]
+
+
+def _compile(p: TruncatedPresentation) -> CompiledPresentation:
+    degrees = [0]  # degree of each monomial number
+    for g, q in zip(p.generators, p.truncations):
+        degrees = [d + e * g.degree for d in degrees for e in range(q)]
+    index: list[int] = []
+    by_degree: dict[int, list[int]] = {}
+    for c, d in enumerate(degrees):
+        numbers = by_degree.setdefault(d, [])
+        index.append(len(numbers))
+        numbers.append(c)
+    top = degrees[-1]
+    rows = []
+    stride = len(degrees)
+    for g, q in zip(p.generators, p.truncations):
+        stride //= q
+        if q < 2:
+            continue
+        rows.append(
+            (
+                g.degree,
+                {
+                    d: tuple(
+                        1 << index[c + stride] if c // stride % q < q - 1 else 0
+                        for c in numbers
+                    )
+                    for d, numbers in by_degree.items()
+                    if d + g.degree <= top
+                },
+            )
+        )
+    # exponents e and q - 1 - e pair to the top class: numbers c and last - c
+    last = len(degrees) - 1
+    pairing = {
+        d: tuple(1 << index[last - c] for c in numbers) for d, numbers in by_degree.items()
+    }
+    dims = {d: len(numbers) for d, numbers in by_degree.items()}
+    return CompiledPresentation(top, dims, tuple(rows), pairing)
 
 
 class MultiplicationTable:
@@ -570,28 +640,48 @@ def _tensor_tables(a: MultiplicationTable, b: MultiplicationTable) -> Multiplica
     return MultiplicationTable(basis, a.top_degree + b.top_degree, rule=rule, generator_hint=hint)
 
 
-def check_poincare_duality(t: MultiplicationTable) -> bool:
+def check_poincare_duality(ring: Ring) -> bool:
     """Nondegeneracy of the mod-2 pairing H^d x H^(n-d) -> H^n.
 
     Requires a unique top class; for each degree d the matrix of
     coefficients of the top class in products of the degree-d and
-    degree-(n-d) bases must have full rank on both sides.
+    degree-(n-d) bases must have full rank on both sides.  Presentations
+    pair into their highest monomial degree and run on their compiled
+    form; tables look the coefficients up with ``product``.
     """
-    n = t.top_degree
-    top = t.basis_in_degree(n)
+    if isinstance(ring, TruncatedPresentation):
+        c = ring.compiled
+        return _pairing_nondegenerate(c.top, c.dims, c.pairing.__getitem__)
+    t = ring
+    top = t.basis_in_degree(t.top_degree)
     if len(top) != 1:
         return False
     top_label = top[0]
+    labels = {d: t.basis_in_degree(d) for d in range(t.top_degree + 1)}
+
+    def rows(d: int) -> list[int]:
+        right = labels[t.top_degree - d]
+        return [
+            sum(1 << j for j, y in enumerate(right) if top_label in t.product(x, y))
+            for x in labels[d]
+        ]
+
+    return _pairing_nondegenerate(
+        t.top_degree, {d: len(ls) for d, ls in labels.items()}, rows
+    )
+
+
+def _pairing_nondegenerate(
+    n: int, dims: Mapping[int, int], rows: Callable[[int], Sequence[int]]
+) -> bool:
+    """Full rank of each pairing matrix ``rows(d)`` (d <= n/2), given as
+    row bitmasks over degree n - d."""
     for d in range(0, n // 2 + 1):
-        left = t.basis_in_degree(d)
-        right = t.basis_in_degree(n - d)
-        if len(left) != len(right):
+        left, right = dims.get(d, 0), dims.get(n - d, 0)
+        if left != right:
             return False
         if not left:
             continue
-        rows = []
-        for x in left:
-            rows.append([1 if top_label in t.product(x, y) else 0 for y in right])
-        if rank(BitMatrix.from_rows(rows, cols=len(right))) != len(left):
+        if rank(BitMatrix(left, right, tuple(rows(d)))) != left:
             return False
     return True

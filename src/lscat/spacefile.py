@@ -54,7 +54,7 @@ class SpaceFileError(ValueError):
     duplicate-generator, bad-exponent, unknown-generator,
     missing-truncation, mixed-ring-kinds, duplicate-basis,
     unknown-label, bad-expression, bad-degree, inconsistent-known-cat,
-    missing-field, no-ring-data.
+    missing-field, no-ring-data, non-manifold.
     """
 
     def __init__(self, message: str, line: int | None = None, kind: str = "syntax"):
@@ -324,12 +324,16 @@ def parse_space(text: str) -> SpaceRecord:
                 raise SpaceFileError(
                     f"generator {g.name!r} has no truncate line", kind="missing-truncation"
                 )
-        try:
-            ring = TruncatedPresentation(
-                tuple(generators),
-                tuple(truncations[g.name][0] for g in generators),
-                dim,
+        exponents = tuple(truncations[g.name][0] for g in generators)
+        reach = sum((p - 1) * g.degree for g, p in zip(generators, exponents))
+        if reach > dim:
+            raise SpaceFileError(
+                f"monomials reach degree {reach} above dim {dim}; "
+                "not the cohomology ring of a closed manifold",
+                kind="non-manifold",
             )
+        try:
+            ring = TruncatedPresentation(tuple(generators), exponents, dim)
         except ValueError as exc:
             raise SpaceFileError(str(exc)) from exc
     else:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from lscat.bounds import (
+    CROSS_CHECK_LIMIT,
     BoundLedger,
     Interval,
     LedgerError,
@@ -14,6 +15,7 @@ from lscat.bounds import (
     betti_sum,
     cat_bounds,
     cup_length,
+    cup_length_check,
     cup_length_formula,
     cup_length_search,
     morse_lower_bound,
@@ -168,6 +170,19 @@ def test_kunneth_additivity_spot():
 def test_cross_check_dispatcher():
     assert cup_length(so_n_presentation(6)) == 9
     assert cup_length(surface_table(1)) == 2
+
+
+def test_cross_check_policy():
+    small = cup_length_check(so_n_presentation(6))
+    assert (small.value, small.formula, small.search, small.agree) == (9, 9, 9, True)
+    large = TruncatedPresentation(
+        tuple(GeneratorSpec(f"t{i}", 1) for i in range(13)), (2,) * 13, 13
+    )
+    assert large.total_dimension > CROSS_CHECK_LIMIT
+    skipped = cup_length_check(large)
+    assert (skipped.value, skipped.formula, skipped.search, skipped.agree) == (13, 13, None, None)
+    table = cup_length_check(surface_table(2))
+    assert (table.value, table.formula, table.search, table.agree) == (2, None, 2, None)
 
 
 # -- Morse / Betti --------------------------------------------------------------

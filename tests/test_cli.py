@@ -271,6 +271,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "exponent" in err
 
 
+def test_non_manifold_presentation_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "nm.space"
+    bad.write_text("space NM\ndim 2\ngenerator a 1\ntruncate a 9\n")
+    code, out, err = run(capsys, "invariants", str(bad))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "[non-manifold]" in err and "Traceback" not in err
+
+
 def test_missing_map_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "check-map", str(tmp_path / "nope.map"))
     assert code == EXIT_USAGE

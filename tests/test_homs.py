@@ -27,7 +27,7 @@ from lscat.homs import (
     torus_stabilization_k,
     validate_hom,
 )
-from lscat.rings import Element, GeneratorSpec, TruncatedPresentation
+from lscat.rings import Element, GeneratorSpec, MultiplicationTable, TruncatedPresentation
 
 
 def identity_hom(presentation: TruncatedPresentation) -> RingHomSpec:
@@ -150,6 +150,20 @@ def test_composition_matrices_multiply():
     composite = validate_hom(compose(outer, inner))
     for d in range(3):
         assert composite.matrices[d] == outer.matrices[d] @ inner.matrices[d]
+
+
+def test_ring_matching_checks_identity_first(monkeypatch):
+    def no_eq(self, other):
+        raise AssertionError("table equality compared")
+
+    monkeypatch.setattr(MultiplicationTable, "__eq__", no_eq)
+    s2 = get("S_2").ring
+    identity = RingHomSpec(
+        s2, s2, {l: Element.of(l) for l, _ in s2.basis if l != s2.unit_label}, 1
+    )
+    vh = validate_hom(identity)
+    assert compose(vh, vh).images == identity.images
+    assert full_report(get("S_2"), get("S_2"), hom=identity).overall == CERTIFIED
 
 
 # -- criteria ---------------------------------------------------------------------

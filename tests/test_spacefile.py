@@ -115,6 +115,7 @@ MALFORMED = [
     ("space X\ndim 2\nknown-cat 2 nocitation\n", "syntax"),
     ("space X\ndim 2\nbasis 1 0\nbasis a 1\nproduct a a = ^2\n", "bad-expression"),
     ("dim 2\nspace X\n", "syntax"),
+    ("space X\ndim 2\ngenerator a 1\ntruncate a 9\n", "non-manifold"),
     (
         "space X\ndim 2\nknown-cat 1 \"too low\"\n"
         "generator a 1\ngenerator b 1\ntruncate a 2\ntruncate b 2\n",
