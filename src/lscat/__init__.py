@@ -23,7 +23,7 @@ from .bounds import (
     so_n_presentation,
 )
 from .catalogue import SpaceRecord, UnknownSpaceError, get, names, surface_table
-from .gf2 import BitMatrix, BitVec, in_span, is_injective, rank
+from .gf2 import BitMatrix, is_injective, rank
 from .homs import (
     CriterionVerdict,
     DimensionMismatch,
@@ -49,11 +49,8 @@ from .rings import (
     GeneratorSpec,
     MultiplicationTable,
     TruncatedPresentation,
-    basis_in_degree,
     check_poincare_duality,
     expand_to_table,
-    multiply,
-    poincare_polynomial,
     tensor_product,
 )
 
@@ -61,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitMatrix",
-    "BitVec",
     "BoundLedger",
     "CriterionVerdict",
     "CupLength",
@@ -79,7 +75,6 @@ __all__ = [
     "TruncatedPresentation",
     "UnknownSpaceError",
     "ValidatedHom",
-    "basis_in_degree",
     "betti_sum",
     "cat_bounds",
     "check_cl_monotone",
@@ -95,14 +90,11 @@ __all__ = [
     "expand_to_table",
     "full_report",
     "get",
-    "in_span",
     "is_injective",
     "low_dim_check",
     "morse_lower_bound",
     "morse_transfer_check",
-    "multiply",
     "names",
-    "poincare_polynomial",
     "rank",
     "so_n_presentation",
     "surface_table",

@@ -3,8 +3,8 @@
 The cup-length is computed two independent ways: a closed formula for
 pure-truncation presentations (sum of truncation exponents minus one
 each) and a definitional search (largest m with a nonzero m-th power of
-the positive-degree ideal), which runs on multiplication tables and on
-the compiled form of presentations.  The two are cross-checked whenever
+the positive-degree ideal), which runs on the compiled form of either
+ring representation.  The two are cross-checked whenever
 the presentation stays small enough, once per ring.
 
 The ledger chains every bound the toolkit knows:
@@ -109,26 +109,10 @@ def cup_length_search(t: MultiplicationTable) -> int:
     definitional choice); tables that know a smaller generating set
     (expansions, tensor products) supply it via ``generator_hint``,
     which spans the same ideals since I^m . I = I^m . (generators).
+    Runs on the table's compiled form.
     """
-    deg_labels: dict[int, list[str]] = {}
-    for l, d in t.basis:
-        deg_labels.setdefault(d, []).append(l)
-    local = {l: i for labels in deg_labels.values() for i, l in enumerate(labels)}
-    degree = dict(t.basis)
-    gens = t.generator_hint or [l for l, d in t.basis if d > 0]
-    rows = []
-    for g in gens:
-        dg = degree[g]
-        per_degree = {}
-        for d, labels in deg_labels.items():
-            if d > 0 and d + dg in deg_labels:
-                per_degree[d] = tuple(
-                    sum(1 << local[r] for r in t.product(l, g)) for l in labels
-                )
-        rows.append((dg, per_degree))
-    return _ideal_power_search(
-        {d: len(labels) for d, labels in deg_labels.items()}, rows
-    )
+    c = t.compiled
+    return _ideal_power_search(c.dims, c.generator_rows)
 
 
 def _ideal_power_search(

@@ -20,6 +20,7 @@ from .rings import (
     MultiplicationTable,
     Ring,
     TruncatedPresentation,
+    _convolve,
     expand_to_table,
     tensor_product,
 )
@@ -268,7 +269,7 @@ def _product_record(name: str, parts: list[str]) -> SpaceRecord:
     ):
         ranks = [1]
         for rec in records:
-            ranks = _convolve_ranks(ranks, list(rec.morse.ranks))
+            ranks = _convolve(ranks, list(rec.morse.ranks))
         morse = MorseData(
             tuple(ranks),
             (0,) * (dimension + 1),
@@ -284,14 +285,6 @@ def _product_record(name: str, parts: list[str]) -> SpaceRecord:
         ring=ring,
         morse=morse,
     )
-
-
-def _convolve_ranks(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ whole words only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def _pack(coords: Iterable[int]) -> tuple[int, int]:
@@ -23,51 +23,6 @@ def _pack(coords: Iterable[int]) -> tuple[int, int]:
             bits |= 1 << length
         length += 1
     return length, bits
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """Immutable GF(2) vector of fixed length."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("length must be nonnegative")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits outside declared length")
-
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> "BitVec":
-        length, bits = _pack(coords)
-        return cls(length, bits)
-
-    @classmethod
-    def zero(cls, length: int) -> "BitVec":
-        return cls(length, 0)
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def to_coords(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.length)]
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.length != other.length:
-            raise ValueError(f"length mismatch: {self.length} vs {other.length}")
-        return BitVec(self.length, self.bits ^ other.bits)
-
-    # v + v = 0 over GF(2); addition and subtraction coincide with XOR
-    __add__ = __xor__
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.to_coords())
 
 
 @dataclass(frozen=True)
@@ -99,62 +54,6 @@ class BitMatrix:
         if width is None:
             raise ValueError("cannot infer column count from an empty matrix; pass cols")
         return cls(len(packed), width, tuple(packed))
-
-    @classmethod
-    def from_bitvecs(cls, vecs: Iterable[BitVec], cols: int | None = None) -> "BitMatrix":
-        vecs = list(vecs)
-        if cols is None:
-            if not vecs:
-                raise ValueError("cannot infer column count; pass cols")
-            cols = vecs[0].length
-        for v in vecs:
-            if v.length != cols:
-                raise ValueError("length mismatch")
-        return cls(len(vecs), cols, tuple(v.bits for v in vecs))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.row_bits[i])
-
-    def column(self, j: int) -> BitVec:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        bits = 0
-        for i, r in enumerate(self.row_bits):
-            bits |= ((r >> j) & 1) << i
-        return BitVec(self.rows, bits)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, tuple(self.column(j).bits for j in range(self.cols)))
-
-    def append_row(self, v: BitVec) -> "BitMatrix":
-        if v.length != self.cols:
-            raise ValueError(f"length mismatch: {v.length} vs {self.cols}")
-        return BitMatrix(self.rows + 1, self.cols, self.row_bits + (v.bits,))
-
-    def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        out = []
-        for r in self.row_bits:
-            acc = 0
-            bits = r
-            while bits:
-                low = bits & -bits
-                acc ^= other.row_bits[low.bit_length() - 1]
-                bits ^= low
-            out.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(out))
-
-    def to_lists(self) -> list[list[int]]:
-        return [self.row(i).to_coords() for i in range(self.rows)]
 
 
 class XorBasis:
@@ -203,13 +102,6 @@ def rank(m: BitMatrix) -> int:
     """GF(2) rank by elimination; 0 <= rank <= min(rows, cols)."""
     basis = XorBasis(m.row_bits)
     return len(basis)
-
-
-def in_span(v: BitVec, basis: BitMatrix) -> bool:
-    """True iff v is a GF(2) linear combination of the rows of ``basis``."""
-    if v.length != basis.cols:
-        raise ValueError(f"length mismatch: {v.length} vs {basis.cols}")
-    return XorBasis(basis.row_bits).contains(v.bits)
 
 
 def is_injective(m: BitMatrix) -> bool:

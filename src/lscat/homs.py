@@ -400,16 +400,11 @@ def thm_main_check(
             "thm_main", INCONCLUSIVE, "range is not flagged stably parallelizable", ()
         )
     q = n_record.connectivity + 1
-    conditional = ""
     if n_record.known_cat is not None:
         cat_n = n_record.known_cat[0]
-    elif n_ledger is not None and n_ledger.cat.is_exact():
-        cat_n = n_ledger.cat.lower
     elif n_ledger is not None:
+        # a lower bound suffices: the condition only gets easier as cat grows
         cat_n = n_ledger.cat.lower
-        conditional = (
-            f" (cat value {cat_n} is only a lower bound; conclusion is conditional)"
-        )
     else:
         return CriterionVerdict(
             "thm_main", INCONCLUSIVE, "no category value available for the range", ()
@@ -421,8 +416,7 @@ def thm_main_check(
             "thm_main",
             CERTIFIED,
             f"{dim} = dim range <= 2*q*cat - 4 = {rhs} with q = {q}, cat = {cat_n}; "
-            f"both manifolds stably parallelizable, so cat(domain) >= cat(range)"
-            + conditional,
+            f"both manifolds stably parallelizable, so cat(domain) >= cat(range)",
             ("comparison theorem for stably parallelizable manifolds",),
         )
     return CriterionVerdict(

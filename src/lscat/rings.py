@@ -10,6 +10,10 @@ Two representations are supported:
   basis per degree and structure constants, for rings (surfaces) whose
   relations are not pure powers.
 
+Both compile, on first use, to one integer-indexed form
+(:class:`CompiledRing`) on which the cup-length search and the duality
+check run; labels and exponent tuples stay at the edges.
+
 Coefficients are fixed to GF(2): an element is a finite set of basis
 terms, addition is symmetric difference, and no signs ever appear.
 All ring objects are immutable after construction and safe to share.
@@ -17,13 +21,14 @@ All ring objects are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
-from .gf2 import BitMatrix, rank
+from .gf2 import XorBasis
 
 Term = Union[tuple, str]
 
@@ -129,9 +134,9 @@ class TruncatedPresentation:
         return n
 
     @cached_property
-    def compiled(self) -> "CompiledPresentation":
+    def compiled(self) -> "CompiledRing":
         """The integer-indexed form, built on first use."""
-        return _compile(self)
+        return _compile_presentation(self)
 
     def unit(self) -> Element:
         return Element.of((0,) * self.ngens)
@@ -245,32 +250,38 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 
 
 @dataclass(frozen=True)
-class CompiledPresentation:
-    """Integer-indexed form of a presentation for the cup-length search
-    and the duality check.
+class CompiledRing:
+    """Integer-indexed form of a ring for the cup-length search and the
+    duality check.
 
-    Monomials are numbered in mixed radix with the first generator most
-    significant, so numbering order is lexicographic order on exponent
-    vectors, and each monomial's index within its degree is its position
-    in ``basis_in_degree``.  Vectors of degree d are bitmasks over those
-    indices.  All monomials are kept, so ``top`` is the highest monomial
-    degree; its only monomial (every exponent maximal) is the top class.
+    The basis of each degree d is numbered in the ring's
+    ``basis_in_degree(d)`` order, and vectors of degree d are bitmasks
+    over those numbers.
 
-    * ``dims[d]`` -- number of monomials of degree d;
-    * ``generator_rows`` -- per nonzero generator, its degree and, for
-      every degree d with d + degree <= top, a tuple of row bitmasks:
-      row i is the i-th monomial of degree d times the generator;
-    * ``pairing[d]`` -- row i marks the monomial of degree top - d whose
-      product with the i-th monomial of degree d is the top class.
+    * ``top`` -- the degree the pairing pairs into: a presentation's
+      highest monomial degree (its only monomial there, every exponent
+      maximal, is the top class), a table's declared top degree;
+    * ``dims[d]`` -- dimension in degree d (missing degrees are zero);
+    * ``generator_rows`` -- per ideal generator, its degree and, per
+      source degree d, a tuple of row bitmasks: row i is the i-th basis
+      element of degree d times the generator (missing degrees multiply
+      to zero);
+    * ``pairing(d)`` -- row i marks the basis elements of degree top - d
+      whose product with the i-th one of degree d is the top class;
+      defined when degree d has a basis and ``top`` a unique class.  It
+      is built on demand: for tables it costs a product lookup per pair,
+      and only the duality check needs it.
     """
 
     top: int
     dims: dict[int, int]
     generator_rows: tuple[tuple[int, dict[int, tuple[int, ...]]], ...]
-    pairing: dict[int, tuple[int, ...]]
+    pairing: Callable[[int], tuple[int, ...]]
 
 
-def _compile(p: TruncatedPresentation) -> CompiledPresentation:
+def _compile_presentation(p: TruncatedPresentation) -> CompiledRing:
+    # monomials are numbered in mixed radix, the first generator most
+    # significant, so numbering order is lexicographic on exponent vectors
     degrees = [0]  # degree of each monomial number
     for g, q in zip(p.generators, p.truncations):
         degrees = [d + e * g.degree for d in degrees for e in range(q)]
@@ -302,11 +313,43 @@ def _compile(p: TruncatedPresentation) -> CompiledPresentation:
         )
     # exponents e and q - 1 - e pair to the top class: numbers c and last - c
     last = len(degrees) - 1
-    pairing = {
-        d: tuple(1 << index[last - c] for c in numbers) for d, numbers in by_degree.items()
-    }
+
+    def pairing(d: int) -> tuple[int, ...]:
+        return tuple(1 << index[last - c] for c in by_degree[d])
+
     dims = {d: len(numbers) for d, numbers in by_degree.items()}
-    return CompiledPresentation(top, dims, tuple(rows), pairing)
+    return CompiledRing(top, dims, tuple(rows), pairing)
+
+
+def _compile_table(t: "MultiplicationTable") -> CompiledRing:
+    labels: dict[int, list[str]] = {}
+    for l, d in t.basis:
+        labels.setdefault(d, []).append(l)
+    local = {l: i for ls in labels.values() for i, l in enumerate(ls)}
+    rows = []
+    for g in t.generator_hint or [l for l, d in t.basis if d > 0]:
+        dg = t.degree_of_label(g)
+        rows.append(
+            (
+                dg,
+                {
+                    d: tuple(sum(1 << local[r] for r in t.product(l, g)) for l in ls)
+                    for d, ls in labels.items()
+                    if d > 0 and d + dg in labels
+                },
+            )
+        )
+
+    def pairing(d: int) -> tuple[int, ...]:
+        (top_label,) = labels[t.top_degree]
+        right = labels[t.top_degree - d]
+        return tuple(
+            sum(1 << j for j, y in enumerate(right) if top_label in t.product(x, y))
+            for x in labels[d]
+        )
+
+    dims = {d: len(ls) for d, ls in labels.items()}
+    return CompiledRing(t.top_degree, dims, tuple(rows), pairing)
 
 
 class MultiplicationTable:
@@ -316,9 +359,9 @@ class MultiplicationTable:
     unique degree-0 label (the unit).  Products are stored sparsely:
     missing pairs are zero.  Construction from explicit products
     validates unit law, degree additivity, commutativity and
-    associativity on all basis triples; tables built internally from a
-    product rule (tensor products, presentation expansions) are
-    associative by construction and skip the exhaustive check.
+    associativity; tables built internally from a product rule (tensor
+    products, presentation expansions) are associative by construction
+    and skip the check.
     """
 
     def __init__(
@@ -328,7 +371,6 @@ class MultiplicationTable:
         products: Mapping[tuple[str, str], frozenset] | None = None,
         *,
         rule: Callable[[str, str], frozenset] | None = None,
-        validate: bool = True,
         generator_hint: tuple[str, ...] | None = None,
     ) -> None:
         if (products is None) == (rule is None):
@@ -359,8 +401,7 @@ class MultiplicationTable:
         self.generator_hint = generator_hint
         if products is not None:
             self._load_products(products)
-            if validate:
-                self._validate_full()
+            self._validate_full()
 
     # -- construction helpers -------------------------------------------
 
@@ -400,11 +441,18 @@ class MultiplicationTable:
                         f"product {la}*{lb} not degree-additive: {t!r} has degree "
                         f"{self._degree[t]}, expected {d}"
                     )
-        for la, lb, lc in itertools.product(labels, repeat=3):
-            left = self.multiply(Element(self.product(la, lb)), Element.of(lc))
-            right = self.multiply(Element.of(la), Element(self.product(lb, lc)))
-            if left != right:
-                raise ValueError(f"associativity fails on ({la}, {lb}, {lc})")
+        # associativity needs no triple with the unit (the unit row is forced
+        # in _load_products) nor above the top degree (both sides vanish once
+        # the pairs above are degree-additive and zero past the top)
+        positive = sorted((l for l in labels if self._degree[l] > 0), key=self._degree.get)
+        degrees = [self._degree[l] for l in positive]
+        for la, lb in itertools.product(positive, repeat=2):
+            room = self.top_degree - self._degree[la] - self._degree[lb]
+            for lc in positive[: bisect.bisect_right(degrees, room)]:
+                left = self.multiply(Element(self.product(la, lb)), Element.of(lc))
+                right = self.multiply(Element.of(la), Element(self.product(lb, lc)))
+                if left != right:
+                    raise ValueError(f"associativity fails on ({la}, {lb}, {lc})")
 
     def _key(self, la: str, lb: str) -> tuple[str, str]:
         # commutativity: store products under the index-ordered pair
@@ -431,6 +479,11 @@ class MultiplicationTable:
     @property
     def size(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def compiled(self) -> CompiledRing:
+        """The integer-indexed form, built on first use from ``product``."""
+        return _compile_table(self)
 
     def degree_of_label(self, label: str) -> int:
         try:
@@ -497,30 +550,8 @@ class MultiplicationTable:
                 acc ^= self.product(s, t)
         return Element(frozenset(acc))
 
-    def element_from_labels(self, labels: Iterable[str]) -> Element:
-        acc: set = set()
-        for l in labels:
-            self._check_term(l)
-            acc ^= {l}
-        return Element(frozenset(acc))
-
 
 Ring = Union[TruncatedPresentation, MultiplicationTable]
-
-
-def multiply(a: Element, b: Element, ring: Ring) -> Element:
-    """Product of two elements in ``ring`` (presentation or table)."""
-    return ring.multiply(a, b)
-
-
-def basis_in_degree(ring: Ring, d: int) -> list:
-    """Basis terms of degree exactly d, in the ring's deterministic order."""
-    return ring.basis_in_degree(d)
-
-
-def poincare_polynomial(ring: Ring) -> list[int]:
-    """Dimension of each graded piece, indexed 0..top_degree."""
-    return ring.poincare_polynomial()
 
 
 def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
@@ -641,34 +672,20 @@ def _tensor_tables(a: MultiplicationTable, b: MultiplicationTable) -> Multiplica
 
 
 def check_poincare_duality(ring: Ring) -> bool:
-    """Nondegeneracy of the mod-2 pairing H^d x H^(n-d) -> H^n.
+    """Nondegeneracy of the mod-2 pairing H^d x H^(n-d) -> H^n, where n
+    is the ring's declared top degree.
 
-    Requires a unique top class; for each degree d the matrix of
+    Requires a unique top class in degree n, so a presentation whose
+    monomials stop below n fails; for each degree d the matrix of
     coefficients of the top class in products of the degree-d and
-    degree-(n-d) bases must have full rank on both sides.  Presentations
-    pair into their highest monomial degree and run on their compiled
-    form; tables look the coefficients up with ``product``.
+    degree-(n-d) bases must have full rank on both sides.  Runs on the
+    compiled form of either representation.
     """
-    if isinstance(ring, TruncatedPresentation):
-        c = ring.compiled
-        return _pairing_nondegenerate(c.top, c.dims, c.pairing.__getitem__)
-    t = ring
-    top = t.basis_in_degree(t.top_degree)
-    if len(top) != 1:
+    c = ring.compiled
+    n = ring.top_degree
+    if c.top != n or c.dims.get(n) != 1:
         return False
-    top_label = top[0]
-    labels = {d: t.basis_in_degree(d) for d in range(t.top_degree + 1)}
-
-    def rows(d: int) -> list[int]:
-        right = labels[t.top_degree - d]
-        return [
-            sum(1 << j for j, y in enumerate(right) if top_label in t.product(x, y))
-            for x in labels[d]
-        ]
-
-    return _pairing_nondegenerate(
-        t.top_degree, {d: len(ls) for d, ls in labels.items()}, rows
-    )
+    return _pairing_nondegenerate(n, c.dims, c.pairing)
 
 
 def _pairing_nondegenerate(
@@ -680,8 +697,6 @@ def _pairing_nondegenerate(
         left, right = dims.get(d, 0), dims.get(n - d, 0)
         if left != right:
             return False
-        if not left:
-            continue
-        if rank(BitMatrix(left, right, tuple(rows(d)))) != left:
+        if left and len(XorBasis(rows(d))) != left:
             return False
     return True

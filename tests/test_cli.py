@@ -280,6 +280,17 @@ def test_non_manifold_presentation_is_parse_error(tmp_path, capsys):
     assert "[non-manifold]" in err and "Traceback" not in err
 
 
+def test_duality_fails_without_a_class_in_the_declared_dimension(tmp_path, capsys):
+    # monomials stop in degree 1, so H^3 = 0 and no closed 3-manifold has this ring
+    space = tmp_path / "u.space"
+    space.write_text("space U\ndim 3\ngenerator a 1\ntruncate a 2\n")
+    code, out, _ = run(capsys, "invariants", str(space))
+    assert code == EXIT_OK
+    assert "poincare duality: False" in out.splitlines()
+    code, out, _ = run(capsys, "--json", "invariants", str(space))
+    assert json.loads(out)["poincare_duality"] is False
+
+
 def test_missing_map_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "check-map", str(tmp_path / "nope.map"))
     assert code == EXIT_USAGE

@@ -89,8 +89,8 @@ def test_compiled_rows_match_expanded_products():
             for d, rows in rows_by_degree.items():
                 assert rows == tuple(mask(table.product(x, g), d + dg) for x in labels[d])
         top_label = table.top_class_label()
-        for d, rows in c.pairing.items():
-            assert rows == tuple(
+        for d in c.dims:
+            assert c.pairing(d) == tuple(
                 mask([y for y in labels[c.top - d] if top_label in table.product(x, y)], c.top - d)
                 for x in labels[d]
             )

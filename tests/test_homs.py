@@ -149,7 +149,8 @@ def test_composition_matrices_multiply():
     outer = validate_hom(collapse_hom())
     composite = validate_hom(compose(outer, inner))
     for d in range(3):
-        assert composite.matrices[d] == outer.matrices[d] @ inner.matrices[d]
+        for t in t2.basis_in_degree(d):
+            assert composite.apply(Element.of(t)) == outer.apply(inner.apply(Element.of(t)))
 
 
 def test_ring_matching_checks_identity_first(monkeypatch):
@@ -229,6 +230,18 @@ def test_thm_main_sphere_fails_dimension_condition():
     verdict = thm_main_check(m, get("S2"))
     assert verdict.status == INCONCLUSIVE
     assert "fails" in verdict.reason
+
+
+def test_thm_main_certifies_from_the_cup_length_bound():
+    # S3xS3 has no cited cat; its ledger only bounds cat below by cl = 2, and
+    # dim 6 <= 2*q*cat - 4 only gets easier as cat grows past the bound
+    n = get("S3xS3")
+    ledger = n.ledger()
+    assert n.known_cat is None and not ledger.cat.is_exact()
+    verdict = thm_main_check(_declared(dim=6, stably_parallelizable=True), n, ledger)
+    assert verdict.status == CERTIFIED
+    assert "conditional" not in verdict.reason
+    assert "q = 3, cat = 2" in verdict.reason
 
 
 def test_thm_main_needs_flags():

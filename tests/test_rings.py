@@ -15,7 +15,6 @@ from lscat.rings import (
     TruncatedPresentation,
     check_poincare_duality,
     expand_to_table,
-    multiply,
     tensor_product,
 )
 
@@ -68,13 +67,13 @@ def test_square_of_sum_drops_cross_terms():
     s4 = so_n_presentation(4)
     e = Element.of((1, 0), (0, 1))  # b1 + b3
     # (b1 + b3)^2 = b1^2 + b3^2 = b1^2 since b3^2 = 0 and 2*b1*b3 = 0 mod 2
-    assert multiply(e, e, s4) == Element.of((2, 0))
+    assert s4.multiply(e, e) == Element.of((2, 0))
 
 
 def test_unit_law():
     s4 = so_n_presentation(4)
     e = Element.of((2, 1), (1, 0))
-    assert multiply(s4.unit(), e, s4) == e
+    assert s4.multiply(s4.unit(), e) == e
 
 
 def test_torus_surface_table_square_zero_and_top():
@@ -87,7 +86,7 @@ def test_torus_surface_table_square_zero_and_top():
 def test_multiply_unknown_term_raises():
     s4 = so_n_presentation(4)
     with pytest.raises(ValueError):
-        multiply(Element.of((9, 9)), s4.unit(), s4)
+        s4.multiply(Element.of((9, 9)), s4.unit())
     t = surface_table(1)
     with pytest.raises(ValueError):
         t.multiply(Element.of("nope"), t.unit())
@@ -111,8 +110,8 @@ def test_presentation_products_associative_commutative():
 
     for _ in range(40):
         a, b, c = random_element(), random_element(), random_element()
-        assert multiply(a, b, s7) == multiply(b, a, s7)
-        assert multiply(multiply(a, b, s7), c, s7) == multiply(a, multiply(b, c, s7), s7)
+        assert s7.multiply(a, b) == s7.multiply(b, a)
+        assert s7.multiply(s7.multiply(a, b), c) == s7.multiply(a, s7.multiply(b, c))
 
 
 def test_table_products_associative_commutative_random():
@@ -254,7 +253,7 @@ def test_expand_agrees_with_presentation_multiply():
     monos = [m for d in range(p.top_degree + 1) for m in p.basis_in_degree(d)]
     for a in monos:
         for b in monos:
-            viap = multiply(Element.of(a), Element.of(b), p)
+            viap = p.multiply(Element.of(a), Element.of(b))
             viat = table.multiply(
                 Element.of(p.monomial_label(a)), Element.of(p.monomial_label(b))
             )
@@ -281,6 +280,13 @@ def test_duality_fails_without_top_class():
         {("b1", "b1"): frozenset({"b1^2"})},
     )
     assert not check_poincare_duality(table)
+
+
+def test_duality_needs_a_class_in_the_declared_dimension():
+    # a single degree-1 generator with a^2 = 0 declared as a 3-manifold: H^3 = 0
+    u = TruncatedPresentation((GeneratorSpec("a", 1),), (2,), 3)
+    assert not check_poincare_duality(u)
+    assert check_poincare_duality(TruncatedPresentation((GeneratorSpec("a", 1),), (2,), 1))
 
 
 def test_duality_fails_on_corrupted_table():
@@ -319,6 +325,88 @@ def test_table_rejects_nonassociative():
     }
     with pytest.raises(ValueError, match="associativity"):
         MultiplicationTable(basis, 3, products)
+
+
+def _materialize(t: MultiplicationTable) -> dict:
+    """A table's nonzero products of positive basis pairs, as explicit data."""
+    labels = [l for l, d in t.basis if d > 0]
+    return {
+        (x, y): t.product(x, y)
+        for i, x in enumerate(labels)
+        for y in labels[i:]
+        if t.product(x, y)
+    }
+
+
+def _all_triples_valid(basis, top, products) -> bool:
+    """The exhaustive check: unit law, degree additivity and associativity
+    on every pair and triple of basis elements, the unit included."""
+    labels = [l for l, _ in basis]
+    degree = dict(basis)
+    unit = next(l for l, d in basis if d == 0)
+
+    def prod(x, y):
+        key = (x, y) if labels.index(x) <= labels.index(y) else (y, x)
+        if key not in products and unit in key:
+            return frozenset({y if x == unit else x})
+        return products.get(key, frozenset())
+
+    def times(terms, z):
+        acc = frozenset()
+        for t in terms:
+            acc ^= prod(t, z)
+        return acc
+
+    for x in labels:
+        if prod(unit, x) != {x}:
+            return False
+        for y in labels:
+            if any(degree[t] != degree[x] + degree[y] for t in prod(x, y)):
+                return False
+    return all(
+        times(prod(x, y), z) == times(prod(y, z), x)
+        for x in labels
+        for y in labels
+        for z in labels
+    )
+
+
+def test_table_validation_matches_exhaustive_check():
+    """The constructor's pruned associativity check accepts exactly the
+    tables the all-triples check accepts."""
+    rng = random.Random(59)
+    sources = [surface_table(g) for g in range(4)]
+    for _ in range(30):
+        gens = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        specs = tuple(GeneratorSpec(f"g{i}", d) for i, (d, _) in enumerate(gens))
+        heights = tuple(h for _, h in gens)
+        top = sum((h - 1) * d for d, h in gens)
+        sources.append(expand_to_table(TruncatedPresentation(specs, heights, top)))
+    sources.append(tensor_product(surface_table(1), expand_to_table(torus_presentation(1))))
+    outcomes = []
+    for t in sources:
+        basis, top, products = t.basis, t.top_degree, _materialize(t)
+        assert _all_triples_valid(basis, top, products)
+        MultiplicationTable(basis, top, products)
+        labels = [l for l, _ in basis]
+        degree = dict(basis)
+        for _ in range(8):
+            i = rng.randrange(len(labels))
+            x, y = labels[i], labels[rng.randrange(i, len(labels))]
+            same = [l for l in labels if degree[l] == degree[x] + degree[y]]
+            pool = same if same and rng.random() < 0.8 else labels
+            value = frozenset(rng.sample(pool, rng.randint(0, min(2, len(pool)))))
+            corrupted = dict(products)
+            corrupted[(x, y)] = value
+            expected = _all_triples_valid(basis, top, corrupted)
+            try:
+                MultiplicationTable(basis, top, corrupted)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected, (basis, (x, y), value)
+            outcomes.append(accepted)
+    assert outcomes.count(True) > 20 and outcomes.count(False) > 20
 
 
 def test_presentation_warns_when_monomials_exceed_top():
