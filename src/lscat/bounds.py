@@ -18,9 +18,9 @@ cat itself is never computed; known values enter as cited data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+from ._record import Record
 from .gf2 import XorBasis
 from .rings import (
     GeneratorSpec,
@@ -34,8 +34,7 @@ from .rings import (
 CROSS_CHECK_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class MorseData:
+class MorseData(Record):
     """Homology input for Morse counting: ranks and torsion ranks per degree."""
 
     ranks: tuple[int, ...]
@@ -43,7 +42,19 @@ class MorseData:
     simply_connected: bool
     dimension: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        ranks: tuple[int, ...],
+        torsion_ranks: tuple[int, ...],
+        simply_connected: bool,
+        dimension: int,
+    ) -> None:
+        self.__dict__.update(
+            ranks=ranks,
+            torsion_ranks=torsion_ranks,
+            simply_connected=simply_connected,
+            dimension=dimension,
+        )
         n = self.dimension
         if n < 0:
             raise ValueError("dimension must be nonnegative")
@@ -165,8 +176,7 @@ def _ideal_power_search(
         m += 1
 
 
-@dataclass(frozen=True)
-class CupLength:
+class CupLength(Record):
     """A ring's cup-length with the computations that certify it.
 
     ``formula`` is the closed formula (presentations only); ``search``
@@ -179,6 +189,11 @@ class CupLength:
     formula: int | None
     search: int | None
     agree: bool | None
+
+    def __init__(
+        self, value: int, formula: int | None, search: int | None, agree: bool | None
+    ) -> None:
+        self.__dict__.update(value=value, formula=formula, search=search, agree=agree)
 
     def to_dict(self) -> dict:
         return {"formula": self.formula, "search": self.search, "agree": self.agree}
@@ -233,8 +248,7 @@ class LedgerError(ValueError):
     """A bound ledger violates the chain of inequalities."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval [lower, upper] with provenance per endpoint.
 
     ``upper is None`` means unbounded above.
@@ -242,8 +256,22 @@ class Interval:
 
     lower: int
     upper: int | None
-    lower_provenance: str = ""
-    upper_provenance: str = ""
+    lower_provenance: str
+    upper_provenance: str
+
+    def __init__(
+        self,
+        lower: int,
+        upper: int | None,
+        lower_provenance: str = "",
+        upper_provenance: str = "",
+    ) -> None:
+        self.__dict__.update(
+            lower=lower,
+            upper=upper,
+            lower_provenance=lower_provenance,
+            upper_provenance=upper_provenance,
+        )
 
     def check(self, name: str) -> None:
         if self.lower < 0:
@@ -269,8 +297,7 @@ class Interval:
         return f"in [{self.lower}, {hi}]"
 
 
-@dataclass(frozen=True)
-class BoundLedger:
+class BoundLedger(Record):
     """Interval bounds for cat, e*, ballcat, crit and crit* of one space."""
 
     dimension: int
@@ -280,9 +307,29 @@ class BoundLedger:
     ballcat: Interval
     crit: Interval
     crit_star: Interval
-    betti_total: int | None = None
+    betti_total: int | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        dimension: int,
+        cup_length: int,
+        cat: Interval,
+        toomer_e: Interval,
+        ballcat: Interval,
+        crit: Interval,
+        crit_star: Interval,
+        betti_total: int | None = None,
+    ) -> None:
+        self.__dict__.update(
+            dimension=dimension,
+            cup_length=cup_length,
+            cat=cat,
+            toomer_e=toomer_e,
+            ballcat=ballcat,
+            crit=crit,
+            crit_star=crit_star,
+            betti_total=betti_total,
+        )
         self.validate()
 
     def validate(self) -> None:
@@ -312,17 +359,30 @@ class BoundLedger:
             raise LedgerError(
                 f"cannot raise cat lower bound to {value}: upper bound is {self.cat.upper}"
             )
-        cat = replace(self.cat, lower=value, lower_provenance=provenance)
+        cat = Interval(value, self.cat.upper, provenance, self.cat.upper_provenance)
         ballcat = self.ballcat
         if ballcat.lower < value:
-            ballcat = replace(ballcat, lower=value, lower_provenance=f"{provenance} (cat <= ballcat)")
+            ballcat = Interval(
+                value, ballcat.upper, f"{provenance} (cat <= ballcat)", ballcat.upper_provenance
+            )
         crit = self.crit
         if crit.lower < ballcat.lower + 1:
-            crit = replace(crit, lower=ballcat.lower + 1, lower_provenance="ballcat + 1")
+            crit = Interval(ballcat.lower + 1, crit.upper, "ballcat + 1", crit.upper_provenance)
         crit_star = self.crit_star
         if crit_star.lower < crit.lower:
-            crit_star = replace(crit_star, lower=crit.lower, lower_provenance="at least crit")
-        return replace(self, cat=cat, ballcat=ballcat, crit=crit, crit_star=crit_star)
+            crit_star = Interval(
+                crit.lower, crit_star.upper, "at least crit", crit_star.upper_provenance
+            )
+        return BoundLedger(
+            self.dimension,
+            self.cup_length,
+            cat,
+            self.toomer_e,
+            ballcat,
+            crit,
+            crit_star,
+            self.betti_total,
+        )
 
     def to_dict(self) -> dict:
         return {

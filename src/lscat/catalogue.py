@@ -11,9 +11,9 @@ parameter; products are available on demand through names such as
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .bounds import BoundLedger, MorseData, cat_bounds, cup_length, so_n_presentation
 from .rings import (
     GeneratorSpec,
@@ -43,8 +43,7 @@ class UnknownSpaceError(ValueError):
     """Requested catalogue name does not resolve."""
 
 
-@dataclass(frozen=True)
-class SpaceRecord:
+class SpaceRecord(Record):
     """Catalogue entry for one closed manifold.
 
     ``connectivity`` c means the space is c-connected (0 = merely
@@ -59,12 +58,36 @@ class SpaceRecord:
     orientable: bool
     stably_parallelizable: bool
     ring: Ring | None
-    morse: MorseData | None = None
-    known_cat: tuple[int, str] | None = None
-    genus: int | None = None
-    notes: tuple[str, ...] = ()
+    morse: MorseData | None
+    known_cat: tuple[int, str] | None
+    genus: int | None
+    notes: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        dimension: int,
+        connectivity: int,
+        orientable: bool,
+        stably_parallelizable: bool,
+        ring: Ring | None,
+        morse: MorseData | None = None,
+        known_cat: tuple[int, str] | None = None,
+        genus: int | None = None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            name=name,
+            dimension=dimension,
+            connectivity=connectivity,
+            orientable=orientable,
+            stably_parallelizable=stably_parallelizable,
+            ring=ring,
+            morse=morse,
+            known_cat=known_cat,
+            genus=genus,
+            notes=notes,
+        )
         if self.ring is not None and self.ring.top_degree != self.dimension:
             raise ValueError(
                 f"{self.name}: ring top degree {self.ring.top_degree} "

@@ -9,8 +9,9 @@ whole words only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from ._record import Record
 
 
 def _pack(coords: Iterable[int]) -> tuple[int, int]:
@@ -25,15 +26,15 @@ def _pack(coords: Iterable[int]) -> tuple[int, int]:
     return length, bits
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(Record):
     """Row-major GF(2) matrix; each row is a bitset over ``cols`` columns."""
 
     rows: int
     cols: int
     row_bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: int, cols: int, row_bits: tuple[int, ...]) -> None:
+        self.__dict__.update(rows=rows, cols=cols, row_bits=row_bits)
         if len(self.row_bits) != self.rows:
             raise ValueError("row count mismatch")
         for r in self.row_bits:

@@ -14,9 +14,9 @@ category-transferring criteria means cat(domain) >= cat(range) holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
+from ._record import Record
 from .bounds import BoundLedger, MorseData, cup_length, morse_lower_bound
 from .catalogue import SpaceRecord
 from .gf2 import BitMatrix, is_injective
@@ -48,12 +48,18 @@ class DimensionMismatch(ValueError):
     """Domain and range dimensions differ; the comparison requires equality."""
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(Record):
     criterion_id: str
     status: str
     reason: str
-    citations: tuple[str, ...] = ()
+    citations: tuple[str, ...]
+
+    def __init__(
+        self, criterion_id: str, status: str, reason: str, citations: tuple[str, ...] = ()
+    ) -> None:
+        self.__dict__.update(
+            criterion_id=criterion_id, status=status, reason=reason, citations=citations
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -64,8 +70,7 @@ class CriterionVerdict:
         }
 
 
-@dataclass(frozen=True)
-class RingHomSpec:
+class RingHomSpec(Record):
     """A graded ring homomorphism given by images of source generators.
 
     ``source`` is H*(N) (cohomology of the map's range), ``target`` is
@@ -76,15 +81,19 @@ class RingHomSpec:
     source: Ring
     target: Ring
     images: Mapping[str, Element]
-    asserted_degree: int = 1
+    asserted_degree: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, source: Ring, target: Ring, images: Mapping[str, Element], asserted_degree: int = 1
+    ) -> None:
+        self.__dict__.update(
+            source=source, target=target, images=images, asserted_degree=asserted_degree
+        )
         if self.asserted_degree not in (1, -1):
             raise ValueError("asserted degree must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class ValidatedHom:
+class ValidatedHom(Record):
     """A RingHomSpec with verified well-definedness and per-degree matrices.
 
     ``matrices[d]`` is the induced GF(2)-linear map H^d(N) -> H^d(M) in
@@ -94,7 +103,17 @@ class ValidatedHom:
 
     spec: RingHomSpec
     matrices: tuple[BitMatrix, ...]
-    _images: Mapping[object, Element] = field(repr=False, default_factory=dict)
+    _images: Mapping[object, Element]
+
+    def __init__(
+        self,
+        spec: RingHomSpec,
+        matrices: tuple[BitMatrix, ...],
+        _images: Mapping[object, Element] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            spec=spec, matrices=matrices, _images={} if _images is None else _images
+        )
 
     def apply(self, element: Element) -> Element:
         """Image of an arbitrary source element in the target ring."""
@@ -400,11 +419,13 @@ def thm_main_check(
             "thm_main", INCONCLUSIVE, "range is not flagged stably parallelizable", ()
         )
     q = n_record.connectivity + 1
+    lower_only = False
     if n_record.known_cat is not None:
         cat_n = n_record.known_cat[0]
     elif n_ledger is not None:
         # a lower bound suffices: the condition only gets easier as cat grows
         cat_n = n_ledger.cat.lower
+        lower_only = not n_ledger.cat.is_exact()
     else:
         return CriterionVerdict(
             "thm_main", INCONCLUSIVE, "no category value available for the range", ()
@@ -419,22 +440,29 @@ def thm_main_check(
             f"both manifolds stably parallelizable, so cat(domain) >= cat(range)",
             ("comparison theorem for stably parallelizable manifolds",),
         )
-    return CriterionVerdict(
-        "thm_main",
-        INCONCLUSIVE,
-        f"dimension condition fails: dim range = {dim} > 2*q*cat - 4 = {rhs} "
-        f"(q = {q}, cat = {cat_n})",
-        (),
-    )
+    if lower_only:
+        # a larger true cat(range) may still satisfy the condition
+        reason = (
+            f"dimension condition fails for the lower bound only: dim range = {dim} > "
+            f"2*q*cat - 4 = {rhs} (q = {q}, cat >= {cat_n})"
+        )
+    else:
+        reason = (
+            f"dimension condition fails: dim range = {dim} > 2*q*cat - 4 = {rhs} "
+            f"(q = {q}, cat = {cat_n})"
+        )
+    return CriterionVerdict("thm_main", INCONCLUSIVE, reason, ())
 
 
-@dataclass(frozen=True)
-class StabilizationCheck:
+class StabilizationCheck(Record):
     """Torus-stabilization constant with its verified inequality instance."""
 
     k: int
     lhs: int  # 2k - 4
     rhs: int  # k + n
+
+    def __init__(self, k: int, lhs: int, rhs: int) -> None:
+        self.__dict__.update(k=k, lhs=lhs, rhs=rhs)
 
     @property
     def holds(self) -> bool:
@@ -577,8 +605,7 @@ def morse_transfer_check(m_data: MorseData, n_data: MorseData) -> CriterionVerdi
     )
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Ordered criterion verdicts for one domain/range pair."""
 
     domain: str
@@ -586,8 +613,28 @@ class Report:
     verdicts: tuple[CriterionVerdict, ...]
     overall: str
     notes: tuple[str, ...]
-    domain_ledger: BoundLedger | None = None
-    range_ledger: BoundLedger | None = None
+    domain_ledger: BoundLedger | None
+    range_ledger: BoundLedger | None
+
+    def __init__(
+        self,
+        domain: str,
+        range: str,
+        verdicts: tuple[CriterionVerdict, ...],
+        overall: str,
+        notes: tuple[str, ...],
+        domain_ledger: BoundLedger | None = None,
+        range_ledger: BoundLedger | None = None,
+    ) -> None:
+        self.__dict__.update(
+            domain=domain,
+            range=range,
+            verdicts=verdicts,
+            overall=overall,
+            notes=notes,
+            domain_ledger=domain_ledger,
+            range_ledger=range_ledger,
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -24,29 +24,28 @@ from __future__ import annotations
 import bisect
 import itertools
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
+from ._record import Record
 from .gf2 import XorBasis
 
 Term = Union[tuple, str]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """A polynomial generator: a name and a positive degree."""
 
     name: str
     degree: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, degree: int) -> None:
+        self.__dict__.update(name=name, degree=degree)
         if self.degree < 1:
             raise ValueError(f"generator {self.name!r} must have degree >= 1")
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """A sum of basis terms with implicit coefficient 1 over GF(2).
 
     Terms are exponent tuples for presentations or basis labels for
@@ -54,7 +53,10 @@ class Element:
     addition is symmetric difference of term sets.
     """
 
-    terms: frozenset = field(default_factory=frozenset)
+    terms: frozenset
+
+    def __init__(self, terms: frozenset = frozenset()) -> None:
+        self.__dict__.update(terms=terms)
 
     @classmethod
     def zero(cls) -> "Element":
@@ -76,8 +78,7 @@ class Element:
     __xor__ = __add__
 
 
-@dataclass(frozen=True)
-class TruncatedPresentation:
+class TruncatedPresentation(Record):
     """GF(2) polynomial algebra truncated by pure power relations.
 
     ``truncations[i] == p_i`` means ``generators[i]**p_i == 0``; a
@@ -93,7 +94,10 @@ class TruncatedPresentation:
     truncations: tuple[int, ...]
     top_degree: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, generators: tuple[GeneratorSpec, ...], truncations: tuple[int, ...], top_degree: int
+    ) -> None:
+        self.__dict__.update(generators=generators, truncations=truncations, top_degree=top_degree)
         if len(self.generators) != len(self.truncations):
             raise ValueError("one truncation exponent per generator required")
         names = [g.name for g in self.generators]
@@ -249,8 +253,7 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CompiledRing:
+class CompiledRing(Record):
     """Integer-indexed form of a ring for the cup-length search and the
     duality check.
 
@@ -277,6 +280,15 @@ class CompiledRing:
     dims: dict[int, int]
     generator_rows: tuple[tuple[int, dict[int, tuple[int, ...]]], ...]
     pairing: Callable[[int], tuple[int, ...]]
+
+    def __init__(
+        self,
+        top: int,
+        dims: dict[int, int],
+        generator_rows: tuple[tuple[int, dict[int, tuple[int, ...]]], ...],
+        pairing: Callable[[int], tuple[int, ...]],
+    ) -> None:
+        self.__dict__.update(top=top, dims=dims, generator_rows=generator_rows, pairing=pairing)
 
 
 def _compile_presentation(p: TruncatedPresentation) -> CompiledRing:
@@ -557,10 +569,12 @@ Ring = Union[TruncatedPresentation, MultiplicationTable]
 def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
     """Rewrite a presentation as a multiplication table on its monomial basis.
 
-    The table's top degree is the maximal monomial degree, so table
-    products agree with presentation products on every basis pair (no
-    extra truncation happens even for presentations that overflow their
-    declared top_degree).  Products are computed on demand.
+    The table's top degree is the presentation's declared top_degree,
+    raised to the maximal monomial degree when some monomial overflows
+    it, so the table models the same space (duality pairs into the
+    declared dimension) and table products agree with presentation
+    products on every basis pair (no extra truncation happens).
+    Products are computed on demand.
     """
     monomials = sorted(
         itertools.product(*(range(p_i) for p_i in p.truncations)),
@@ -570,7 +584,7 @@ def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
     by_label = {labels[m]: m for m in monomials}
     if len(by_label) != len(monomials):
         raise ValueError("generator names produce ambiguous monomial labels")
-    top = max(p.monomial_degree(m) for m in monomials)
+    top = max(p.top_degree, max(p.monomial_degree(m) for m in monomials))
 
     def rule(la: str, lb: str) -> frozenset:
         prod = tuple(x + y for x, y in zip(by_label[la], by_label[lb]))

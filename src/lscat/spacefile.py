@@ -31,8 +31,8 @@ identity on normalized files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._record import Record
 from .catalogue import SpaceRecord
 from .homs import RingHomSpec
 from .rings import (
@@ -407,8 +407,7 @@ def serialize_space(record: SpaceRecord) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class MapFileSpec:
+class MapFileSpec(Record):
     """Parsed map file, unresolved: space names and raw image expressions."""
 
     name: str
@@ -416,6 +415,11 @@ class MapFileSpec:
     range: str
     degree: int
     sends: tuple[tuple[str, str], ...]  # (generator, expression text)
+
+    def __init__(
+        self, name: str, domain: str, range: str, degree: int, sends: tuple[tuple[str, str], ...]
+    ) -> None:
+        self.__dict__.update(name=name, domain=domain, range=range, degree=degree, sends=sends)
 
 
 def parse_map(text: str) -> MapFileSpec:

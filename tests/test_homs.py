@@ -229,7 +229,25 @@ def test_thm_main_sphere_fails_dimension_condition():
     m = _declared(dim=2, stably_parallelizable=True)
     verdict = thm_main_check(m, get("S2"))
     assert verdict.status == INCONCLUSIVE
-    assert "fails" in verdict.reason
+    # cat(S2) is cited, so the failure is stated without qualification
+    assert verdict.reason == (
+        "dimension condition fails: dim range = 2 > 2*q*cat - 4 = 0 (q = 2, cat = 1)"
+    )
+
+
+def test_thm_main_failure_on_a_lower_bound_says_so():
+    # cat(SO10) is only known to be >= 21; a larger true value may satisfy
+    # dim 45 <= 2*q*cat - 4, so the reason must not claim the condition fails
+    n = get("SO10")
+    ledger = n.ledger()
+    assert n.known_cat is None and not ledger.cat.is_exact()
+    verdict = thm_main_check(_declared(dim=45, stably_parallelizable=True), n, ledger)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.reason == (
+        "dimension condition fails for the lower bound only: dim range = 45 > "
+        "2*q*cat - 4 = 38 (q = 1, cat >= 21)"
+    )
+
 
 
 def test_thm_main_certifies_from_the_cup_length_bound():

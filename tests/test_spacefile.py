@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lscat.bounds import cup_length
-from lscat.catalogue import get, names
+from lscat.bounds import cup_length, cup_length_formula
+from lscat.catalogue import SpaceRecord, get, names
 from lscat.homs import check_injectivity, check_top_class, validate_hom
-from lscat.rings import Element, MultiplicationTable, TruncatedPresentation
+from lscat.rings import Element, GeneratorSpec, MultiplicationTable, TruncatedPresentation
 from lscat.spacefile import (
     SpaceFileError,
     element_from_monomials,
@@ -149,6 +151,43 @@ def test_round_trip_fixpoint_on_catalogue_exports():
         second = serialize_space(reparsed)
         assert first == second, name
         assert parse_space(second) == reparsed
+
+
+IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+# a citation runs to its closing quote, and '#' starts a comment
+CITATIONS = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters='"#'))
+
+
+@st.composite
+def presentation_records(draw) -> SpaceRecord:
+    names_ = draw(st.lists(IDENTIFIERS, max_size=4, unique=True))
+    gens = tuple(GeneratorSpec(n, draw(st.integers(1, 4))) for n in names_)
+    heights = tuple(draw(st.integers(1, 5)) for _ in gens)
+    top = sum((h - 1) * g.degree for g, h in zip(gens, heights))
+    # without ring lines a positive dimension reads as a flags-only record
+    dim = top + draw(st.integers(0, 2)) if gens else 0
+    ring = TruncatedPresentation(gens, heights, dim)
+    known = None
+    if draw(st.booleans()):
+        known = (draw(st.integers(cup_length_formula(ring), dim)), draw(CITATIONS))
+    return SpaceRecord(
+        name=draw(IDENTIFIERS),
+        dimension=dim,
+        connectivity=draw(st.integers(0, 3)),
+        orientable=draw(st.booleans()),
+        stably_parallelizable=draw(st.booleans()),
+        ring=ring,
+        known_cat=known,
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(presentation_records())
+def test_serialize_parse_is_a_fixpoint_on_presentations(record):
+    text = serialize_space(record)
+    reparsed = parse_space(text)
+    assert reparsed == record
+    assert serialize_space(reparsed) == text
 
 
 def test_round_trip_preserves_fields():
