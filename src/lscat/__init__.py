@@ -23,7 +23,7 @@ from .bounds import (
     so_n_presentation,
 )
 from .catalogue import SpaceRecord, UnknownSpaceError, get, names, surface_table
-from .gf2 import BitMatrix, is_injective, rank
+from .gf2 import rank
 from .homs import (
     CriterionVerdict,
     DimensionMismatch,
@@ -57,7 +57,6 @@ from .rings import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitMatrix",
     "BoundLedger",
     "CriterionVerdict",
     "CupLength",
@@ -90,7 +89,6 @@ __all__ = [
     "expand_to_table",
     "full_report",
     "get",
-    "is_injective",
     "low_dim_check",
     "morse_lower_bound",
     "morse_transfer_check",

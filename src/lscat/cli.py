@@ -23,9 +23,8 @@ from .homs import (
     VIOLATED,
     DimensionMismatch,
     HomValidationError,
-    check_injectivity,
-    check_top_class,
     full_report,
+    injectivity_outcome,
     thm_main_check,
     torus_stabilization_k,
     validate_hom,
@@ -300,15 +299,7 @@ def cmd_check_map(args) -> int:
     except UnknownSpaceError as exc:
         raise SpaceFileError(str(exc), kind="unknown-space") from exc
     hom = resolve_map(spec, domain, range_)
-    vh = validate_hom(hom)
-    per_degree, overall = check_injectivity(vh)
-    try:
-        top_ok = check_top_class(vh)
-    except (DimensionMismatch, ValueError) as exc:
-        top_ok = None
-        top_msg = str(exc)
-    else:
-        top_msg = None
+    per_degree, top_ok, top_note, violated = injectivity_outcome(validate_hom(hom))
     payload = {
         "map": spec.name,
         "domain": domain.name,
@@ -316,7 +307,7 @@ def cmd_check_map(args) -> int:
         "asserted_degree": spec.degree,
         "valid_ring_homomorphism": True,
         "injective_per_degree": {str(d): ok for d, ok in per_degree.items()},
-        "injective_overall": overall,
+        "injective_overall": all(per_degree.values()),
         "top_class_preserved": top_ok,
     }
     text = [
@@ -326,10 +317,9 @@ def cmd_check_map(args) -> int:
     for d in sorted(per_degree):
         text.append(f"  degree {d}: {'injective' if per_degree[d] else 'NOT injective'}")
     if top_ok is None:
-        text.append(f"top class: not applicable ({top_msg})")
+        text.append(f"top class: not applicable ({top_note})")
     else:
         text.append(f"top class preserved: {top_ok}")
-    violated = (not overall) or top_ok is False
     text.append(
         "verdict: violated (no such degree +-1 map exists)"
         if violated

@@ -19,8 +19,8 @@ from typing import Mapping
 from ._record import Record
 from .bounds import BoundLedger, MorseData, cup_length, morse_lower_bound
 from .catalogue import SpaceRecord
-from .gf2 import BitMatrix, is_injective
-from .rings import Element, MultiplicationTable, Ring, TruncatedPresentation
+from .gf2 import rank
+from .rings import Element, MultiplicationTable, Ring, TruncatedPresentation, _element_power
 
 CERTIFIED = "certified"
 VIOLATED = "violated"
@@ -97,18 +97,19 @@ class ValidatedHom(Record):
     """A RingHomSpec with verified well-definedness and per-degree matrices.
 
     ``matrices[d]`` is the induced GF(2)-linear map H^d(N) -> H^d(M) in
-    the rings' deterministic bases: rows index the target basis,
-    columns the source basis.
+    the rings' deterministic bases, as a tuple of image bitmasks: entry j
+    is the image of the j-th source basis element of degree d, with bit i
+    set when the i-th target basis element of degree d occurs in it.
     """
 
     spec: RingHomSpec
-    matrices: tuple[BitMatrix, ...]
+    matrices: tuple[tuple[int, ...], ...]
     _images: Mapping[object, Element]
 
     def __init__(
         self,
         spec: RingHomSpec,
-        matrices: tuple[BitMatrix, ...],
+        matrices: tuple[tuple[int, ...], ...],
         _images: Mapping[object, Element] | None = None,
     ) -> None:
         self.__dict__.update(
@@ -126,33 +127,13 @@ class ValidatedHom(Record):
         return acc
 
 
-def _element_power(ring: Ring, e: Element, n: int) -> Element:
-    result = ring.unit()
-    base = e
-    while n:
-        if n & 1:
-            result = ring.multiply(result, base)
-        n >>= 1
-        if n:
-            base = ring.multiply(base, base)
-    return result
-
-
-def _coordinates(ring: Ring, element: Element, basis: list) -> list[int]:
-    index = {t: i for i, t in enumerate(basis)}
-    coords = [0] * len(basis)
-    for t in element.terms:
-        coords[index[t]] = 1
-    return coords
-
-
 def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     """Check that the images define a graded ring homomorphism.
 
     Verifies degree preservation on generators, vanishing of all source
     relations after substitution, and unit -> unit; returns the induced
-    per-degree matrices.  Raises :class:`HomValidationError` listing
-    every problem found.
+    per-degree matrices as image bitmasks.  Raises
+    :class:`HomValidationError` listing every problem found.
     """
     problems: list[str] = []
     source, target = spec.source, spec.target
@@ -205,9 +186,7 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
             memo[exps] = img
             return img
 
-        for d in range(source.top_degree + 1):
-            for mono in source.basis_in_degree(d):
-                term_images[mono] = monomial_image(mono)
+        image_of = monomial_image
 
     elif isinstance(source, MultiplicationTable):
         labels = {l for l, _ in source.basis}
@@ -251,21 +230,18 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
                     )
         if problems:
             raise HomValidationError(problems)
+        image_of = term_images.__getitem__
     else:
         raise TypeError(f"unsupported source ring {type(source).__name__}")
 
     matrices = []
     for d in range(source.top_degree + 1):
-        src_basis = source.basis_in_degree(d)
-        tgt_basis = target.basis_in_degree(d)
-        rows = [[0] * len(src_basis) for _ in tgt_basis]
-        for j, mono in enumerate(src_basis):
-            img = term_images[mono]
-            col = _coordinates(target, img, tgt_basis)
-            for i, bit in enumerate(col):
-                if bit:
-                    rows[i][j] = 1
-        matrices.append(BitMatrix.from_rows(rows, cols=len(src_basis)))
+        index = {t: i for i, t in enumerate(target.basis_in_degree(d))}
+        masks = []
+        for term in source.basis_in_degree(d):
+            term_images[term] = img = image_of(term)
+            masks.append(sum(1 << index[t] for t in img.terms))
+        matrices.append(tuple(masks))
     return ValidatedHom(spec=spec, matrices=tuple(matrices), _images=term_images)
 
 
@@ -305,7 +281,7 @@ def check_injectivity(vh: ValidatedHom) -> tuple[dict[int, bool], bool]:
     For an asserted degree +-1 map, failure in any degree certifies that
     no such map with this induced homomorphism exists.
     """
-    per_degree = {d: is_injective(m) for d, m in enumerate(vh.matrices)}
+    per_degree = {d: rank(cols) == len(cols) for d, cols in enumerate(vh.matrices)}
     return per_degree, all(per_degree.values())
 
 
@@ -321,6 +297,24 @@ def check_top_class(vh: ValidatedHom) -> bool:
     if len(src_top) != 1 or len(tgt_top) != 1:
         raise ValueError("both rings need a unique top class")
     return vh.apply(Element.of(src_top[0])) == Element.of(tgt_top[0])
+
+
+def injectivity_outcome(vh: ValidatedHom) -> tuple[dict[int, bool], bool | None, str, bool]:
+    """The mod-2 consequences of degree +-1 for one validated hom.
+
+    Returns ``(per_degree, top_ok, top_note, violated)``: the injectivity
+    of each degree, whether the top class hits the top class (None when
+    the check does not apply, ``top_note`` then saying why), and whether
+    a degree +-1 map is ruled out, which holds iff some degree has a
+    kernel or the top class misses.
+    """
+    per_degree, injective = check_injectivity(vh)
+    try:
+        top_ok: bool | None = check_top_class(vh)
+        top_note = ""
+    except (DimensionMismatch, ValueError) as exc:
+        top_ok, top_note = None, str(exc)
+    return per_degree, top_ok, top_note, not injective or top_ok is False
 
 
 def check_cl_monotone(m_ring: Ring, n_ring: Ring) -> CriterionVerdict:
@@ -739,35 +733,27 @@ def full_report(
 
 def _hom_verdict(hom: RingHomSpec) -> CriterionVerdict:
     vh = validate_hom(hom)
-    per_degree, overall = check_injectivity(vh)
-    try:
-        top_ok: bool | None = check_top_class(vh)
-    except (DimensionMismatch, ValueError):
-        top_ok = None
-    problems = []
-    if not overall:
+    per_degree, top_ok, _, violated = injectivity_outcome(vh)
+    citations = ("degree-one maps induce injective cohomology homomorphisms",)
+    if violated:
+        problems = []
         failing = sorted(d for d, ok in per_degree.items() if not ok)
-        problems.append(
-            f"induced map has a kernel in degrees {failing}; a degree +-1 map "
-            "induces a monomorphism on cohomology"
-        )
-    if top_ok is False:
-        problems.append(
-            "top class of the range does not hit the top class of the domain; "
-            "incompatible with degree +-1"
-        )
-    if problems:
-        return CriterionVerdict(
-            "lemma_injectivity",
-            VIOLATED,
-            "; ".join(problems),
-            ("degree-one maps induce injective cohomology homomorphisms",),
-        )
+        if failing:
+            problems.append(
+                f"induced map has a kernel in degrees {failing}; a degree +-1 map "
+                "induces a monomorphism on cohomology"
+            )
+        if top_ok is False:
+            problems.append(
+                "top class of the range does not hit the top class of the domain; "
+                "incompatible with degree +-1"
+            )
+        return CriterionVerdict("lemma_injectivity", VIOLATED, "; ".join(problems), citations)
     top_note = "top class preserved" if top_ok else "top class check not applicable"
     n = len(vh.matrices) - 1
     return CriterionVerdict(
         "lemma_injectivity",
         CERTIFIED,
         f"induced homomorphism injective in every degree 0..{n}; {top_note}",
-        ("degree-one maps induce injective cohomology homomorphisms",),
+        citations,
     )

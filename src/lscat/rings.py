@@ -566,6 +566,20 @@ class MultiplicationTable:
 Ring = Union[TruncatedPresentation, MultiplicationTable]
 
 
+def _element_power(ring: Ring, e: Element, n: int) -> Element:
+    """``e**n`` by square-and-multiply: O(log n) products, so an exponent
+    read from a file cannot make the work unbounded."""
+    result = ring.unit()
+    base = e
+    while n:
+        if n & 1:
+            result = ring.multiply(result, base)
+        n >>= 1
+        if n:
+            base = ring.multiply(base, base)
+    return result
+
+
 def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
     """Rewrite a presentation as a multiplication table on its monomial basis.
 

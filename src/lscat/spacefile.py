@@ -41,6 +41,7 @@ from .rings import (
     MultiplicationTable,
     Ring,
     TruncatedPresentation,
+    _element_power,
 )
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -150,8 +151,7 @@ def element_from_monomials(
                 raise SpaceFileError(
                     f"unknown basis label {name!r}", lineno, kind="unknown-label"
                 ) from None
-            for _ in range(exp):
-                term = ring.multiply(term, factor)
+            term = ring.multiply(term, _element_power(ring, factor, exp))
         acc = acc + term
     return acc
 
@@ -371,7 +371,8 @@ def serialize_space(record: SpaceRecord) -> str:
     """Normalized space-file text; parse(serialize(r)) reproduces r.
 
     Flags-only records (no ring) serialize without ring lines and parse
-    back as flags-only.
+    back as flags-only.  Raises ValueError for a known-cat citation the
+    format cannot hold (one with '#', '"' or a line break).
     """
     out = [f"space {record.name}", f"dim {record.dimension}"]
     out.append(f"connectivity {record.connectivity}")
@@ -381,6 +382,11 @@ def serialize_space(record: SpaceRecord) -> str:
     out.append(f"orientable {'true' if record.orientable else 'false'}")
     if record.known_cat is not None:
         value, citation = record.known_cat
+        for c in citation:
+            # the format has no escapes: '#' starts a comment, '"' ends the
+            # citation, and a line break ends the line
+            if c in '#"' or c.splitlines() != [c]:
+                raise ValueError(f"known-cat citation cannot contain {c!r}")
         out.append(f'known-cat {value} "{citation}"')
     ring = record.ring
     if ring is None:

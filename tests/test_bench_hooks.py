@@ -23,7 +23,9 @@ HOOKS = [
     "rings.MultiplicationTable.multiply",
     "rings.TruncatedPresentation.multiply",
     "rings.TruncatedPresentation.total_dimension",
-    # spans the per-layer metrics are read from
+    # spans the per-layer metrics are read from (gf2.rank_ms times the spans
+    # of gf2's functions, and rank is the only one)
+    "gf2.rank",
     "rings.check_poincare_duality",
     "rings.expand_to_table",
     "rings.tensor_product",

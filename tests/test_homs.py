@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lscat.catalogue import get
-from lscat.gf2 import BitMatrix
 from lscat.homs import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -28,6 +29,8 @@ from lscat.homs import (
     validate_hom,
 )
 from lscat.rings import Element, GeneratorSpec, MultiplicationTable, TruncatedPresentation
+
+from oracles import brute_rank
 
 
 def identity_hom(presentation: TruncatedPresentation) -> RingHomSpec:
@@ -129,8 +132,8 @@ def test_collapse_hom_injective_everywhere():
     per_degree, overall = check_injectivity(vh)
     assert per_degree == {0: True, 1: True, 2: True}
     assert overall
-    # degree-1 matrix is 4x2 of rank 2
-    assert vh.matrices[1].rows == 4 and vh.matrices[1].cols == 2
+    # degree 1: the images of t2, t1 over the 4 classes a1, a2, b1, b2
+    assert vh.matrices[1] == (0b0100, 0b0001)
 
 
 def test_collapse_hom_top_class():
@@ -432,5 +435,67 @@ def test_report_to_dict_roundtrips_status():
 
 def test_matrices_expose_expected_shapes():
     vh = validate_hom(collapse_hom())
-    assert isinstance(vh.matrices[0], BitMatrix)
-    assert vh.matrices[0].rows == vh.matrices[0].cols == 1
+    # one tuple of image bitmasks per degree; the unit goes to the unit
+    assert len(vh.matrices) == 3
+    assert vh.matrices[0] == (1,)
+    assert vh.matrices[2] == (1,)
+
+
+# -- oracle: per-degree injectivity against brute-force rank ------------------------
+
+# brute_rank enumerates all 2^n combinations of n rows, so degrees with more
+# source classes than this are compared on their bitmasks only
+ORACLE_MAX_ROWS = 12
+
+
+def _torus_maps():
+    rng = random.Random(5)
+    for k in range(1, 7):
+        t = get(f"T{k}").ring
+        for kind in ("perm", "zero", "merge")[: 3 if k > 1 else 2]:
+            for _ in range(3):
+                images = [f"t{i}" for i in range(1, k + 1)]
+                rng.shuffle(images)
+                if kind == "zero":
+                    images[rng.randrange(k)] = None
+                elif kind == "merge":
+                    i, j = rng.sample(range(k), 2)
+                    images[j] = images[i]
+                sends = {
+                    f"t{i}": t.generator_element(img) if img else Element.zero()
+                    for i, img in enumerate(images, start=1)
+                }
+                yield f"T{k}-{kind}-{images}", RingHomSpec(t, t, sends, 1)
+
+
+def _surface_maps():
+    for g in range(1, 6):
+        s = get(f"S_{g}").ring
+        swap = {f"a{i}": Element.of(f"b{i}") for i in range(1, g + 1)}
+        swap.update({f"b{i}": Element.of(f"a{i}") for i in range(1, g + 1)})
+        yield f"S_{g}-swap", RingHomSpec(s, s, {**swap, "w": Element.of("w")}, 1)
+        for h in range(1, g + 1):
+            r = get(f"S_{h}").ring
+            images = {l: Element.of(l) for l, d in r.basis if d > 0}
+            yield f"S_{g}-collapse-S_{h}", RingHomSpec(r, s, images, 1)
+
+
+def test_injectivity_matches_brute_force_rank():
+    seen, brute_checked = set(), 0
+    for name, spec in [*_torus_maps(), *_surface_maps()]:
+        vh = validate_hom(spec)
+        per_degree, overall = check_injectivity(vh)
+        for d, masks in enumerate(vh.matrices):
+            tgt_basis = spec.target.basis_in_degree(d)
+            dense = [
+                [int(t in vh.apply(Element.of(s)).terms) for t in tgt_basis]
+                for s in spec.source.basis_in_degree(d)
+            ]
+            assert masks == tuple(sum(b << i for i, b in enumerate(row)) for row in dense), name
+            if len(dense) <= ORACLE_MAX_ROWS:
+                assert per_degree[d] == (brute_rank(dense) == len(dense)), (name, d)
+                brute_checked += 1
+        assert overall == all(per_degree.values())
+        seen.add(overall)
+    assert seen == {True, False}
+    assert brute_checked > 200

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +214,16 @@ def test_round_trip_flags_only():
     assert again.stably_parallelizable
 
 
+@pytest.mark.parametrize("citation, bad", [("Smith #4", "#"), ('the "book"', '"'), ("a\nb", "\n")])
+def test_serialize_rejects_citations_the_format_cannot_hold(citation, bad):
+    record = SpaceRecord(
+        name="T2", dimension=2, connectivity=0, orientable=True,
+        stably_parallelizable=True, ring=get("T2").ring, known_cat=(2, citation),
+    )
+    with pytest.raises(ValueError, match=re.escape(f"cannot contain {bad!r}")):
+        serialize_space(record)
+
+
 # -- expressions ------------------------------------------------------------------
 
 
@@ -257,6 +269,26 @@ def test_element_from_monomials_unknown_names():
     s1 = get("S_1").ring
     with pytest.raises(SpaceFileError):
         element_from_monomials(s1, parse_expression("zz"))
+
+
+def test_table_powers_take_logarithmically_many_products(monkeypatch):
+    s2 = get("S_2").ring
+    named_unit = parse_space(TORUS_TABLE_FILE.replace("basis 1 0", "basis e 0")).ring
+    calls = []
+    multiply = MultiplicationTable.multiply
+
+    def counted(self, a, b):
+        calls.append(1)
+        if len(calls) > 300:
+            raise AssertionError("a power costs one product per unit of the exponent")
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(MultiplicationTable, "multiply", counted)
+    n = 10**12
+    assert element_from_monomials(s2, parse_expression(f"a1^{n}")).is_zero()
+    assert element_from_monomials(named_unit, parse_expression(f"e^{n}")) == named_unit.unit()
+    assert element_from_monomials(named_unit, parse_expression(f"a*e^{n}")) == Element.of("a")
+    assert element_from_monomials(named_unit, parse_expression("a*b^1")) == Element.of("w")
 
 
 def test_format_element():
