@@ -34,7 +34,6 @@ from .homs import (
     check_cl_monotone,
     check_injectivity,
     check_top_class,
-    compose,
     cor_cat_transfer,
     full_report,
     low_dim_check,
@@ -80,7 +79,6 @@ __all__ = [
     "check_injectivity",
     "check_poincare_duality",
     "check_top_class",
-    "compose",
     "cor_cat_transfer",
     "cup_length",
     "cup_length_check",

@@ -116,11 +116,10 @@ def cup_length_search(t: MultiplicationTable) -> int:
 
     Iterates spans degree by degree: the span of I^(m+1) is generated
     by products of a spanning set of I^m with ideal generators of I.
-    By default every positive basis element is used as a generator (the
-    definitional choice); tables that know a smaller generating set
-    (expansions, tensor products) supply it via ``generator_hint``,
-    which spans the same ideals since I^m . I = I^m . (generators).
-    Runs on the table's compiled form.
+    Explicit tables use every positive basis element as a generator (the
+    definitional choice); factored tables (expansions, tensor products)
+    use their factors' generators, which span the same ideals since
+    I^m . I = I^m . (generators).  Runs on the table's compiled form.
     """
     c = t.compiled
     return _ideal_power_search(c.dims, c.generator_rows)
@@ -200,7 +199,7 @@ class CupLength(Record):
 
 
 # one entry per ring: presentations by value (two parses of one file share
-# it), tables by identity (table equality compares all O(n^2) products);
+# it), tables by identity (table equality compares every nonzero product);
 # a table entry keeps its table alive so that its id is not reused
 _PRESENTATION_CUP_LENGTHS: dict[TruncatedPresentation, CupLength] = {}
 _TABLE_CUP_LENGTHS: dict[int, tuple[MultiplicationTable, CupLength]] = {}

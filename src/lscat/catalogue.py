@@ -11,7 +11,7 @@ parameter; products are available on demand through names such as
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from ._record import Record
 from .bounds import BoundLedger, MorseData, cat_bounds, cup_length, so_n_presentation
@@ -47,9 +47,10 @@ class SpaceRecord(Record):
     """Catalogue entry for one closed manifold.
 
     ``connectivity`` c means the space is c-connected (0 = merely
-    connected).  ``known_cat`` is cited data, never computed; when
-    present it must sit between the ring's cup-length and the
-    dimension.  G2 carries no ring (flags only).
+    connected), so the ring may have no class in degrees 1..c.
+    ``known_cat`` is cited data, never computed; when present it must
+    sit between the ring's cup-length and the dimension.  G2 carries no
+    ring (flags only).
     """
 
     name: str
@@ -93,6 +94,9 @@ class SpaceRecord(Record):
                 f"{self.name}: ring top degree {self.ring.top_degree} "
                 f"!= dimension {self.dimension}"
             )
+        problem = _connectivity_problem(self.ring, self.connectivity)
+        if problem is not None:
+            raise ValueError(f"{self.name}: {problem}")
         if self.known_cat is not None:
             value = self.known_cat[0]
             if not 0 <= value <= self.dimension:
@@ -118,6 +122,20 @@ class SpaceRecord(Record):
             known_cat_citation=citation,
             morse=self.morse,
         )
+
+
+def _connectivity_problem(ring: Ring | None, connectivity: int) -> str | None:
+    """Why a ring refutes c-connectivity, if it does: a c-connected space
+    has H^i = 0 for 0 < i <= c."""
+    if ring is None or connectivity < 1:
+        return None
+    low = next((d for d, n in enumerate(ring.poincare_polynomial()) if d and n), None)
+    if low is None or low > connectivity:
+        return None
+    return (
+        f"connectivity {connectivity} needs H^i = 0 for 0 < i <= {connectivity}, "
+        f"but the ring has a class in degree {low}"
+    )
 
 
 def surface_table(g: int) -> MultiplicationTable:
@@ -262,10 +280,6 @@ def _atomic(name: str) -> SpaceRecord:
     raise UnknownSpaceError(f"unknown space name {name!r}")
 
 
-def _as_table(ring: Ring) -> MultiplicationTable:
-    return ring if isinstance(ring, MultiplicationTable) else expand_to_table(ring)
-
-
 def _product_record(name: str, parts: list[str]) -> SpaceRecord:
     records = [_atomic(p) for p in parts]
     for rec in records:
@@ -274,17 +288,12 @@ def _product_record(name: str, parts: list[str]) -> SpaceRecord:
                 f"cannot form product {name!r}: {rec.name} has no ring data"
             )
     rings = [rec.ring for rec in records]
+    if not all(isinstance(r, TruncatedPresentation) for r in rings):
+        rings = [r if isinstance(r, MultiplicationTable) else expand_to_table(r) for r in rings]
     with warnings.catch_warnings():
         # generator renames inside catalogue products are routine
         warnings.simplefilter("ignore")
-        if all(isinstance(r, TruncatedPresentation) for r in rings):
-            ring: Ring = rings[0]
-            for r in rings[1:]:
-                ring = tensor_product(ring, r)
-        else:
-            ring = _as_table(rings[0])
-            for r in rings[1:]:
-                ring = tensor_product(ring, _as_table(r))
+        ring = reduce(tensor_product, rings)
     dimension = sum(rec.dimension for rec in records)
     morse = None
     if all(rec.morse is not None for rec in records) and all(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -366,8 +367,6 @@ def cmd_degree1_report(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     rows = []
-    ok_all = True
-
     for n, (dim_expected, truncs_expected, cl_expected) in SO_REFERENCE.items():
         p = so_n_presentation(n)
         cl = cup_length_check(p)
@@ -380,8 +379,6 @@ def cmd_verify_paper(args) -> int:
             cl.search == cl_expected,
             known == cl_expected,
         ]
-        ok = all(checks)
-        ok_all &= ok
         rows.append(
             {
                 "row": f"SO{n}",
@@ -390,7 +387,7 @@ def cmd_verify_paper(args) -> int:
                 "cup_length_formula": cl.formula,
                 "cup_length_search": cl.search,
                 "known_cat": known,
-                "ok": ok,
+                "ok": all(checks),
             }
         )
 
@@ -405,7 +402,6 @@ def cmd_verify_paper(args) -> int:
     )
     verdict = thm_main_check(x14, g2)
     g2_ok = verdict.status == CERTIFIED and "20" in verdict.reason
-    ok_all &= g2_ok
     rows.append(
         {
             "row": "G2",
@@ -417,7 +413,6 @@ def cmd_verify_paper(args) -> int:
 
     st = torus_stabilization_k(14)
     torus_ok = st.k == 18 and st.lhs == st.rhs == 32
-    ok_all &= torus_ok
     rows.append(
         {
             "row": "torus stabilization",
@@ -428,14 +423,12 @@ def cmd_verify_paper(args) -> int:
     )
 
     rng = random.Random(args.seed)
-    spot_ok = True
-    for i in range(5):
-        spot_ok &= cup_length_check(_random_presentation(rng)).agree
-    ok_all &= spot_ok
+    spot_ok = all(cup_length_check(_random_presentation(rng)).agree for _ in range(5))
     rows.append(
         {"row": "randomized oracle spot-check", "cases": 5, "seed": args.seed, "ok": spot_ok}
     )
 
+    ok_all = all(row["ok"] for row in rows)
     payload = {"rows": rows, "ok": ok_all}
     text = []
     for row in rows:
@@ -454,10 +447,7 @@ def _random_presentation(rng: random.Random) -> TruncatedPresentation:
         k = rng.randint(1, 3)
         gens = tuple(GeneratorSpec(f"g{i}", rng.randint(1, 4)) for i in range(k))
         truncs = tuple(rng.choice((2, 2, 3, 4, 8)) for _ in range(k))
-        size = 1
-        for q in truncs:
-            size *= q
-        if size <= 256:
+        if math.prod(truncs) <= 256:
             top = sum((q - 1) * g.degree for g, q in zip(gens, truncs))
             return TruncatedPresentation(gens, truncs, top)
 

@@ -138,39 +138,50 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     problems: list[str] = []
     source, target = spec.source, spec.target
     term_images: dict[object, Element] = {}
+    # presentations take images of their generators, tables of every basis
+    # element but the unit, which must map to the unit
+    if isinstance(source, TruncatedPresentation):
+        generators = [(g.name, g.degree) for g in source.generators]
+        unknown, noun, known = "generator", "generator", set()
+    elif isinstance(source, MultiplicationTable):
+        generators = [(l, d) for l, d in source.basis if l != source.unit_label]
+        unknown, noun, known = "basis label", "basis element", {source.unit_label}
+    else:
+        raise TypeError(f"unsupported source ring {type(source).__name__}")
+    known.update(name for name, _ in generators)
+    for key in spec.images:
+        if key not in known:
+            problems.append(f"unknown {unknown} {key!r}")
+    if isinstance(source, MultiplicationTable):
+        if spec.images.get(source.unit_label, target.unit()) != target.unit():
+            problems.append("unit must map to unit")
+        term_images[source.unit_label] = target.unit()
+    images: dict[str, Element] = {}
+    for i, (name, degree) in enumerate(generators):
+        img = spec.images.get(name)
+        if img is None:
+            problems.append(f"no image given for {noun} {name!r}")
+            img = Element.zero()
+        try:
+            deg = target.element_degree(img)
+        except ValueError as exc:
+            problems.append(f"image of {name!r}: {exc}")
+            img, deg = Element.zero(), None
+        images[name] = img
+        if deg is not None and deg != degree:
+            problems.append(
+                f"degree mismatch: {name!r} has degree {degree}, its image has degree {deg}"
+            )
+        elif isinstance(source, TruncatedPresentation):
+            p = source.truncations[i]
+            if _element_power(target, img, p):
+                problems.append(
+                    f"relation {name}^{p} = 0 is not preserved: image power is nonzero"
+                )
+    if problems:
+        raise HomValidationError(problems)
 
     if isinstance(source, TruncatedPresentation):
-        known = {g.name for g in source.generators}
-        for key in spec.images:
-            if key not in known:
-                problems.append(f"unknown generator {key!r}")
-        gen_images: dict[str, Element] = {}
-        for g, p in zip(source.generators, source.truncations):
-            img = spec.images.get(g.name)
-            if img is None:
-                problems.append(f"no image given for generator {g.name!r}")
-                img = Element.zero()
-            gen_images[g.name] = img
-            try:
-                deg = target.element_degree(img)
-            except ValueError as exc:
-                problems.append(f"image of {g.name!r}: {exc}")
-                gen_images[g.name] = Element.zero()
-                continue
-            if deg is not None and deg != g.degree:
-                problems.append(
-                    f"degree mismatch: {g.name!r} has degree {g.degree}, "
-                    f"its image has degree {deg}"
-                )
-                continue
-            power = _element_power(target, img, p)
-            if power:
-                problems.append(
-                    f"relation {g.name}^{p} = 0 is not preserved: image power is nonzero"
-                )
-        if problems:
-            raise HomValidationError(problems)
-
         memo: dict[tuple, Element] = {(0,) * source.ngens: target.unit()}
 
         def monomial_image(exps: tuple) -> Element:
@@ -180,43 +191,13 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
             i = next(j for j, e in enumerate(exps) if e > 0)
             prev = list(exps)
             prev[i] -= 1
-            img = target.multiply(
-                monomial_image(tuple(prev)), gen_images[source.generators[i].name]
-            )
+            img = target.multiply(monomial_image(tuple(prev)), images[source.generators[i].name])
             memo[exps] = img
             return img
 
         image_of = monomial_image
-
-    elif isinstance(source, MultiplicationTable):
-        labels = {l for l, _ in source.basis}
-        for key in spec.images:
-            if key not in labels:
-                problems.append(f"unknown basis label {key!r}")
-        for l, d in source.basis:
-            if l == source.unit_label:
-                img = spec.images.get(l, target.unit())
-                if img != target.unit():
-                    problems.append("unit must map to unit")
-                term_images[l] = target.unit()
-                continue
-            img = spec.images.get(l)
-            if img is None:
-                problems.append(f"no image given for basis element {l!r}")
-                img = Element.zero()
-            term_images[l] = img
-            try:
-                deg = target.element_degree(img)
-            except ValueError as exc:
-                problems.append(f"image of {l!r}: {exc}")
-                term_images[l] = Element.zero()
-                continue
-            if deg is not None and deg != d:
-                problems.append(
-                    f"degree mismatch: {l!r} has degree {d}, its image has degree {deg}"
-                )
-        if problems:
-            raise HomValidationError(problems)
+    else:
+        term_images.update(images)
         for i, (la, _) in enumerate(source.basis):
             for lb, _ in source.basis[i:]:
                 lhs = Element.zero()
@@ -231,8 +212,6 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
         if problems:
             raise HomValidationError(problems)
         image_of = term_images.__getitem__
-    else:
-        raise TypeError(f"unsupported source ring {type(source).__name__}")
 
     matrices = []
     for d in range(source.top_degree + 1):
@@ -245,34 +224,9 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     return ValidatedHom(spec=spec, matrices=tuple(matrices), _images=term_images)
 
 
-def compose(outer: ValidatedHom, inner: ValidatedHom) -> RingHomSpec:
-    """Composite ring homomorphism outer . inner (apply inner first).
-
-    Needs inner's target ring to be outer's source ring.  Each generator
-    image of ``inner`` (each non-unit basis image, for table sources) is
-    pushed through ``outer``; the result is an unvalidated spec.
-    """
-    if not _same_ring(inner.spec.target, outer.spec.source):
-        raise ValueError("composition needs inner.target == outer.source")
-    src = inner.spec.source
-    if isinstance(src, TruncatedPresentation):
-        keys = [g.name for g in src.generators]
-        images = {k: outer.apply(inner._images[_generator_term(src, k)]) for k in keys}
-    else:
-        keys = [l for l, _ in src.basis if l != src.unit_label]
-        images = {k: outer.apply(inner._images[k]) for k in keys}
-    degree = inner.spec.asserted_degree * outer.spec.asserted_degree
-    return RingHomSpec(src, outer.spec.target, images, degree)
-
-
 def _same_ring(a: Ring, b: Ring) -> bool:
-    # identity first: table equality compares all O(n^2) products
+    # identity first: table equality compares every nonzero product
     return a is b or a == b
-
-
-def _generator_term(p: TruncatedPresentation, name: str) -> tuple:
-    i = p.generator_index[name]
-    return tuple(1 if j == i else 0 for j in range(p.ngens))
 
 
 def check_injectivity(vh: ValidatedHom) -> tuple[dict[int, bool], bool]:
@@ -680,12 +634,7 @@ def full_report(
     else:
         missing = m_record.name if m_record.ring is None else n_record.name
         verdicts.append(
-            CriterionVerdict(
-                "prop_cl_monotone",
-                NOT_APPLICABLE,
-                f"no ring data for {missing}",
-                (),
-            )
+            CriterionVerdict("prop_cl_monotone", NOT_APPLICABLE, f"no ring data for {missing}")
         )
 
     transfer_verdict, m_ledger = cor_cat_transfer(m_ledger, n_ledger)
@@ -698,12 +647,7 @@ def full_report(
     else:
         missing = m_record.name if m_record.morse is None else n_record.name
         verdicts.append(
-            CriterionVerdict(
-                "morse_transfer",
-                NOT_APPLICABLE,
-                f"no Morse data for {missing}",
-                (),
-            )
+            CriterionVerdict("morse_transfer", NOT_APPLICABLE, f"no Morse data for {missing}")
         )
 
     verdicts.append(thm_torus_check(m_record, n_record))

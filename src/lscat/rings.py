@@ -6,9 +6,10 @@ Two representations are supported:
   ``b_i`` modulo pure truncation relations ``b_i**p_i = 0``.  Normal
   forms are exponent vectors bounded strictly by the truncations, so
   reduction is confluent without any Groebner machinery.
-* :class:`MultiplicationTable` -- a finite algebra given by an explicit
-  basis per degree and structure constants, for rings (surfaces) whose
-  relations are not pure powers.
+* :class:`MultiplicationTable` -- a finite algebra given by a basis per
+  degree and structure constants, for rings (surfaces) whose relations
+  are not pure powers; tensor products of tables and expansions of
+  presentations are tables too, factored into their factors.
 
 Both compile, on first use, to one integer-indexed form
 (:class:`CompiledRing`) on which the cup-length search and the duality
@@ -23,8 +24,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
+import operator
 import warnings
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Mapping, Sequence, Union
 
 from ._record import Record
@@ -75,7 +78,12 @@ class Element(Record):
     def __add__(self, other: "Element") -> "Element":
         return Element(self.terms ^ other.terms)
 
-    __xor__ = __add__
+
+def _homogeneous(degrees: set[int]) -> int | None:
+    """The one degree of an element's terms; None for zero."""
+    if len(degrees) > 1:
+        raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
+    return degrees.pop() if degrees else None
 
 
 class TruncatedPresentation(Record):
@@ -132,10 +140,7 @@ class TruncatedPresentation(Record):
     @cached_property
     def total_dimension(self) -> int:
         """Number of normal-form monomials."""
-        n = 1
-        for p in self.truncations:
-            n *= p
-        return n
+        return math.prod(self.truncations)
 
     @cached_property
     def compiled(self) -> "CompiledRing":
@@ -184,12 +189,7 @@ class TruncatedPresentation(Record):
 
     def element_degree(self, e: Element) -> int | None:
         """Degree of a homogeneous element; None for zero."""
-        degs = {self.monomial_degree(self._check_term(t)) for t in e.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"element is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
+        return _homogeneous({self.monomial_degree(self._check_term(t)) for t in e.terms})
 
     def multiply(self, a: Element, b: Element) -> Element:
         """Cup product: bilinear extension of exponent addition mod truncation."""
@@ -205,23 +205,18 @@ class TruncatedPresentation(Record):
 
     # -- enumeration ---------------------------------------------------
 
+    @cached_property
+    def _monomials(self) -> dict[int, list[tuple]]:
+        # the last exponent varies fastest, so each degree comes out
+        # lexicographic on exponents
+        out: dict[int, list[tuple]] = {}
+        for m in itertools.product(*map(range, self.truncations)):
+            out.setdefault(self.monomial_degree(m), []).append(m)
+        return out
+
     def basis_in_degree(self, d: int) -> list[tuple]:
         """All normal-form monomials of degree d, lexicographic on exponents."""
-        if d < 0:
-            return []
-        out: list[tuple] = []
-
-        def rec(i: int, remaining: int, prefix: tuple) -> None:
-            if i == self.ngens:
-                if remaining == 0:
-                    out.append(prefix)
-                return
-            g, p = self.generators[i], self.truncations[i]
-            for e in range(min(p - 1, remaining // g.degree) + 1):
-                rec(i + 1, remaining - e * g.degree, prefix + (e,))
-
-        rec(0, d, ())
-        return sorted(out)
+        return list(self._monomials.get(d, ()))
 
     def poincare_polynomial(self) -> list[int]:
         """Monomial counts per degree, indexed 0..top_degree."""
@@ -245,10 +240,13 @@ class TruncatedPresentation(Record):
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
+    # over the nonzero entries of b only: a generator's factor has one per
+    # power, however high its degree
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in nonzero:
                 out[i + j] += x * y
     return out
 
@@ -266,14 +264,15 @@ class CompiledRing(Record):
       maximal, is the top class), a table's declared top degree;
     * ``dims[d]`` -- dimension in degree d (missing degrees are zero);
     * ``generator_rows`` -- per ideal generator, its degree and, per
-      source degree d, a tuple of row bitmasks: row i is the i-th basis
-      element of degree d times the generator (missing degrees multiply
-      to zero);
+      source degree d (degree 0 included), a tuple of row bitmasks: row i
+      is the i-th basis element of degree d times the generator (missing
+      degrees multiply to zero);
     * ``pairing(d)`` -- row i marks the basis elements of degree top - d
       whose product with the i-th one of degree d is the top class;
       defined when degree d has a basis and ``top`` a unique class.  It
-      is built on demand: for tables it costs a product lookup per pair,
-      and only the duality check needs it.
+      is built on demand, since only the duality check needs it: an
+      explicit table reads it off its stored products, a factored table
+      takes the Kronecker product of its factors' pairings.
     """
 
     top: int
@@ -333,60 +332,167 @@ def _compile_presentation(p: TruncatedPresentation) -> CompiledRing:
     return CompiledRing(top, dims, tuple(rows), pairing)
 
 
-def _compile_table(t: "MultiplicationTable") -> CompiledRing:
-    labels: dict[int, list[str]] = {}
-    for l, d in t.basis:
-        labels.setdefault(d, []).append(l)
-    local = {l: i for ls in labels.values() for i, l in enumerate(ls)}
-    rows = []
-    for g in t.generator_hint or [l for l, d in t.basis if d > 0]:
-        dg = t.degree_of_label(g)
-        rows.append(
-            (
-                dg,
-                {
-                    d: tuple(sum(1 << local[r] for r in t.product(l, g)) for l in ls)
-                    for d, ls in labels.items()
-                    if d > 0 and d + dg in labels
-                },
-            )
-        )
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _compile_explicit(t: "MultiplicationTable", dims: dict[int, int]) -> tuple:
+    # every positive basis element g generates; its rows are read off the
+    # stored products it takes part in (the unit row gives degree 0)
+    rows: dict[int, dict[int, list[int]]] = {g: {} for g, (_, d) in enumerate(t.basis) if d}
+    for (i, j), mask in t._store.items():
+        for x, g in ((i, j), (j, i)):
+            if g in rows:
+                d = t.basis[x][1]
+                rows[g].setdefault(d, [0] * dims[d])[t._local[x]] = mask
+    rows = [(t.basis[g][1], {d: tuple(r) for d, r in by_d.items()}) for g, by_d in rows.items()]
 
     def pairing(d: int) -> tuple[int, ...]:
-        (top_label,) = labels[t.top_degree]
-        right = labels[t.top_degree - d]
-        return tuple(
-            sum(1 << j for j, y in enumerate(right) if top_label in t.product(x, y))
-            for x in labels[d]
-        )
+        # the top degree has a unique class, number 0
+        out = [0] * dims[d]
+        for (i, j), mask in t._store.items():
+            if mask & 1 and t.basis[i][1] + t.basis[j][1] == t.top_degree:
+                for x, y in ((i, j), (j, i)):
+                    if t.basis[x][1] == d:
+                        out[t._local[x]] |= 1 << t._local[y]
+        return tuple(out)
 
-    dims = {d: len(ls) for d, ls in labels.items()}
-    return CompiledRing(t.top_degree, dims, tuple(rows), pairing)
+    return tuple(rows), pairing
+
+
+class _Factor:
+    """One tensor factor of a factored table: a presentation or an
+    explicit table, with its basis numbered by position, degree by degree
+    in the order of its compiled form."""
+
+    __slots__ = ("ring", "terms", "degrees", "first", "position")
+
+    def __init__(self, ring: "Ring") -> None:
+        presentation = isinstance(ring, TruncatedPresentation)
+        top = ring.max_monomial_degree if presentation else ring.top_degree
+        self.ring = ring
+        self.terms: list = []  # exponent tuples or basis indices
+        self.degrees: list[int] = []
+        self.first: dict[int, int] = {}  # degree -> position of its first term
+        for e in range(top + 1):
+            block = ring.basis_in_degree(e) if presentation else ring._members.get(e, [])
+            if block:
+                self.first[e] = len(self.terms)
+                self.terms += block
+                self.degrees += [e] * len(block)
+        self.position = {u: p for p, u in enumerate(self.terms)}
+
+    def product(self, p: int, q: int) -> list[int]:
+        """Positions of the terms of the product of positions p and q."""
+        ring, u, v = self.ring, self.terms[p], self.terms[q]
+        if isinstance(ring, TruncatedPresentation):
+            # only normal-form monomials have a position
+            w = self.position.get(tuple(map(operator.add, u, v)))
+            return [] if w is None else [w]
+        start = self.first.get(self.degrees[p] + self.degrees[q])
+        return [start + b for b in _bits(ring._pair(u, v))]
+
+
+def _compile_factored(t: "MultiplicationTable") -> tuple:
+    # a basis element is a mixed-radix code over its factors' positions;
+    # multiplying by a generator of factor k moves digit k only, along the
+    # factor's own rows: (x.g) (x) y, or x (x) (y.h)
+    at = [t._local[x] for x in t._at]  # code -> number within its degree
+    rows = []
+    for f, stride in zip(t._factors, t._strides):
+        size = len(f.terms)
+        for dg, by_e in f.ring.compiled.generator_rows:
+            # shifts[p]: how x.g moves the code of an x at position p in f
+            shifts = []
+            for p, e in enumerate(f.degrees):
+                mask = by_e[e][p - f.first[e]] if e in by_e else 0
+                shifts.append([(f.first[e + dg] + b - p) * stride for b in _bits(mask)])
+            by_degree = {}
+            for d, members in t._members.items():
+                if d + dg not in t._members:
+                    continue
+                out = []
+                for x in members:
+                    c, w = t._codes[x], 0
+                    for s in shifts[c // stride % size]:
+                        w |= 1 << at[c + s]
+                    out.append(w)
+                by_degree[d] = tuple(out)
+            rows.append((dg, by_degree))
+
+    factor_pairings: list[dict[int, tuple[int, ...]]] = [{} for _ in t._factors]
+
+    def pairing(d: int) -> tuple[int, ...]:
+        # the pairing of a tensor product is the tensor product of the
+        # factor pairings
+        out = []
+        for x in t._members[d]:
+            code, codes = t._codes[x], [0]
+            for k, (f, stride) in enumerate(zip(t._factors, t._strides)):
+                p = code // stride % len(f.terms)
+                e = f.degrees[p]
+                if e not in factor_pairings[k]:
+                    factor_pairings[k][e] = f.ring.compiled.pairing(e)
+                mask = factor_pairings[k][e][p - f.first[e]]
+                top = f.ring.compiled.top
+                codes = [s + (f.first[top - e] + b) * stride for s in codes for b in _bits(mask)]
+            out.append(sum(1 << at[s] for s in codes))
+        return tuple(out)
+
+    return tuple(rows), pairing
 
 
 class MultiplicationTable:
-    """Finite graded GF(2) algebra given by basis and structure constants.
+    """Finite graded GF(2) algebra given by a basis and structure constants.
 
     The basis is an ordered sequence of (label, degree) pairs with a
-    unique degree-0 label (the unit).  Products are stored sparsely:
-    missing pairs are zero.  Construction from explicit products
-    validates unit law, degree additivity, commutativity and
-    associativity; tables built internally from a product rule (tensor
-    products, presentation expansions) are associative by construction
-    and skip the check.
+    unique degree-0 label (the unit).  The basis of each degree d is
+    numbered in basis order, and an element of degree d is a bitmask over
+    those numbers.  A table is one of two kinds:
+
+    * explicit, from ``MultiplicationTable(basis, top_degree, products)``
+      (space files, surfaces): each nonzero product of two basis elements
+      is stored once, as a bitmask over the basis of the degree sum, and
+      missing pairs are zero.  Construction validates the unit law,
+      degree additivity, commutativity and associativity.
+    * factored, from :func:`tensor_product` and :func:`expand_to_table`: a
+      tensor product of factors (presentations or explicit tables).  Its
+      products and compiled form are built from the factors', nothing
+      is materialized, and the ring laws hold by construction.
     """
 
     def __init__(
         self,
         basis: Sequence[tuple[str, int]],
         top_degree: int,
-        products: Mapping[tuple[str, str], frozenset] | None = None,
-        *,
-        rule: Callable[[str, str], frozenset] | None = None,
-        generator_hint: tuple[str, ...] | None = None,
+        products: Mapping[tuple[str, str], frozenset],
     ) -> None:
-        if (products is None) == (rule is None):
-            raise ValueError("exactly one of products/rule must be given")
+        self._set_basis(basis, top_degree)
+        self._factors: tuple[_Factor, ...] | None = None
+        self._load_products(products)
+        self._validate_full()
+
+    @classmethod
+    def _from_factors(
+        cls, basis: list[tuple[str, int]], top: int, factors: tuple[_Factor, ...], codes: list[int]
+    ) -> "MultiplicationTable":
+        # codes[x] is basis element x as a mixed-radix number over the
+        # factors' positions, the first factor most significant
+        t = cls.__new__(cls)
+        t._set_basis(basis, top)
+        t._factors, t._codes = factors, codes
+        t._at = sorted(range(len(codes)), key=codes.__getitem__)  # code -> basis index
+        sizes = [len(f.terms) for f in factors]
+        t._strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+        return t
+
+    # -- construction helpers -------------------------------------------
+
+    def _set_basis(self, basis: Sequence[tuple[str, int]], top_degree: int) -> None:
         self.basis: tuple[tuple[str, int], ...] = tuple((str(l), int(d)) for l, d in basis)
         self.top_degree = int(top_degree)
         labels = [l for l, _ in self.basis]
@@ -398,77 +504,107 @@ class MultiplicationTable:
         if len(units) != 1:
             raise ValueError(f"need exactly one degree-0 basis element, got {units}")
         self.unit_label = units[0]
-        for l, d in self.basis:
+        self._members: dict[int, list[int]] = {}  # degree -> basis indices, in order
+        self._local: list[int] = []  # basis index -> number within its degree
+        for i, (l, d) in enumerate(self.basis):
             if d < 0 or d > self.top_degree:
                 raise ValueError(f"basis element {l!r} has degree {d} outside 0..{self.top_degree}")
-        self._rule = rule
-        self._cache: dict[tuple[str, str], frozenset] = {}
-        # positive-degree labels that generate the algebra; lets the
-        # cup-length search multiply by a small generating set instead of
-        # every positive basis element
-        if generator_hint is not None:
-            for g in generator_hint:
-                if g not in self._index or self._degree[g] < 1:
-                    raise ValueError(f"generator hint {g!r} is not a positive basis label")
-        self.generator_hint = generator_hint
-        if products is not None:
-            self._load_products(products)
-            self._validate_full()
-
-    # -- construction helpers -------------------------------------------
+            members = self._members.setdefault(d, [])
+            self._local.append(len(members))
+            members.append(i)
 
     def _load_products(self, products: Mapping[tuple[str, str], frozenset]) -> None:
+        """Store each nonzero product once, under its index-ordered pair
+        (commutativity), as a bitmask over the basis of the degree sum."""
+        given: dict[tuple[int, int], int] = {}
         for (la, lb), val in products.items():
             if la not in self._index or lb not in self._index:
                 raise ValueError(f"product entry references unknown label: {(la, lb)}")
             terms = frozenset(val.terms if isinstance(val, Element) else val)
+            d = self._degree[la] + self._degree[lb]
+            if terms and d > self.top_degree:
+                raise ValueError(f"product {la}*{lb} exceeds top degree but is nonzero")
             for t in terms:
                 if t not in self._index:
                     raise ValueError(f"product {la}*{lb} references unknown label {t!r}")
-            key = self._key(la, lb)
-            prev = self._cache.get(key)
-            if prev is not None and prev != terms:
-                raise ValueError(f"conflicting entries for product {la}*{lb}")
-            self._cache[key] = terms
-        # unit row is forced, not data
-        for l, _ in self.basis:
-            key = self._key(self.unit_label, l)
-            forced = frozenset({l})
-            if key in self._cache and self._cache[key] != forced:
-                raise ValueError(f"unit law violated at {l!r}")
-            self._cache[key] = forced
-
-    def _validate_full(self) -> None:
-        labels = [l for l, _ in self.basis]
-        for la, lb in itertools.combinations_with_replacement(labels, 2):
-            prod = self.product(la, lb)
-            d = self._degree[la] + self._degree[lb]
-            if d > self.top_degree:
-                if prod:
-                    raise ValueError(f"product {la}*{lb} exceeds top degree but is nonzero")
-                continue
-            for t in prod:
                 if self._degree[t] != d:
                     raise ValueError(
                         f"product {la}*{lb} not degree-additive: {t!r} has degree "
                         f"{self._degree[t]}, expected {d}"
                     )
-        # associativity needs no triple with the unit (the unit row is forced
-        # in _load_products) nor above the top degree (both sides vanish once
-        # the pairs above are degree-additive and zero past the top)
-        positive = sorted((l for l in labels if self._degree[l] > 0), key=self._degree.get)
-        degrees = [self._degree[l] for l in positive]
-        for la, lb in itertools.product(positive, repeat=2):
-            room = self.top_degree - self._degree[la] - self._degree[lb]
-            for lc in positive[: bisect.bisect_right(degrees, room)]:
-                left = self.multiply(Element(self.product(la, lb)), Element.of(lc))
-                right = self.multiply(Element.of(la), Element(self.product(lb, lc)))
-                if left != right:
-                    raise ValueError(f"associativity fails on ({la}, {lb}, {lc})")
+            i, j = sorted((self._index[la], self._index[lb]))
+            mask = sum(1 << self._local[self._index[t]] for t in terms)
+            if given.setdefault((i, j), mask) != mask:
+                raise ValueError(f"conflicting entries for product {la}*{lb}")
+        # unit row is forced, not data
+        u = self._index[self.unit_label]
+        for i, (l, _) in enumerate(self.basis):
+            if given.setdefault((min(u, i), max(u, i)), 1 << self._local[i]) != 1 << self._local[i]:
+                raise ValueError(f"unit law violated at {l!r}")
+        self._store = {key: mask for key, mask in given.items() if mask}
 
-    def _key(self, la: str, lb: str) -> tuple[str, str]:
-        # commutativity: store products under the index-ordered pair
-        return (la, lb) if self._index[la] <= self._index[lb] else (lb, la)
+    def _validate_full(self) -> None:
+        # (xy)z = x(yz) = (yz)x holds trivially when both xy and yz vanish,
+        # with the unit (its row is forced) and above the top degree (both
+        # sides vanish there); so with x, y a stored positive pair in either
+        # order and z free, every triple that can fail is checked
+        degree = [d for _, d in self.basis]
+        positive = sorted((i for i, d in enumerate(degree) if d > 0), key=degree.__getitem__)
+        degrees = [degree[i] for i in positive]
+
+        def times(x: int, y: int, z: int) -> int:  # (xy)z, as a bitmask
+            members = self._members.get(degree[x] + degree[y], ())
+            xy = _bits(self._pair(x, y))
+            return reduce(operator.xor, (self._pair(members[b], z) for b in xy), 0)
+
+        for i, j in self._store:
+            if not degree[i] or not degree[j]:
+                continue
+            room = self.top_degree - degree[i] - degree[j]
+            for x, y in ((i, j), (j, i)):
+                for z in positive[: bisect.bisect_right(degrees, room)]:
+                    if times(x, y, z) != times(y, z, x):
+                        names = ", ".join(self.basis[k][0] for k in (x, y, z))
+                        raise ValueError(f"associativity fails on ({names})")
+
+    def _pair(self, i: int, j: int) -> int:
+        """Product of basis elements i and j, as a bitmask over the basis of
+        their degree sum."""
+        if self._factors is None:
+            return self._store.get((i, j) if i <= j else (j, i), 0)
+        ci, cj, codes = self._codes[i], self._codes[j], [0]
+        for f, stride in zip(self._factors, self._strides):
+            size = len(f.terms)
+            out = f.product(ci // stride % size, cj // stride % size)
+            if not out:
+                return 0
+            codes = [c + p * stride for c in codes for p in out]
+        return sum(1 << self._local[self._at[c]] for c in codes)
+
+    def _products(self) -> dict[tuple[int, int], int]:
+        """Every nonzero product of basis elements i <= j, as a bitmask."""
+        if self._factors is None:
+            return self._store
+        # a product of basis tensors is nonzero iff every factor product is
+        pairs = [
+            [(p * s, q * s) for p, q in itertools.product(range(len(f.terms)), repeat=2)
+             if f.product(p, q)]
+            for f, s in zip(self._factors, self._strides)
+        ]
+        out = {}
+        for combo in itertools.product(*pairs):
+            i, j = self._at[sum(p for p, _ in combo)], self._at[sum(q for _, q in combo)]
+            if i <= j:
+                out[i, j] = self._pair(i, j)
+        return out
+
+    def _as_factors(self) -> tuple[tuple[_Factor, ...], list[int]]:
+        """This table's factors and basis codes; an explicit table is its
+        own single factor."""
+        if self._factors is not None:
+            return self._factors, self._codes
+        f = _Factor(self)
+        return (f,), [f.first[d] + self._local[i] for i, (_, d) in enumerate(self.basis)]
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same basis, top degree, and all products."""
@@ -476,12 +612,7 @@ class MultiplicationTable:
             return NotImplemented
         if self.basis != other.basis or self.top_degree != other.top_degree:
             return False
-        labels = [l for l, _ in self.basis]
-        for i, la in enumerate(labels):
-            for lb in labels[i:]:
-                if self.product(la, lb) != other.product(la, lb):
-                    return False
-        return True
+        return self._products() == other._products()
 
     def __hash__(self) -> int:
         return hash((self.basis, self.top_degree))
@@ -494,8 +625,12 @@ class MultiplicationTable:
 
     @cached_property
     def compiled(self) -> CompiledRing:
-        """The integer-indexed form, built on first use from ``product``."""
-        return _compile_table(self)
+        """The integer-indexed form, built on first use: read off the
+        stored products, or built from the factors' compiled forms."""
+        dims = {d: len(members) for d, members in self._members.items()}
+        if self._factors is None:
+            return CompiledRing(self.top_degree, dims, *_compile_explicit(self, dims))
+        return CompiledRing(self.top_degree, dims, *_compile_factored(self))
 
     def degree_of_label(self, label: str) -> int:
         try:
@@ -507,26 +642,13 @@ class MultiplicationTable:
         return Element.of(self.unit_label)
 
     def basis_in_degree(self, d: int) -> list[str]:
-        return [l for l, deg in self.basis if deg == d]
+        return [self.basis[i][0] for i in self._members.get(d, ())]
 
     def poincare_polynomial(self) -> list[int]:
-        poly = [0] * (self.top_degree + 1)
-        for _, d in self.basis:
-            poly[d] += 1
-        return poly
-
-    def top_class_label(self) -> str | None:
-        """The unique basis label in the top degree, if there is exactly one."""
-        top = self.basis_in_degree(self.top_degree)
-        return top[0] if len(top) == 1 else None
+        return [len(self._members.get(d, ())) for d in range(self.top_degree + 1)]
 
     def element_degree(self, e: Element) -> int | None:
-        degs = {self.degree_of_label(self._check_term(t)) for t in e.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"element is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
+        return _homogeneous({self.degree_of_label(self._check_term(t)) for t in e.terms})
 
     def _check_term(self, t: Term) -> str:
         if not isinstance(t, str) or t not in self._index:
@@ -537,21 +659,9 @@ class MultiplicationTable:
 
     def product(self, la: str, lb: str) -> frozenset:
         """Structure constants: the product of two basis elements as a label set."""
-        self._check_term(la)
-        self._check_term(lb)
-        key = self._key(la, lb)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if self._rule is not None:
-            if self.unit_label in key:
-                other = key[1] if key[0] == self.unit_label else key[0]
-                result = frozenset({other})
-            else:
-                result = frozenset(self._rule(*key))
-            self._cache[key] = result
-            return result
-        return frozenset()
+        i, j = self._index[self._check_term(la)], self._index[self._check_term(lb)]
+        members = self._members.get(self.basis[i][1] + self.basis[j][1], ())
+        return frozenset(self.basis[members[b]][0] for b in _bits(self._pair(i, j)))
 
     def multiply(self, a: Element, b: Element) -> Element:
         acc: set = set()
@@ -587,32 +697,17 @@ def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
     raised to the maximal monomial degree when some monomial overflows
     it, so the table models the same space (duality pairs into the
     declared dimension) and table products agree with presentation
-    products on every basis pair (no extra truncation happens).
-    Products are computed on demand.
+    products on every basis pair (no extra truncation happens).  The
+    table is factored, with the presentation as its one factor: nothing
+    is materialized, and its compiled form is the presentation's.
     """
-    monomials = sorted(
-        itertools.product(*(range(p_i) for p_i in p.truncations)),
-        key=lambda m: (p.monomial_degree(m), m),
-    )
-    labels = {m: p.monomial_label(m) for m in monomials}
-    by_label = {labels[m]: m for m in monomials}
-    if len(by_label) != len(monomials):
+    f = _Factor(p)
+    labels = [p.monomial_label(m) for m in f.terms]
+    if len(set(labels)) != len(labels):
         raise ValueError("generator names produce ambiguous monomial labels")
-    top = max(p.top_degree, max(p.monomial_degree(m) for m in monomials))
-
-    def rule(la: str, lb: str) -> frozenset:
-        prod = tuple(x + y for x, y in zip(by_label[la], by_label[lb]))
-        if all(e < p_i for e, p_i in zip(prod, p.truncations)):
-            return frozenset({labels[prod]})
-        return frozenset()
-
-    basis = [(labels[m], p.monomial_degree(m)) for m in monomials]
-    hint = []
-    for i, (g, p_i) in enumerate(zip(p.generators, p.truncations)):
-        if p_i >= 2:
-            exps = tuple(1 if j == i else 0 for j in range(p.ngens))
-            hint.append(labels[exps])
-    return MultiplicationTable(basis, top, rule=rule, generator_hint=tuple(hint))
+    basis = list(zip(labels, f.degrees))
+    top = max(p.top_degree, f.degrees[-1])
+    return MultiplicationTable._from_factors(basis, top, (f,), list(range(len(basis))))
 
 
 def tensor_product(a: Ring, b: Ring) -> Ring:
@@ -621,8 +716,12 @@ def tensor_product(a: Ring, b: Ring) -> Ring:
     For presentations: disjoint union of generators (name collisions
     are renamed with numeric suffixes and reported); truncations keep
     their generator; top degrees add.  For tables: basis is the pair
-    basis with componentwise products, again with top degrees added.
-    Over a field this realizes the Kunneth ring of a product space.
+    basis, in order of a's basis then b's, with componentwise products,
+    again with top degrees added; the result is a factored table whose
+    factors are those of a followed by those of b (an explicit table is
+    one factor), so its products and compiled form are built from
+    theirs.  Over a field this realizes the Kunneth ring of a product
+    space.
     """
     if isinstance(a, TruncatedPresentation) and isinstance(b, TruncatedPresentation):
         return _tensor_presentations(a, b)
@@ -658,7 +757,8 @@ def _tensor_presentations(
 
 
 def _tensor_tables(a: MultiplicationTable, b: MultiplicationTable) -> MultiplicationTable:
-    pair_label: dict[tuple[str, str], str] = {}
+    factors_a, codes_a = a._as_factors()
+    factors_b, codes_b = b._as_factors()
     used: set[str] = set()
     basis: list[tuple[str, int]] = []
     for la, da in a.basis:
@@ -677,26 +777,11 @@ def _tensor_tables(a: MultiplicationTable, b: MultiplicationTable) -> Multiplica
                     k += 1
                 name = f"{name}__{k}"
             used.add(name)
-            pair_label[(la, lb)] = name
             basis.append((name, da + db))
-    factors = {v: k for k, v in pair_label.items()}
-
-    def rule(lx: str, ly: str) -> frozenset:
-        (a1, b1), (a2, b2) = factors[lx], factors[ly]
-        left = a.product(a1, a2)
-        right = b.product(b1, b2)
-        return frozenset(pair_label[(u, v)] for u in left for v in right)
-
-    hints_a = a.generator_hint if a.generator_hint is not None else tuple(
-        l for l, d in a.basis if d > 0
+    codes = [x * b.size + y for x in codes_a for y in codes_b]
+    return MultiplicationTable._from_factors(
+        basis, a.top_degree + b.top_degree, factors_a + factors_b, codes
     )
-    hints_b = b.generator_hint if b.generator_hint is not None else tuple(
-        l for l, d in b.basis if d > 0
-    )
-    hint = tuple(pair_label[(g, b.unit_label)] for g in hints_a) + tuple(
-        pair_label[(a.unit_label, g)] for g in hints_b
-    )
-    return MultiplicationTable(basis, a.top_degree + b.top_degree, rule=rule, generator_hint=hint)
 
 
 def check_poincare_duality(ring: Ring) -> bool:
@@ -713,18 +798,8 @@ def check_poincare_duality(ring: Ring) -> bool:
     n = ring.top_degree
     if c.top != n or c.dims.get(n) != 1:
         return False
-    return _pairing_nondegenerate(n, c.dims, c.pairing)
-
-
-def _pairing_nondegenerate(
-    n: int, dims: Mapping[int, int], rows: Callable[[int], Sequence[int]]
-) -> bool:
-    """Full rank of each pairing matrix ``rows(d)`` (d <= n/2), given as
-    row bitmasks over degree n - d."""
     for d in range(0, n // 2 + 1):
-        left, right = dims.get(d, 0), dims.get(n - d, 0)
-        if left != right:
-            return False
-        if left and len(XorBasis(rows(d))) != left:
+        left, right = c.dims.get(d, 0), c.dims.get(n - d, 0)
+        if left != right or left and len(XorBasis(c.pairing(d))) != left:
             return False
     return True

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 
 from ._record import Record
-from .catalogue import SpaceRecord
+from .catalogue import SpaceRecord, _connectivity_problem
 from .homs import RingHomSpec
 from .rings import (
     Element,
@@ -55,7 +55,7 @@ class SpaceFileError(ValueError):
     duplicate-generator, bad-exponent, unknown-generator,
     missing-truncation, mixed-ring-kinds, duplicate-basis,
     unknown-label, bad-expression, bad-degree, inconsistent-known-cat,
-    missing-field, no-ring-data, non-manifold.
+    inconsistent-connectivity, missing-field, no-ring-data, non-manifold.
     """
 
     def __init__(self, message: str, line: int | None = None, kind: str = "syntax"):
@@ -112,7 +112,12 @@ def parse_expression(text: str, lineno: int | None = None) -> list[dict[str, int
                 raise SpaceFileError(
                     f"bad factor {factor!r} in expression", lineno, kind="bad-expression"
                 )
-            name, exp = m.group(1), int(m.group(2) or 1)
+            try:
+                name, exp = m.group(1), int(m.group(2) or 1)
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise SpaceFileError(
+                    f"exponent of {m.group(1)!r} is too long", lineno, kind="bad-expression"
+                ) from None
             mono[name] = mono.get(name, 0) + exp
         monomials.append(mono)
     return monomials
@@ -293,12 +298,6 @@ def parse_space(text: str) -> SpaceRecord:
                     )
             terms: set[str] = set()
             for mono in parse_expression(rhs, lineno):
-                if not mono:
-                    raise SpaceFileError(
-                        "table products must be sums of basis labels",
-                        lineno,
-                        kind="bad-expression",
-                    )
                 if len(mono) != 1 or next(iter(mono.values())) != 1:
                     raise SpaceFileError(
                         "table products must be sums of basis labels",
@@ -341,6 +340,9 @@ def parse_space(text: str) -> SpaceRecord:
         # flags only (a closed manifold never has trivial total cohomology)
         ring = None
 
+    problem = _connectivity_problem(ring, connectivity)
+    if problem is not None:
+        raise SpaceFileError(problem, kind="inconsistent-connectivity")
     try:
         return SpaceRecord(
             name=name,
@@ -353,18 +355,6 @@ def parse_space(text: str) -> SpaceRecord:
         )
     except ValueError as exc:
         raise SpaceFileError(str(exc), kind="inconsistent-known-cat") from exc
-
-
-def format_element(ring: Ring, element: Element) -> str:
-    """Deterministic textual form of an element in the expression grammar."""
-    if element.is_zero():
-        return "0"
-    if isinstance(ring, TruncatedPresentation):
-        terms = sorted(element.terms, key=lambda t: (ring.monomial_degree(t), t))
-        return " + ".join(ring.monomial_label(t) for t in terms)
-    order = {l: i for i, (l, _) in enumerate(ring.basis)}
-    labels = sorted(element.terms, key=lambda l: order[l])
-    return " + ".join(labels)
 
 
 def serialize_space(record: SpaceRecord) -> str:
@@ -389,27 +379,20 @@ def serialize_space(record: SpaceRecord) -> str:
                 raise ValueError(f"known-cat citation cannot contain {c!r}")
         out.append(f'known-cat {value} "{citation}"')
     ring = record.ring
-    if ring is None:
-        pass
-    elif isinstance(ring, TruncatedPresentation):
+    if isinstance(ring, TruncatedPresentation):
         for g in ring.generators:
             out.append(f"generator {g.name} {g.degree}")
         for g, p in zip(ring.generators, ring.truncations):
             out.append(f"truncate {g.name} {p}")
-    else:
+    elif ring is not None:
         for label, degree in ring.basis:
             out.append(f"basis {label} {degree}")
-        index = {l: i for i, (l, _) in enumerate(ring.basis)}
-        for i, (la, da) in enumerate(ring.basis):
-            if la == ring.unit_label:
-                continue
-            for lb, db in ring.basis[i:]:
-                if lb == ring.unit_label or da + db > ring.top_degree:
-                    continue
-                prod = ring.product(la, lb)
-                if prod:
-                    rhs = " + ".join(sorted(prod, key=lambda l: index[l]))
-                    out.append(f"product {la} {lb} = {rhs}")
+        for i, j in sorted(ring._products()):
+            (la, da), (lb, db) = ring.basis[i], ring.basis[j]
+            if da and db:
+                prod = ring.product(la, lb)  # listed in basis order
+                rhs = " + ".join(l for l in ring.basis_in_degree(da + db) if l in prod)
+                out.append(f"product {la} {lb} = {rhs}")
     return "\n".join(out) + "\n"
 
 
@@ -502,8 +485,7 @@ def resolve_map(
             f"{missing} has no ring data; cannot resolve the induced homomorphism",
             kind="no-ring-data",
         )
-    images = {}
-    for gen, expr in spec.sends:
-        monomials = parse_expression(expr)
-        images[gen] = element_from_monomials(domain.ring, monomials)
+    images = {
+        gen: element_from_monomials(domain.ring, parse_expression(expr)) for gen, expr in spec.sends
+    }
     return RingHomSpec(range_.ring, domain.ring, images, spec.degree)

@@ -13,7 +13,13 @@ from lscat.catalogue import (
     names,
     surface_table,
 )
-from lscat.rings import MultiplicationTable, check_poincare_duality, expand_to_table
+from lscat.rings import (
+    GeneratorSpec,
+    MultiplicationTable,
+    TruncatedPresentation,
+    check_poincare_duality,
+    expand_to_table,
+)
 
 
 def test_get_so7():
@@ -182,6 +188,19 @@ def test_record_validates_known_cat():
             ring=surface_table(1),
             known_cat=(1, "below the cup-length"),
         )
+
+
+def test_record_validates_connectivity_against_the_ring():
+    # a 7-connected space has no class in degrees 1..7
+    ring = TruncatedPresentation((GeneratorSpec("a", 1), GeneratorSpec("b", 7)), (2, 2), 8)
+    with pytest.raises(ValueError, match="class in degree 1"):
+        SpaceRecord("X", 8, 7, True, True, ring)
+    SpaceRecord("X", 8, 0, True, True, ring)
+    # truncation 1 makes a generator zero, so it is no class
+    sphere = TruncatedPresentation((GeneratorSpec("a", 1), GeneratorSpec("b", 8)), (1, 2), 8)
+    SpaceRecord("X", 8, 7, True, True, sphere)
+    with pytest.raises(ValueError, match="class in degree 1"):
+        SpaceRecord("X", 2, 1, True, True, surface_table(1))
 
 
 def test_names_listing():

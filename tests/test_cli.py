@@ -280,6 +280,27 @@ def test_non_manifold_presentation_is_parse_error(tmp_path, capsys):
     assert "[non-manifold]" in err and "Traceback" not in err
 
 
+def test_connectivity_the_ring_refutes_is_parse_error(tmp_path, capsys):
+    # thm_main would take q = connectivity + 1 from the file and certify
+    gens = "".join(f"generator t{i} 1\ntruncate t{i} 2\n" for i in range(4))
+    space = tmp_path / "c.space"
+    space.write_text(f"space C\ndim 4\nconnectivity 3\nstably-parallelizable true\n{gens}")
+    code, out, err = run(capsys, "degree1-report", "-m", "S4", "-n", str(space))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "[inconsistent-connectivity]" in err and "Traceback" not in err
+
+
+def test_huge_exponent_in_a_map_is_parse_error(tmp_path, capsys):
+    # past the interpreter's 4,300-digit limit for int()
+    bad = tmp_path / "huge.map"
+    bad.write_text(COLLAPSE_MAP.replace("a1", "a1^" + "9" * 5000))
+    code, out, err = run(capsys, "check-map", str(bad))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "[bad-expression]" in err and "Traceback" not in err
+
+
 def test_duality_fails_without_a_class_in_the_declared_dimension(tmp_path, capsys):
     # monomials stop in degree 1, so H^3 = 0 and no closed 3-manifold has this ring
     space = tmp_path / "u.space"

@@ -18,7 +18,6 @@ from lscat.homs import (
     check_cl_monotone,
     check_injectivity,
     check_top_class,
-    compose,
     cor_cat_transfer,
     full_report,
     low_dim_check,
@@ -140,22 +139,6 @@ def test_collapse_hom_top_class():
     assert check_top_class(validate_hom(collapse_hom()))
 
 
-def test_composition_matrices_multiply():
-    t2 = get("T2").ring
-    swap = RingHomSpec(
-        t2,
-        t2,
-        {"t1": t2.generator_element("t2"), "t2": t2.generator_element("t1")},
-        1,
-    )
-    inner = validate_hom(swap)
-    outer = validate_hom(collapse_hom())
-    composite = validate_hom(compose(outer, inner))
-    for d in range(3):
-        for t in t2.basis_in_degree(d):
-            assert composite.apply(Element.of(t)) == outer.apply(inner.apply(Element.of(t)))
-
-
 def test_ring_matching_checks_identity_first(monkeypatch):
     def no_eq(self, other):
         raise AssertionError("table equality compared")
@@ -165,8 +148,6 @@ def test_ring_matching_checks_identity_first(monkeypatch):
     identity = RingHomSpec(
         s2, s2, {l: Element.of(l) for l, _ in s2.basis if l != s2.unit_label}, 1
     )
-    vh = validate_hom(identity)
-    assert compose(vh, vh).images == identity.images
     assert full_report(get("S_2"), get("S_2"), hom=identity).overall == CERTIFIED
 
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lscat.bounds import so_n_presentation
-from lscat.catalogue import surface_table
+from lscat.bounds import cup_length_search, so_n_presentation
+from lscat.catalogue import get, surface_table
 from lscat.rings import (
     Element,
     GeneratorSpec,
@@ -18,7 +23,14 @@ from lscat.rings import (
     tensor_product,
 )
 
-from oracles import brute_basis_in_degree, brute_poincare
+from lscat.spacefile import parse_space
+
+from oracles import (
+    brute_basis_in_degree,
+    brute_cup_length,
+    brute_poincare,
+    brute_rank,
+)
 
 
 def torus_presentation(k: int) -> TruncatedPresentation:
@@ -166,9 +178,23 @@ def test_poincare_polynomial_point():
 
 
 def test_poincare_polynomial_matches_bruteforce():
-    for n in range(3, 8):
-        p = so_n_presentation(n)
+    rng = random.Random(23)
+    cases = [so_n_presentation(n) for n in range(3, 8)]
+    for _ in range(40):
+        gens = [(rng.randint(1, 6), rng.randint(1, 5)) for _ in range(rng.randint(0, 4))]
+        specs = tuple(GeneratorSpec(f"g{i}", d) for i, (d, _) in enumerate(gens))
+        heights = tuple(h for _, h in gens)
+        cases.append(TruncatedPresentation(specs, heights, sum((h - 1) * d for d, h in gens)))
+    for p in cases:
         assert p.poincare_polynomial() == brute_poincare(p)
+
+
+def test_poincare_polynomial_of_so200_counts_every_monomial():
+    # 100 generators of degrees up to 199: a dense convolution takes minutes
+    p = so_n_presentation(200)
+    start = time.perf_counter()
+    assert sum(p.poincare_polynomial()) == p.total_dimension
+    assert time.perf_counter() - start < 10
 
 
 def test_poincare_palindromic_for_so_n():
@@ -419,3 +445,219 @@ def test_duplicate_generator_names_rejected():
         TruncatedPresentation(
             (GeneratorSpec("a", 1), GeneratorSpec("a", 2)), (2, 2), 3
         )
+
+
+# -- factored tables against a label-level reference -------------------------------
+
+
+class Reference:
+    """A table written from the definitions at the level of labels: its
+    basis, top degree, ideal generators (in the order the compiled form
+    lists them) and a product rule, with no integer forms."""
+
+    def __init__(self, basis, top, generators, product):
+        self.basis, self.top, self.generators, self.product = basis, top, generators, product
+        self.unit = next(l for l, d in basis if d == 0)
+
+
+def reference_explicit(basis, top, products) -> Reference:
+    """Given products of label pairs; missing pairs are zero, the unit is a unit."""
+    unit = next(l for l, d in basis if d == 0)
+
+    def product(x, y):
+        if unit in (x, y):
+            return frozenset({y if x == unit else x})
+        return frozenset(products.get((x, y), products.get((y, x), ())))
+
+    return Reference(list(basis), top, [l for l, d in basis if d > 0], product)
+
+
+def reference_surface(g: int) -> Reference:
+    basis = [("1", 0)] + [(f"{c}{i}", 1) for c in "ab" for i in range(1, g + 1)] + [("w", 2)]
+    return reference_explicit(basis, 2, {(f"a{i}", f"b{i}"): {"w"} for i in range(1, g + 1)})
+
+
+def reference_expansion(p: TruncatedPresentation) -> Reference:
+    """Monomials by degree, then lexicographically; products by adding exponents."""
+    reach = sum((h - 1) * g.degree for g, h in zip(p.generators, p.truncations))
+    monomials = [m for d in range(reach + 1) for m in brute_basis_in_degree(p, d)]
+    label = p.monomial_label
+    exponents = {label(m): m for m in monomials}
+
+    def product(x, y):
+        s = tuple(a + b for a, b in zip(exponents[x], exponents[y]))
+        return frozenset({label(s)}) if all(e < h for e, h in zip(s, p.truncations)) else frozenset()
+
+    generators = [
+        label(tuple(int(j == i) for j in range(p.ngens)))
+        for i, h in enumerate(p.truncations)
+        if h >= 2
+    ]
+    basis = [(label(m), p.monomial_degree(m)) for m in monomials]
+    return Reference(basis, max(p.top_degree, reach), generators, product)
+
+
+def reference_tensor(a: Reference, b: Reference) -> Reference:
+    """(a1 (x) b1)(a2 (x) b2) = a1 a2 (x) b1 b2, on pair labels named as
+    catalogue products name them: 1, x, y or x_y, with __k on a collision."""
+    pair, used, basis = {}, set(), []
+    for la, da in a.basis:
+        for lb, db in b.basis:
+            if la == a.unit:
+                name = "1" if lb == b.unit else lb
+            else:
+                name = la if lb == b.unit else f"{la}_{lb}"
+            if name in used:
+                k = 2
+                while f"{name}__{k}" in used:
+                    k += 1
+                name = f"{name}__{k}"
+            used.add(name)
+            pair[la, lb] = name
+            basis.append((name, da + db))
+    factors = {name: ab for ab, name in pair.items()}
+
+    def product(x, y):
+        (a1, b1), (a2, b2) = factors[x], factors[y]
+        return frozenset(pair[u, v] for u in a.product(a1, a2) for v in b.product(b1, b2))
+
+    generators = [pair[g, b.unit] for g in a.generators] + [pair[a.unit, h] for h in b.generators]
+    return Reference(basis, a.top + b.top, generators, product)
+
+
+def assert_matches_reference(t: MultiplicationTable, ref: Reference) -> None:
+    """Every pair's product, every compiled row and the pairing."""
+    assert list(t.basis) == ref.basis and t.top_degree == ref.top
+    labels = [l for l, _ in ref.basis]
+    for x, y in itertools.product(labels, repeat=2):
+        assert t.product(x, y) == ref.product(x, y), (x, y)
+    by_degree = {d: [l for l, e in ref.basis if e == d] for _, d in ref.basis}
+    degree = dict(ref.basis)
+
+    def mask(terms, d):
+        return sum(1 << by_degree[d].index(u) for u in terms)
+
+    c = t.compiled
+    assert c.dims == {d: len(xs) for d, xs in by_degree.items()}
+    assert [dg for dg, _ in c.generator_rows] == [degree[g] for g in ref.generators]
+    for g, (dg, rows) in zip(ref.generators, c.generator_rows):
+        for d, xs in by_degree.items():
+            expected = tuple(mask(ref.product(x, g), d + dg) for x in xs)
+            assert rows.get(d, (0,) * len(xs)) == expected, (g, d)
+    top = by_degree.get(ref.top, [])
+    if len(top) == 1:
+        for d, xs in by_degree.items():
+            right = by_degree.get(ref.top - d, [])
+            expected = tuple(mask([y for y in right if top[0] in ref.product(x, y)], ref.top - d) for x in xs)
+            assert c.pairing(d) == expected, d
+
+
+# a torus file table listed out of degree order
+UNSORTED_FILE = "space U\ndim 2\nbasis w 2\nbasis b 1\nbasis 1 0\nbasis a 1\nproduct a b = w\n"
+UNSORTED_BASIS = [("w", 2), ("b", 1), ("1", 0), ("a", 1)]
+
+
+def test_factored_tables_match_the_label_reference():
+    so4, t2, s2 = so_n_presentation(4), get("T2").ring, get("S2").ring
+    unsorted = parse_space(UNSORTED_FILE).ring
+    ref_unsorted = reference_explicit(UNSORTED_BASIS, 2, {("a", "b"): {"w"}})
+    gaps = TruncatedPresentation(
+        (GeneratorSpec("u", 2), GeneratorSpec("v", 1), GeneratorSpec("z", 3)), (3, 2, 1), 5
+    )
+    cases = [
+        (tensor_product(surface_table(1), surface_table(2)),
+         reference_tensor(reference_surface(1), reference_surface(2))),
+        (expand_to_table(so4), reference_expansion(so4)),
+        (expand_to_table(gaps), reference_expansion(gaps)),
+        (get("T2xS_1xS2").ring, reference_tensor(
+            reference_tensor(reference_expansion(t2), reference_surface(1)), reference_expansion(s2))),
+        (get("S_1xS_2xS_1").ring, reference_tensor(
+            reference_tensor(reference_surface(1), reference_surface(2)), reference_surface(1))),
+        (tensor_product(expand_to_table(t2), unsorted),
+         reference_tensor(reference_expansion(t2), ref_unsorted)),
+        (tensor_product(unsorted, surface_table(1)),
+         reference_tensor(ref_unsorted, reference_surface(1))),
+    ]
+    for t, ref in cases:
+        assert_matches_reference(t, ref)
+
+
+def explicit_copy(t: MultiplicationTable) -> MultiplicationTable:
+    labels = [l for l, _ in t.basis]
+    products = {
+        (x, y): t.product(x, y) for i, x in enumerate(labels) for y in labels[i:] if t.product(x, y)
+    }
+    return MultiplicationTable(t.basis, t.top_degree, products)
+
+
+def test_factored_table_equals_its_explicit_copy_until_a_product_changes():
+    torus = parse_space(UNSORTED_FILE).ring
+    for t in (
+        get("S_1xT2").ring,
+        tensor_product(torus, surface_table(2)),
+        expand_to_table(so_n_presentation(4)),
+    ):
+        copy = explicit_copy(t)
+        assert t == copy and copy == t
+    # t1 t2 = 0 instead of t1*t2: the one positive product of the 2-torus
+    t2 = expand_to_table(get("T2").ring)
+    changed = MultiplicationTable(t2.basis, 2, {})
+    assert t2 != changed and changed != t2
+    # the file torus with a a = w added, under a tensor product
+    added = MultiplicationTable(UNSORTED_BASIS, 2, {("a", "b"): {"w"}, ("a", "a"): {"w"}})
+    assert explicit_copy(torus) != added
+    product = tensor_product(torus, surface_table(1))
+    assert product != tensor_product(added, surface_table(1))
+    assert product != explicit_copy(tensor_product(added, surface_table(1)))
+
+
+# a a = w is the only positive product: associative, but b pairs with
+# nothing, so no Poincare duality
+NOT_DUAL = MultiplicationTable(
+    [("1", 0), ("a", 1), ("b", 1), ("w", 2)], 2, {("a", "a"): {"w"}}
+)
+
+
+def small_rings():
+    presentations = st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=3
+    ).filter(lambda gens: math.prod(h for _, h in gens) <= 9)
+    return st.one_of(
+        presentations.map(lambda gens: expand_to_table(_presentation(gens))),
+        st.integers(0, 2).map(surface_table),
+        st.just(NOT_DUAL),
+    )
+
+
+def _presentation(gens) -> TruncatedPresentation:
+    specs = tuple(GeneratorSpec(f"g{i}", d) for i, (d, _) in enumerate(gens))
+    heights = tuple(h for _, h in gens)
+    return TruncatedPresentation(specs, heights, sum((h - 1) * d for d, h in gens))
+
+
+def brute_duality(t: MultiplicationTable) -> bool:
+    """Every pairing matrix into the top degree is square of full rank,
+    with ranks from the brute-force oracle."""
+    n = t.top_degree
+    top = t.basis_in_degree(n)
+    if len(top) != 1:
+        return False
+    for d in range(n + 1):
+        xs, ys = t.basis_in_degree(d), t.basis_in_degree(n - d)
+        if len(xs) != len(ys):
+            return False
+        dense = [[int(top[0] in t.product(x, y)) for y in ys] for x in xs]
+        if xs and brute_rank(dense) != len(xs):
+            return False
+    return True
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_rings(), small_rings())
+def test_composed_search_and_duality_equal_brute_force(a, b):
+    t = tensor_product(a, b)
+    # the rank oracle enumerates 2^n combinations of n rows
+    assume(max(t.poincare_polynomial()) <= 12)
+    copy = explicit_copy(t)
+    assert cup_length_search(t) == brute_cup_length(copy)
+    assert check_poincare_duality(t) == brute_duality(copy)

@@ -15,7 +15,6 @@ from lscat.rings import Element, GeneratorSpec, MultiplicationTable, TruncatedPr
 from lscat.spacefile import (
     SpaceFileError,
     element_from_monomials,
-    format_element,
     parse_expression,
     parse_map,
     parse_space,
@@ -125,6 +124,22 @@ MALFORMED = [
         "generator a 1\ngenerator b 1\ntruncate a 2\ntruncate b 2\n",
         "inconsistent-known-cat",
     ),
+    # a 3-connected space has no class in degrees 1..3
+    (
+        "space X\ndim 4\nconnectivity 3\nstably-parallelizable true\n"
+        + "".join(f"generator t{i} 1\ntruncate t{i} 2\n" for i in range(4)),
+        "inconsistent-connectivity",
+    ),
+    (
+        "space X\ndim 8\nconnectivity 7\nstably-parallelizable true\n"
+        "generator a 1\ngenerator b 7\ntruncate a 2\ntruncate b 2\n",
+        "inconsistent-connectivity",
+    ),
+    (
+        "space X\ndim 2\nconnectivity 1\nbasis 1 0\nbasis a 1\nbasis b 1\nbasis w 2\n"
+        "product a b = w\n",
+        "inconsistent-connectivity",
+    ),
 ]
 
 
@@ -172,10 +187,12 @@ def presentation_records(draw) -> SpaceRecord:
     known = None
     if draw(st.booleans()):
         known = (draw(st.integers(cup_length_formula(ring), dim)), draw(CITATIONS))
+    # a c-connected space has no class in degrees 1..c
+    low = min((g.degree for g, h in zip(gens, heights) if h > 1), default=4)
     return SpaceRecord(
         name=draw(IDENTIFIERS),
         dimension=dim,
-        connectivity=draw(st.integers(0, 3)),
+        connectivity=draw(st.integers(0, min(3, low - 1))),
         orientable=draw(st.booleans()),
         stably_parallelizable=draw(st.booleans()),
         ring=ring,
@@ -289,15 +306,6 @@ def test_table_powers_take_logarithmically_many_products(monkeypatch):
     assert element_from_monomials(named_unit, parse_expression(f"e^{n}")) == named_unit.unit()
     assert element_from_monomials(named_unit, parse_expression(f"a*e^{n}")) == Element.of("a")
     assert element_from_monomials(named_unit, parse_expression("a*b^1")) == Element.of("w")
-
-
-def test_format_element():
-    s4 = get("SO4").ring
-    assert format_element(s4, Element.zero()) == "0"
-    assert format_element(s4, s4.unit()) == "1"
-    assert format_element(s4, Element.of((3, 1), (1, 0))) == "b1 + b1^3*b3"
-    s1 = get("S_1").ring
-    assert format_element(s1, Element.of("w", "a1")) == "a1 + w"
 
 
 # -- map files ---------------------------------------------------------------------
