@@ -6,8 +6,7 @@ then checks them.  Two records are equal when they are of the same
 class with equal field values, and then hash alike; no attribute can be
 assigned or deleted after construction (``functools.cached_property``
 still works, since it writes to the instance dict directly); the repr
-is ``Name(field=value, ...)`` and leaves out fields whose names start
-with an underscore.
+is ``Name(field=value, ...)`` over every field.
 
 Plain classes keep ``import lscat`` free of ``dataclasses``: importing
 it and generating the methods of the package's records cost about
@@ -44,7 +43,5 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        shown = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._fields if not name.startswith("_")
-        )
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"

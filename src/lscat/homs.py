@@ -20,7 +20,7 @@ from ._record import Record
 from .bounds import BoundLedger, MorseData, cup_length, morse_lower_bound
 from .catalogue import SpaceRecord
 from .gf2 import rank
-from .rings import Element, MultiplicationTable, Ring, TruncatedPresentation, _element_power
+from .rings import Element, IntegerBasis, MultiplicationTable, Ring, TruncatedPresentation
 
 CERTIFIED = "certified"
 VIOLATED = "violated"
@@ -94,50 +94,31 @@ class RingHomSpec(Record):
 
 
 class ValidatedHom(Record):
-    """A RingHomSpec with verified well-definedness and per-degree matrices.
-
-    ``matrices[d]`` is the induced GF(2)-linear map H^d(N) -> H^d(M) in
-    the rings' deterministic bases, as a tuple of image bitmasks: entry j
-    is the image of the j-th source basis element of degree d, with bit i
-    set when the i-th target basis element of degree d occurs in it.
-    """
+    """A RingHomSpec that :func:`validate_hom` accepted, and its matrices:
+    ``matrices[d]``, for d up to the source's top degree, is the induced map
+    H^d(N) -> H^d(M) in the rings' deterministic bases, as a tuple of image
+    bitmasks; entry j is the image of the j-th source basis element of
+    degree d, with bit i set when the i-th target one occurs in it."""
 
     spec: RingHomSpec
     matrices: tuple[tuple[int, ...], ...]
-    _images: Mapping[object, Element]
 
-    def __init__(
-        self,
-        spec: RingHomSpec,
-        matrices: tuple[tuple[int, ...], ...],
-        _images: Mapping[object, Element] | None = None,
-    ) -> None:
-        self.__dict__.update(
-            spec=spec, matrices=matrices, _images={} if _images is None else _images
-        )
-
-    def apply(self, element: Element) -> Element:
-        """Image of an arbitrary source element in the target ring."""
-        acc = Element.zero()
-        for term in element.terms:
-            img = self._images.get(term)
-            if img is None:
-                raise ValueError(f"no image recorded for source term {term!r}")
-            acc = acc + img
-        return acc
+    def __init__(self, spec: RingHomSpec, matrices: tuple[tuple[int, ...], ...]) -> None:
+        self.__dict__.update(spec=spec, matrices=matrices)
 
 
 def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     """Check that the images define a graded ring homomorphism.
 
-    Verifies degree preservation on generators, vanishing of all source
-    relations after substitution, and unit -> unit; returns the induced
-    per-degree matrices as image bitmasks.  Raises
-    :class:`HomValidationError` listing every problem found.
-    """
+    The images are checked as given (known keys, an image per generator,
+    of its degree, unit -> unit), then as bitmasks on the target's
+    :class:`~lscat.rings.IntegerBasis`: a presentation source's relations
+    by square-and-multiply and each monomial's image as one product, a
+    table source's F(x)F(y) = F(xy) on every basis pair.  Returns the
+    per-degree matrices read off the images; raises
+    :class:`HomValidationError` listing every problem found."""
     problems: list[str] = []
     source, target = spec.source, spec.target
-    term_images: dict[object, Element] = {}
     # presentations take images of their generators, tables of every basis
     # element but the unit, which must map to the unit
     if isinstance(source, TruncatedPresentation):
@@ -155,26 +136,27 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     if isinstance(source, MultiplicationTable):
         if spec.images.get(source.unit_label, target.unit()) != target.unit():
             problems.append("unit must map to unit")
-        term_images[source.unit_label] = target.unit()
-    images: dict[str, Element] = {}
+    basis = IntegerBasis(target)
+    vectors: dict[str, int] = {}  # generator -> image, over the target basis
     for i, (name, degree) in enumerate(generators):
-        img = spec.images.get(name)
+        img, deg = spec.images.get(name), None
         if img is None:
             problems.append(f"no image given for {noun} {name!r}")
-            img = Element.zero()
-        try:
-            deg = target.element_degree(img)
-        except ValueError as exc:
-            problems.append(f"image of {name!r}: {exc}")
-            img, deg = Element.zero(), None
-        images[name] = img
+        else:
+            try:
+                deg = target.element_degree(img)
+            except ValueError as exc:
+                problems.append(f"image of {name!r}: {exc}")
         if deg is not None and deg != degree:
             problems.append(
                 f"degree mismatch: {name!r} has degree {degree}, its image has degree {deg}"
             )
-        elif isinstance(source, TruncatedPresentation):
+            continue
+        index = {t: i for i, t in enumerate(target.basis_in_degree(degree))}
+        vectors[name] = sum(1 << index[t] for t in img.terms) if deg is not None else 0
+        if isinstance(source, TruncatedPresentation):
             p = source.truncations[i]
-            if _element_power(target, img, p):
+            if basis.power(vectors[name], degree, p):
                 problems.append(
                     f"relation {name}^{p} = 0 is not preserved: image power is nonzero"
                 )
@@ -182,50 +164,40 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
         raise HomValidationError(problems)
 
     if isinstance(source, TruncatedPresentation):
-        memo: dict[tuple, Element] = {(0,) * source.ngens: target.unit()}
-
-        def monomial_image(exps: tuple) -> Element:
-            cached = memo.get(exps)
-            if cached is not None:
-                return cached
-            i = next(j for j, e in enumerate(exps) if e > 0)
-            prev = list(exps)
-            prev[i] -= 1
-            img = target.multiply(monomial_image(tuple(prev)), images[source.generators[i].name])
-            memo[exps] = img
-            return img
-
-        image_of = monomial_image
+        degrees = source.monomial_degrees
+        images = [1] + [0] * (len(degrees) - 1)  # per monomial number
+        stride = len(degrees)
+        for g, q, x in zip(source.generators, source.truncations, vectors.values()):
+            stride //= q
+            # c = (c - stride) * g when g has the last nonzero exponent of c
+            for c in range(stride, len(degrees), stride):
+                if c // stride % q:
+                    images[c] = basis.times(images[c - stride], degrees[c] - g.degree, x, g.degree)
     else:
-        term_images.update(images)
-        for i, (la, _) in enumerate(source.basis):
-            for lb, _ in source.basis[i:]:
-                lhs = Element.zero()
-                for t in source.product(la, lb):
-                    lhs = lhs + term_images[t]
-                rhs = target.multiply(term_images[la], term_images[lb])
-                if lhs != rhs:
+        src = IntegerBasis(source)  # images per position; the unit's is 1
+        at = [src.position[i] for i in range(source.size)]  # basis index -> position
+        degrees, images = src.degrees, [vectors.get(source.basis[i][0], 1) for i in src.terms]
+        for i, p in enumerate(at):
+            for j in range(i, source.size):
+                q, lhs = at[j], 0
+                for w in src.product(p, q):
+                    lhs ^= images[w]
+                if lhs != basis.times(images[p], degrees[p], images[q], degrees[q]):
                     problems.append(
-                        f"multiplicativity fails on ({la}, {lb}): "
+                        f"multiplicativity fails on ({source.basis[i][0]}, {source.basis[j][0]}): "
                         f"image of product differs from product of images"
                     )
-        if problems:
-            raise HomValidationError(problems)
-        image_of = term_images.__getitem__
-
-    matrices = []
-    for d in range(source.top_degree + 1):
-        index = {t: i for i, t in enumerate(target.basis_in_degree(d))}
-        masks = []
-        for term in source.basis_in_degree(d):
-            term_images[term] = img = image_of(term)
-            masks.append(sum(1 << index[t] for t in img.terms))
-        matrices.append(tuple(masks))
-    return ValidatedHom(spec=spec, matrices=tuple(matrices), _images=term_images)
+    if problems:
+        raise HomValidationError(problems)
+    matrices: list[list[int]] = [[] for _ in range(source.top_degree + 1)]
+    for x, d in zip(images, degrees):
+        if d <= source.top_degree:
+            matrices[d].append(x)
+    return ValidatedHom(spec, tuple(map(tuple, matrices)))
 
 
 def _same_ring(a: Ring, b: Ring) -> bool:
-    # identity first: table equality compares every nonzero product
+    # identity first: table equality may compare every nonzero product
     return a is b or a == b
 
 
@@ -240,17 +212,15 @@ def check_injectivity(vh: ValidatedHom) -> tuple[dict[int, bool], bool]:
 
 
 def check_top_class(vh: ValidatedHom) -> bool:
-    """Whether the range's top class maps to the domain's top class."""
+    """Whether the range's top class maps to the domain's top class: with
+    a unique top class on each side, whether its 1 x 1 matrix is (1,)."""
     source, target = vh.spec.source, vh.spec.target
-    if source.top_degree != target.top_degree:
-        raise DimensionMismatch(
-            f"top degrees differ: {source.top_degree} vs {target.top_degree}"
-        )
-    src_top = source.basis_in_degree(source.top_degree)
-    tgt_top = target.basis_in_degree(target.top_degree)
-    if len(src_top) != 1 or len(tgt_top) != 1:
+    top = source.top_degree
+    if top != target.top_degree:
+        raise DimensionMismatch(f"top degrees differ: {top} vs {target.top_degree}")
+    if len(vh.matrices[top]) != 1 or len(target.basis_in_degree(top)) != 1:
         raise ValueError("both rings need a unique top class")
-    return vh.apply(Element.of(src_top[0])) == Element.of(tgt_top[0])
+    return vh.matrices[top] == (1,)
 
 
 def injectivity_outcome(vh: ValidatedHom) -> tuple[dict[int, bool], bool | None, str, bool]:

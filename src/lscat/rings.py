@@ -206,12 +206,20 @@ class TruncatedPresentation(Record):
     # -- enumeration ---------------------------------------------------
 
     @cached_property
+    def monomial_degrees(self) -> list[int]:
+        """The degree of each normal-form monomial, numbered in mixed radix
+        (the first generator most significant: lexicographic order)."""
+        degrees = [0]
+        for g, q in zip(self.generators, self.truncations):
+            degrees = [d + e * g.degree for d in degrees for e in range(q)]
+        return degrees
+
+    @cached_property
     def _monomials(self) -> dict[int, list[tuple]]:
-        # the last exponent varies fastest, so each degree comes out
-        # lexicographic on exponents
+        # itertools.product runs in mixed radix: lexicographic in each degree
         out: dict[int, list[tuple]] = {}
-        for m in itertools.product(*map(range, self.truncations)):
-            out.setdefault(self.monomial_degree(m), []).append(m)
+        for m, d in zip(itertools.product(*map(range, self.truncations)), self.monomial_degrees):
+            out.setdefault(d, []).append(m)
         return out
 
     def basis_in_degree(self, d: int) -> list[tuple]:
@@ -291,11 +299,7 @@ class CompiledRing(Record):
 
 
 def _compile_presentation(p: TruncatedPresentation) -> CompiledRing:
-    # monomials are numbered in mixed radix, the first generator most
-    # significant, so numbering order is lexicographic on exponent vectors
-    degrees = [0]  # degree of each monomial number
-    for g, q in zip(p.generators, p.truncations):
-        degrees = [d + e * g.degree for d in degrees for e in range(q)]
+    degrees = p.monomial_degrees  # monomials are numbered in mixed radix
     index: list[int] = []
     by_degree: dict[int, list[int]] = {}
     for c, d in enumerate(degrees):
@@ -364,10 +368,12 @@ def _compile_explicit(t: "MultiplicationTable", dims: dict[int, int]) -> tuple:
     return tuple(rows), pairing
 
 
-class _Factor:
-    """One tensor factor of a factored table: a presentation or an
-    explicit table, with its basis numbered by position, degree by degree
-    in the order of its compiled form."""
+class IntegerBasis:
+    """The basis of any ring numbered by position, degree by degree in
+    ``basis_in_degree`` order: the i-th element of degree d is at position
+    ``first[d] + i``, and a vector of degree d is a bitmask over those i,
+    as in the compiled form and hom matrices.  A factored table multiplies
+    in each factor through the factor's basis."""
 
     __slots__ = ("ring", "terms", "degrees", "first", "position")
 
@@ -394,7 +400,25 @@ class _Factor:
             w = self.position.get(tuple(map(operator.add, u, v)))
             return [] if w is None else [w]
         start = self.first.get(self.degrees[p] + self.degrees[q])
-        return [start + b for b in _bits(ring._pair(u, v))]
+        return [] if start is None else [start + b for b in _bits(ring._pair(u, v))]
+
+    def times(self, x: int, d: int, y: int, e: int) -> int:
+        """The product of vectors x of degree d and y of degree e."""
+        out, first = 0, self.first.get(d + e)
+        for a in _bits(x):
+            for b in _bits(y):
+                for w in self.product(self.first[d] + a, self.first[e] + b):
+                    out ^= 1 << w - first
+        return out
+
+    def power(self, x: int, d: int, n: int) -> int:
+        """``x**n`` for a vector x of degree d, by square-and-multiply."""
+        out, e = 1, 0
+        while n:
+            if n & 1:
+                out, e = self.times(out, e, x, d), e + d
+            x, d, n = self.times(x, d, x, d) if n > 1 else 0, 2 * d, n >> 1
+        return out
 
 
 def _compile_factored(t: "MultiplicationTable") -> tuple:
@@ -472,13 +496,14 @@ class MultiplicationTable:
         products: Mapping[tuple[str, str], frozenset],
     ) -> None:
         self._set_basis(basis, top_degree)
-        self._factors: tuple[_Factor, ...] | None = None
+        self._factors: tuple[IntegerBasis, ...] | None = None
         self._load_products(products)
         self._validate_full()
 
     @classmethod
     def _from_factors(
-        cls, basis: list[tuple[str, int]], top: int, factors: tuple[_Factor, ...], codes: list[int]
+        cls, basis: list[tuple[str, int]], top: int, factors: tuple[IntegerBasis, ...],
+        codes: list[int],
     ) -> "MultiplicationTable":
         # codes[x] is basis element x as a mixed-radix number over the
         # factors' positions, the first factor most significant
@@ -598,20 +623,26 @@ class MultiplicationTable:
                 out[i, j] = self._pair(i, j)
         return out
 
-    def _as_factors(self) -> tuple[tuple[_Factor, ...], list[int]]:
+    def _as_factors(self) -> tuple[tuple[IntegerBasis, ...], list[int]]:
         """This table's factors and basis codes; an explicit table is its
         own single factor."""
         if self._factors is not None:
             return self._factors, self._codes
-        f = _Factor(self)
+        f = IntegerBasis(self)
         return (f,), [f.first[d] + self._local[i] for i, (_, d) in enumerate(self.basis)]
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality: same basis, top degree, and all products."""
+        """Structural equality: same basis, top degree, and all products;
+        factored tables with equal codes and factor rings need no products."""
         if not isinstance(other, MultiplicationTable):
             return NotImplemented
         if self.basis != other.basis or self.top_degree != other.top_degree:
             return False
+        mine, theirs = self._factors, other._factors
+        if mine is None and theirs is None:
+            return self._store == other._store
+        if mine and theirs and [f.ring for f in mine] == [f.ring for f in theirs]:
+            return self._codes == other._codes or self._products() == other._products()
         return self._products() == other._products()
 
     def __hash__(self) -> int:
@@ -701,7 +732,7 @@ def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
     table is factored, with the presentation as its one factor: nothing
     is materialized, and its compiled form is the presentation's.
     """
-    f = _Factor(p)
+    f = IntegerBasis(p)
     labels = [p.monomial_label(m) for m in f.terms]
     if len(set(labels)) != len(labels):
         raise ValueError("generator names produce ambiguous monomial labels")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lscat.catalogue import get
 from lscat.homs import (
@@ -27,7 +29,13 @@ from lscat.homs import (
     torus_stabilization_k,
     validate_hom,
 )
-from lscat.rings import Element, GeneratorSpec, MultiplicationTable, TruncatedPresentation
+from lscat.rings import (
+    Element,
+    GeneratorSpec,
+    MultiplicationTable,
+    TruncatedPresentation,
+    expand_to_table,
+)
 
 from oracles import brute_rank
 
@@ -422,6 +430,148 @@ def test_matrices_expose_expected_shapes():
     assert vh.matrices[2] == (1,)
 
 
+def test_identity_validation_makes_no_label_products(monkeypatch):
+    s = get("S_2xT4").ring
+    specs = [
+        identity_hom(get("T12").ring),
+        RingHomSpec(s, s, {l: Element.of(l) for l, d in s.basis if d > 0}, 1),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("label-level product")
+
+    for cls in (TruncatedPresentation, MultiplicationTable):
+        monkeypatch.setattr(cls, "multiply", refuse)
+    monkeypatch.setattr(MultiplicationTable, "product", refuse)
+    for spec in specs:
+        vh = validate_hom(spec)
+        assert check_injectivity(vh)[1] and check_top_class(vh)
+
+
+# -- a label-level reference: images through the target's Element multiply ----------
+
+
+def reference_image(spec: RingHomSpec, term) -> Element:
+    """The image of one source basis term: a table label's given image, or a
+    monomial's generator images multiplied in one factor at a time."""
+    source, target = spec.source, spec.target
+    if isinstance(source, MultiplicationTable):
+        return target.unit() if term == source.unit_label else spec.images[term]
+    out = target.unit()
+    for g, e in zip(source.generators, term):
+        for _ in range(e):
+            out = target.multiply(out, spec.images[g.name])
+    return out
+
+
+def reference_matrices(spec: RingHomSpec) -> tuple:
+    out = []
+    for d in range(spec.source.top_degree + 1):
+        index = {t: i for i, t in enumerate(spec.target.basis_in_degree(d))}
+        out.append(
+            tuple(
+                sum(1 << index[t] for t in reference_image(spec, s).terms)
+                for s in spec.source.basis_in_degree(d)
+            )
+        )
+    return tuple(out)
+
+
+def reference_problems(spec: RingHomSpec) -> list[str]:
+    """Every relation g^p = 0 (presentation) or basis pair (table) that the
+    images break, with validate_hom's wording."""
+    source, target = spec.source, spec.target
+    problems = []
+    if isinstance(source, TruncatedPresentation):
+        for g, p in zip(source.generators, source.truncations):
+            power = target.unit()
+            for _ in range(p):
+                power = target.multiply(power, spec.images[g.name])
+            if power:
+                problems.append(
+                    f"relation {g.name}^{p} = 0 is not preserved: image power is nonzero"
+                )
+        return problems
+    for i, (la, _) in enumerate(source.basis):
+        for lb, _ in source.basis[i:]:
+            product = source.multiply(Element.of(la), Element.of(lb))
+            lhs = sum((reference_image(spec, t) for t in product.terms), Element.zero())
+            if lhs != target.multiply(reference_image(spec, la), reference_image(spec, lb)):
+                problems.append(
+                    f"multiplicativity fails on ({la}, {lb}): "
+                    "image of product differs from product of images"
+                )
+    return problems
+
+
+# presentations, surfaces and factored tables (a product and two expansions);
+# squares vanish in the tori and surfaces but not in RP^2, SO3 and SO4, so
+# presentation relations both hold and fail
+SMALL_RINGS = [
+    get("T2").ring,
+    get("T3").ring,
+    TruncatedPresentation((GeneratorSpec("x", 1),), (3,), 2),
+    get("SO3").ring,
+    get("SO4").ring,
+    TruncatedPresentation((GeneratorSpec("c", 2),), (3,), 4),
+    get("S_1").ring,
+    get("S_2").ring,
+    get("S_1xT1").ring,
+    expand_to_table(get("T2").ring),
+    expand_to_table(get("SO3").ring),
+]
+
+
+def _generators(ring) -> list[tuple[str, int]]:
+    if isinstance(ring, TruncatedPresentation):
+        return [(g.name, g.degree) for g in ring.generators]
+    return [(l, d) for l, d in ring.basis if d > 0]
+
+
+@st.composite
+def random_homs(draw) -> RingHomSpec:
+    """Images are random sums in the generator's degree; a hom of a ring to
+    itself may instead be the identity with one image replaced."""
+    source = draw(st.sampled_from(SMALL_RINGS))
+    target = source if draw(st.booleans()) else draw(st.sampled_from(SMALL_RINGS))
+    gens = _generators(source)
+    replaced = draw(st.sampled_from(gens)) if target is source and draw(st.booleans()) else None
+    images = {}
+    for name, degree in gens:
+        if replaced is not None and name != replaced[0]:
+            images[name] = (
+                target.generator_element(name)
+                if isinstance(target, TruncatedPresentation)
+                else Element.of(name)
+            )
+            continue
+        basis = target.basis_in_degree(degree)
+        mask = draw(st.integers(0, 2 ** len(basis) - 1))
+        images[name] = Element(frozenset(t for i, t in enumerate(basis) if mask >> i & 1))
+    return RingHomSpec(source, target, images, 1)
+
+
+def test_validate_hom_agrees_with_the_label_level_reference():
+    accepted = []
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(random_homs())
+    def agrees(spec):
+        expected = reference_problems(spec)
+        try:
+            vh = validate_hom(spec)
+        except HomValidationError as exc:
+            assert exc.problems == expected
+            accepted.append(False)
+        else:
+            assert expected == []
+            assert vh.matrices == reference_matrices(spec)
+            accepted.append(True)
+
+    agrees()
+    assert len(accepted) / 5 <= accepted.count(False) <= len(accepted) * 4 / 5
+
+
 # -- oracle: per-degree injectivity against brute-force rank ------------------------
 
 # brute_rank enumerates all 2^n combinations of n rows, so degrees with more
@@ -469,7 +619,7 @@ def test_injectivity_matches_brute_force_rank():
         for d, masks in enumerate(vh.matrices):
             tgt_basis = spec.target.basis_in_degree(d)
             dense = [
-                [int(t in vh.apply(Element.of(s)).terms) for t in tgt_basis]
+                [int(t in reference_image(spec, s).terms) for t in tgt_basis]
                 for s in spec.source.basis_in_degree(d)
             ]
             assert masks == tuple(sum(b << i for i, b in enumerate(row)) for row in dense), name

@@ -611,6 +611,16 @@ def test_factored_table_equals_its_explicit_copy_until_a_product_changes():
     assert product != explicit_copy(tensor_product(added, surface_table(1)))
 
 
+def test_factored_tables_compare_by_their_factors(monkeypatch):
+    built = tensor_product(surface_table(2), expand_to_table(get("T10").ring))
+
+    def no_products(self):
+        raise AssertionError("products enumerated")
+
+    monkeypatch.setattr(MultiplicationTable, "_products", no_products)
+    assert get("S_2xT10").ring == built and built == get("S_2xT10").ring
+
+
 # a a = w is the only positive product: associative, but b pairs with
 # nothing, so no Poincare duality
 NOT_DUAL = MultiplicationTable(
