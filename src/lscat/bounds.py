@@ -29,8 +29,9 @@ from .rings import (
     TruncatedPresentation,
 )
 
-# tables up to this many basis elements get the mandatory formula/search
-# cross-check; beyond it only the formula is used for presentations
+# presentations of at most this many monomials get the formula/search
+# cross-check, larger ones the formula alone; every table is searched.  The
+# CLI skips the duality check above it, for monomials and basis elements alike
 CROSS_CHECK_LIMIT = 4096
 
 

@@ -20,7 +20,7 @@ from ._record import Record
 from .bounds import BoundLedger, MorseData, cup_length, morse_lower_bound
 from .catalogue import SpaceRecord
 from .gf2 import rank
-from .rings import Element, IntegerBasis, MultiplicationTable, Ring, TruncatedPresentation
+from .rings import Element, MultiplicationTable, Ring, TruncatedPresentation
 
 CERTIFIED = "certified"
 VIOLATED = "violated"
@@ -111,11 +111,11 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     """Check that the images define a graded ring homomorphism.
 
     The images are checked as given (known keys, an image per generator,
-    of its degree, unit -> unit), then as bitmasks on the target's
-    :class:`~lscat.rings.IntegerBasis`: a presentation source's relations
-    by square-and-multiply and each monomial's image as one product, a
-    table source's F(x)F(y) = F(xy) on every basis pair.  Returns the
-    per-degree matrices read off the images; raises
+    of its degree, unit -> unit), then as bitmasks on the rings' compiled
+    forms (:class:`~lscat.rings.CompiledRing`): a presentation source's
+    relations by square-and-multiply and each monomial's image as one
+    product, a table source's F(x)F(y) = F(xy) on every basis pair.
+    Returns the per-degree matrices read off the images; raises
     :class:`HomValidationError` listing every problem found."""
     problems: list[str] = []
     source, target = spec.source, spec.target
@@ -136,7 +136,7 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     if isinstance(source, MultiplicationTable):
         if spec.images.get(source.unit_label, target.unit()) != target.unit():
             problems.append("unit must map to unit")
-    basis = IntegerBasis(target)
+    basis, (_, position) = target.compiled, target.compiled.lookups()
     vectors: dict[str, int] = {}  # generator -> image, over the target basis
     for i, (name, degree) in enumerate(generators):
         img, deg = spec.images.get(name), None
@@ -152,8 +152,8 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
                 f"degree mismatch: {name!r} has degree {degree}, its image has degree {deg}"
             )
             continue
-        index = {t: i for i, t in enumerate(target.basis_in_degree(degree))}
-        vectors[name] = sum(1 << index[t] for t in img.terms) if deg is not None else 0
+        terms = img.terms if deg is not None else ()  # the image over its degree's basis
+        vectors[name] = sum(1 << position[t] - basis.first[deg] for t in terms)
         if isinstance(source, TruncatedPresentation):
             p = source.truncations[i]
             if basis.power(vectors[name], degree, p):
@@ -174,9 +174,10 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
                 if c // stride % q:
                     images[c] = basis.times(images[c - stride], degrees[c] - g.degree, x, g.degree)
     else:
-        src = IntegerBasis(source)  # images per position; the unit's is 1
-        at = [src.position[i] for i in range(source.size)]  # basis index -> position
-        degrees, images = src.degrees, [vectors.get(source.basis[i][0], 1) for i in src.terms]
+        src = source.compiled  # images per position; the unit's is 1
+        terms, position = src.lookups()
+        at = [position[l] for l, _ in source.basis]  # basis index -> position
+        degrees, images = src.degrees, [vectors.get(l, 1) for l in terms]
         for i, p in enumerate(at):
             for j in range(i, source.size):
                 q, lhs = at[j], 0
@@ -218,7 +219,7 @@ def check_top_class(vh: ValidatedHom) -> bool:
     top = source.top_degree
     if top != target.top_degree:
         raise DimensionMismatch(f"top degrees differ: {top} vs {target.top_degree}")
-    if len(vh.matrices[top]) != 1 or len(target.basis_in_degree(top)) != 1:
+    if len(vh.matrices[top]) != 1 or target.compiled.dims.get(top) != 1:
         raise ValueError("both rings need a unique top class")
     return vh.matrices[top] == (1,)
 

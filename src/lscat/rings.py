@@ -11,9 +11,11 @@ Two representations are supported:
   are not pure powers; tensor products of tables and expansions of
   presentations are tables too, factored into their factors.
 
-Both compile, on first use, to one integer-indexed form
-(:class:`CompiledRing`) on which the cup-length search and the duality
-check run; labels and exponent tuples stay at the edges.
+Each ring builds one integer form on first use, ``ring.compiled`` (a
+:class:`CompiledRing`): its basis numbered degree by degree, with the
+products, search rows and duality pairing on those numbers.  The
+cup-length search, the duality check, hom validation and factored
+tables all run on it; labels and exponent tuples stay at the edges.
 
 Coefficients are fixed to GF(2): an element is a finite set of basis
 terms, addition is symmetric difference, and no signs ever appear.
@@ -28,7 +30,7 @@ import math
 import operator
 import warnings
 from functools import cached_property, reduce
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from ._record import Record
 from .gf2 import XorBasis
@@ -144,8 +146,8 @@ class TruncatedPresentation(Record):
 
     @cached_property
     def compiled(self) -> "CompiledRing":
-        """The integer-indexed form, built on first use."""
-        return _compile_presentation(self)
+        """The integer form, built on first use."""
+        return CompiledRing(self)
 
     def unit(self) -> Element:
         return Element.of((0,) * self.ngens)
@@ -214,17 +216,10 @@ class TruncatedPresentation(Record):
             degrees = [d + e * g.degree for d in degrees for e in range(q)]
         return degrees
 
-    @cached_property
-    def _monomials(self) -> dict[int, list[tuple]]:
-        # itertools.product runs in mixed radix: lexicographic in each degree
-        out: dict[int, list[tuple]] = {}
-        for m, d in zip(itertools.product(*map(range, self.truncations)), self.monomial_degrees):
-            out.setdefault(d, []).append(m)
-        return out
-
     def basis_in_degree(self, d: int) -> list[tuple]:
         """All normal-form monomials of degree d, lexicographic on exponents."""
-        return list(self._monomials.get(d, ()))
+        c = self.compiled
+        return c.lookups()[0][c.first[d] : c.first[d] + c.dims[d]] if d in c.first else []
 
     def poincare_polynomial(self) -> list[int]:
         """Monomial counts per degree, indexed 0..top_degree."""
@@ -259,81 +254,141 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-class CompiledRing(Record):
-    """Integer-indexed form of a ring for the cup-length search and the
-    duality check.
+class CompiledRing:
+    """The integer form of a ring, built once on first use as
+    ``ring.compiled``; the cup-length search, the duality check, hom
+    validation and factored tables all read it.
 
-    The basis of each degree d is numbered in the ring's
-    ``basis_in_degree(d)`` order, and vectors of degree d are bitmasks
-    over those numbers.
+    Positions number the basis degree by degree, in ``basis_in_degree``
+    order: the i-th element of degree d is at position ``first[d] + i``,
+    and a vector of degree d is a bitmask over those i.
 
     * ``top`` -- the degree the pairing pairs into: a presentation's
       highest monomial degree (its only monomial there, every exponent
       maximal, is the top class), a table's declared top degree;
-    * ``dims[d]`` -- dimension in degree d (missing degrees are zero);
+    * ``degrees[p]``, ``first[d]``, ``dims[d]`` -- the degree of position
+      p, the first position of degree d and its dimension (missing
+      degrees are zero);
+    * ``lookups()`` -- ``(terms, position)``: the element term (exponent
+      tuple or basis label) at each position, and back;
+    * ``product(p, q)``, ``times``, ``power`` -- products of positions and
+      of vectors; a factored table multiplies in each factor;
     * ``generator_rows`` -- per ideal generator, its degree and, per
       source degree d (degree 0 included), a tuple of row bitmasks: row i
       is the i-th basis element of degree d times the generator (missing
       degrees multiply to zero);
     * ``pairing(d)`` -- row i marks the basis elements of degree top - d
       whose product with the i-th one of degree d is the top class;
-      defined when degree d has a basis and ``top`` a unique class.  It
-      is built on demand, since only the duality check needs it: an
-      explicit table reads it off its stored products, a factored table
-      takes the Kronecker product of its factors' pairings.
+      defined when degree d has a basis and ``top`` a unique class.
+
+    Lookups, rows and pairing are built on first use (the search reads
+    only the rows): by mixed-radix monomial number, from an explicit
+    table's stored products, or from a factored table's factors.
     """
 
-    top: int
-    dims: dict[int, int]
-    generator_rows: tuple[tuple[int, dict[int, tuple[int, ...]]], ...]
-    pairing: Callable[[int], tuple[int, ...]]
+    # slots, no cached_property: product() and times() run once per basis pair
+    __slots__ = ("ring", "_order", "degrees", "top", "first", "dims", "_lookups", "_search")
 
-    def __init__(
-        self,
-        top: int,
-        dims: dict[int, int],
-        generator_rows: tuple[tuple[int, dict[int, tuple[int, ...]]], ...],
-        pairing: Callable[[int], tuple[int, ...]],
-    ) -> None:
-        self.__dict__.update(top=top, dims=dims, generator_rows=generator_rows, pairing=pairing)
+    def __init__(self, ring: "Ring") -> None:
+        self.ring = ring
+        if isinstance(ring, TruncatedPresentation):
+            mixed = ring.monomial_degrees
+            # position -> mixed-radix monomial number, lexicographic in each degree
+            self._order = sorted(range(len(mixed)), key=mixed.__getitem__)
+            self.degrees = sorted(mixed)
+            self.top = self.degrees[-1]
+        else:
+            # position -> basis index
+            self._order = [i for d in sorted(ring._members) for i in ring._members[d]]
+            self.degrees = [ring.basis[i][1] for i in self._order]
+            self.top = ring.top_degree
+        self.first = {d: bisect.bisect_left(self.degrees, d) for d in dict.fromkeys(self.degrees)}
+        self.dims = {d: bisect.bisect_right(self.degrees, d) - p for d, p in self.first.items()}
+        self._lookups = self._search = None  # built on first use
+
+    def lookups(self) -> tuple[list[Term], dict[Term, int]]:
+        if self._lookups is None:
+            if isinstance(self.ring, TruncatedPresentation):
+                terms = list(itertools.product(*map(range, self.ring.truncations)))
+            else:
+                terms = [l for l, _ in self.ring.basis]
+            terms = [terms[c] for c in self._order]
+            self._lookups = terms, {u: p for p, u in enumerate(terms)}
+        return self._lookups
+
+    def _rows_and_pairing(self) -> tuple:
+        if self._search is None:
+            ring = self.ring
+            self._search = (
+                _compile_presentation(self) if isinstance(ring, TruncatedPresentation)
+                else _compile_explicit(ring, self.dims) if ring._factors is None
+                else _compile_factored(ring)
+            )
+        return self._search
+
+    @property
+    def generator_rows(self) -> tuple[tuple[int, dict[int, tuple[int, ...]]], ...]:
+        return self._rows_and_pairing()[0]
+
+    def pairing(self, d: int) -> tuple[int, ...]:
+        return self._rows_and_pairing()[1](d)
+
+    def product(self, p: int, q: int) -> list[int]:
+        """Positions of the terms of the product of positions p and q."""
+        ring = self.ring
+        if isinstance(ring, TruncatedPresentation):
+            terms, position = self._lookups or self.lookups()
+            w = position.get(tuple(map(operator.add, terms[p], terms[q])))  # None off normal form
+            return [] if w is None else [w]
+        start, order = self.first.get(self.degrees[p] + self.degrees[q]), self._order
+        return [] if start is None else [start + b for b in _bits(ring._pair(order[p], order[q]))]
+
+    def times(self, x: int, d: int, y: int, e: int) -> int:
+        """The product of vectors x of degree d and y of degree e."""
+        out, first = 0, self.first.get(d + e)
+        for a in _bits(x):
+            for b in _bits(y):
+                for w in self.product(self.first[d] + a, self.first[e] + b):
+                    out ^= 1 << w - first
+        return out
+
+    def power(self, x: int, d: int, n: int) -> int:
+        """``x**n`` for a vector x of degree d, by square-and-multiply."""
+        out, e = 1, 0
+        while n:
+            if n & 1:
+                out, e = self.times(out, e, x, d), e + d
+            x, d, n = self.times(x, d, x, d) if n > 1 else 0, 2 * d, n >> 1
+        return out
 
 
-def _compile_presentation(p: TruncatedPresentation) -> CompiledRing:
-    degrees = p.monomial_degrees  # monomials are numbered in mixed radix
-    index: list[int] = []
-    by_degree: dict[int, list[int]] = {}
-    for c, d in enumerate(degrees):
-        numbers = by_degree.setdefault(d, [])
-        index.append(len(numbers))
-        numbers.append(c)
-    top = degrees[-1]
+def _compile_presentation(c: CompiledRing) -> tuple:
+    order, first, dims, top = c._order, c.first, c.dims, c.top
+    local = [0] * len(order)  # monomial number -> number within its degree
+    for d, start in first.items():
+        for i, n in enumerate(order[start : start + dims[d]]):
+            local[n] = i
     rows = []
-    stride = len(degrees)
-    for g, q in zip(p.generators, p.truncations):
+    stride = len(order)
+    for g, q in zip(c.ring.generators, c.ring.truncations):
         stride //= q
         if q < 2:
             continue
-        rows.append(
-            (
-                g.degree,
-                {
-                    d: tuple(
-                        1 << index[c + stride] if c // stride % q < q - 1 else 0
-                        for c in numbers
-                    )
-                    for d, numbers in by_degree.items()
-                    if d + g.degree <= top
-                },
-            )
-        )
-    # exponents e and q - 1 - e pair to the top class: numbers c and last - c
-    last = len(degrees) - 1
+        by_degree = {}
+        for d, start in first.items():
+            if d + g.degree <= top:
+                by_degree[d] = tuple(
+                    1 << local[n + stride] if n // stride % q < q - 1 else 0
+                    for n in order[start : start + dims[d]]
+                )
+        rows.append((g.degree, by_degree))
+    # exponents e and q - 1 - e pair to the top class: numbers n and last - n
+    last = len(order) - 1
 
     def pairing(d: int) -> tuple[int, ...]:
-        return tuple(1 << index[last - c] for c in by_degree[d])
+        return tuple(1 << local[last - n] for n in order[first[d] : first[d] + dims[d]])
 
-    dims = {d: len(numbers) for d, numbers in by_degree.items()}
-    return CompiledRing(top, dims, tuple(rows), pairing)
+    return tuple(rows), pairing
 
 
 def _bits(mask: int):
@@ -368,59 +423,6 @@ def _compile_explicit(t: "MultiplicationTable", dims: dict[int, int]) -> tuple:
     return tuple(rows), pairing
 
 
-class IntegerBasis:
-    """The basis of any ring numbered by position, degree by degree in
-    ``basis_in_degree`` order: the i-th element of degree d is at position
-    ``first[d] + i``, and a vector of degree d is a bitmask over those i,
-    as in the compiled form and hom matrices.  A factored table multiplies
-    in each factor through the factor's basis."""
-
-    __slots__ = ("ring", "terms", "degrees", "first", "position")
-
-    def __init__(self, ring: "Ring") -> None:
-        presentation = isinstance(ring, TruncatedPresentation)
-        top = ring.max_monomial_degree if presentation else ring.top_degree
-        self.ring = ring
-        self.terms: list = []  # exponent tuples or basis indices
-        self.degrees: list[int] = []
-        self.first: dict[int, int] = {}  # degree -> position of its first term
-        for e in range(top + 1):
-            block = ring.basis_in_degree(e) if presentation else ring._members.get(e, [])
-            if block:
-                self.first[e] = len(self.terms)
-                self.terms += block
-                self.degrees += [e] * len(block)
-        self.position = {u: p for p, u in enumerate(self.terms)}
-
-    def product(self, p: int, q: int) -> list[int]:
-        """Positions of the terms of the product of positions p and q."""
-        ring, u, v = self.ring, self.terms[p], self.terms[q]
-        if isinstance(ring, TruncatedPresentation):
-            # only normal-form monomials have a position
-            w = self.position.get(tuple(map(operator.add, u, v)))
-            return [] if w is None else [w]
-        start = self.first.get(self.degrees[p] + self.degrees[q])
-        return [] if start is None else [start + b for b in _bits(ring._pair(u, v))]
-
-    def times(self, x: int, d: int, y: int, e: int) -> int:
-        """The product of vectors x of degree d and y of degree e."""
-        out, first = 0, self.first.get(d + e)
-        for a in _bits(x):
-            for b in _bits(y):
-                for w in self.product(self.first[d] + a, self.first[e] + b):
-                    out ^= 1 << w - first
-        return out
-
-    def power(self, x: int, d: int, n: int) -> int:
-        """``x**n`` for a vector x of degree d, by square-and-multiply."""
-        out, e = 1, 0
-        while n:
-            if n & 1:
-                out, e = self.times(out, e, x, d), e + d
-            x, d, n = self.times(x, d, x, d) if n > 1 else 0, 2 * d, n >> 1
-        return out
-
-
 def _compile_factored(t: "MultiplicationTable") -> tuple:
     # a basis element is a mixed-radix code over its factors' positions;
     # multiplying by a generator of factor k moves digit k only, along the
@@ -428,8 +430,8 @@ def _compile_factored(t: "MultiplicationTable") -> tuple:
     at = [t._local[x] for x in t._at]  # code -> number within its degree
     rows = []
     for f, stride in zip(t._factors, t._strides):
-        size = len(f.terms)
-        for dg, by_e in f.ring.compiled.generator_rows:
+        size = len(f.degrees)
+        for dg, by_e in f.generator_rows:
             # shifts[p]: how x.g moves the code of an x at position p in f
             shifts = []
             for p, e in enumerate(f.degrees):
@@ -457,13 +459,12 @@ def _compile_factored(t: "MultiplicationTable") -> tuple:
         for x in t._members[d]:
             code, codes = t._codes[x], [0]
             for k, (f, stride) in enumerate(zip(t._factors, t._strides)):
-                p = code // stride % len(f.terms)
+                p = code // stride % len(f.degrees)
                 e = f.degrees[p]
                 if e not in factor_pairings[k]:
-                    factor_pairings[k][e] = f.ring.compiled.pairing(e)
+                    factor_pairings[k][e] = f.pairing(e)
                 mask = factor_pairings[k][e][p - f.first[e]]
-                top = f.ring.compiled.top
-                codes = [s + (f.first[top - e] + b) * stride for s in codes for b in _bits(mask)]
+                codes = [s + (f.first[f.top - e] + b) * stride for s in codes for b in _bits(mask)]
             out.append(sum(1 << at[s] for s in codes))
         return tuple(out)
 
@@ -475,8 +476,8 @@ class MultiplicationTable:
 
     The basis is an ordered sequence of (label, degree) pairs with a
     unique degree-0 label (the unit).  The basis of each degree d is
-    numbered in basis order, and an element of degree d is a bitmask over
-    those numbers.  A table is one of two kinds:
+    numbered in basis order, as in the compiled form, and an element of
+    degree d is a bitmask over those numbers.  A table is one of two kinds:
 
     * explicit, from ``MultiplicationTable(basis, top_degree, products)``
       (space files, surfaces): each nonzero product of two basis elements
@@ -484,9 +485,10 @@ class MultiplicationTable:
       missing pairs are zero.  Construction validates the unit law,
       degree additivity, commutativity and associativity.
     * factored, from :func:`tensor_product` and :func:`expand_to_table`: a
-      tensor product of factors (presentations or explicit tables).  Its
-      products and compiled form are built from the factors', nothing
-      is materialized, and the ring laws hold by construction.
+      tensor product of factors (presentations or explicit tables), kept
+      as their compiled forms.  Its products and compiled form are built
+      from theirs, nothing is materialized, and the ring laws hold by
+      construction.
     """
 
     def __init__(
@@ -496,13 +498,13 @@ class MultiplicationTable:
         products: Mapping[tuple[str, str], frozenset],
     ) -> None:
         self._set_basis(basis, top_degree)
-        self._factors: tuple[IntegerBasis, ...] | None = None
+        self._factors: tuple[CompiledRing, ...] | None = None
         self._load_products(products)
         self._validate_full()
 
     @classmethod
     def _from_factors(
-        cls, basis: list[tuple[str, int]], top: int, factors: tuple[IntegerBasis, ...],
+        cls, basis: list[tuple[str, int]], top: int, factors: tuple[CompiledRing, ...],
         codes: list[int],
     ) -> "MultiplicationTable":
         # codes[x] is basis element x as a mixed-radix number over the
@@ -511,7 +513,7 @@ class MultiplicationTable:
         t._set_basis(basis, top)
         t._factors, t._codes = factors, codes
         t._at = sorted(range(len(codes)), key=codes.__getitem__)  # code -> basis index
-        sizes = [len(f.terms) for f in factors]
+        sizes = [len(f.degrees) for f in factors]
         t._strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
         return t
 
@@ -599,7 +601,7 @@ class MultiplicationTable:
             return self._store.get((i, j) if i <= j else (j, i), 0)
         ci, cj, codes = self._codes[i], self._codes[j], [0]
         for f, stride in zip(self._factors, self._strides):
-            size = len(f.terms)
+            size = len(f.degrees)
             out = f.product(ci // stride % size, cj // stride % size)
             if not out:
                 return 0
@@ -612,7 +614,7 @@ class MultiplicationTable:
             return self._store
         # a product of basis tensors is nonzero iff every factor product is
         pairs = [
-            [(p * s, q * s) for p, q in itertools.product(range(len(f.terms)), repeat=2)
+            [(p * s, q * s) for p, q in itertools.product(range(len(f.degrees)), repeat=2)
              if f.product(p, q)]
             for f, s in zip(self._factors, self._strides)
         ]
@@ -623,13 +625,12 @@ class MultiplicationTable:
                 out[i, j] = self._pair(i, j)
         return out
 
-    def _as_factors(self) -> tuple[tuple[IntegerBasis, ...], list[int]]:
-        """This table's factors and basis codes; an explicit table is its
-        own single factor."""
+    def _as_factors(self) -> tuple[tuple[CompiledRing, ...], list[int]]:
+        """This table's factors and basis codes; an explicit table is its own factor."""
         if self._factors is not None:
             return self._factors, self._codes
-        f = IntegerBasis(self)
-        return (f,), [f.first[d] + self._local[i] for i, (_, d) in enumerate(self.basis)]
+        f = self.compiled
+        return (f,), [f.lookups()[1][l] for l, _ in self.basis]
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same basis, top degree, and all products;
@@ -656,12 +657,8 @@ class MultiplicationTable:
 
     @cached_property
     def compiled(self) -> CompiledRing:
-        """The integer-indexed form, built on first use: read off the
-        stored products, or built from the factors' compiled forms."""
-        dims = {d: len(members) for d, members in self._members.items()}
-        if self._factors is None:
-            return CompiledRing(self.top_degree, dims, *_compile_explicit(self, dims))
-        return CompiledRing(self.top_degree, dims, *_compile_factored(self))
+        """The integer form, built on first use."""
+        return CompiledRing(self)
 
     def degree_of_label(self, label: str) -> int:
         try:
@@ -732,8 +729,8 @@ def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
     table is factored, with the presentation as its one factor: nothing
     is materialized, and its compiled form is the presentation's.
     """
-    f = IntegerBasis(p)
-    labels = [p.monomial_label(m) for m in f.terms]
+    f = p.compiled
+    labels = [p.monomial_label(m) for m in f.lookups()[0]]
     if len(set(labels)) != len(labels):
         raise ValueError("generator names produce ambiguous monomial labels")
     basis = list(zip(labels, f.degrees))

@@ -1,23 +1,27 @@
-"""The compiled form of presentations and the per-ring cup-length memo.
+"""The compiled form of presentations, the per-ring cup-length memo, and
+one compiled form per ring.
 
 The compiled form is checked against the label-based expansion it
 replaces and against the brute-force oracles; the memo is checked by
-counting runs of the search kernel.
+counting runs of the search kernel, and the sharing of ``ring.compiled``
+by counting the compiled forms built.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lscat import bounds
+from lscat import bounds, catalogue
 from lscat.bounds import cup_length_check, cup_length_formula
 from lscat.catalogue import get, surface_table
 from lscat.cli import EXIT_OK, main
 from lscat.rings import (
+    CompiledRing,
     GeneratorSpec,
     MultiplicationTable,
     TruncatedPresentation,
@@ -173,3 +177,44 @@ def test_invariants_skips_expansion_above_the_limit(kernel_runs, monkeypatch, ca
     assert "poincare duality: None" in out
     assert "compiled" not in get("T16").ring.__dict__
     assert kernel_runs == []
+
+
+# -- one integer form per ring -------------------------------------------------------
+
+
+IDENTITY_T4 = "map identity\ndomain T4\nrange T4\ndegree 1\n" + "".join(
+    f"send t{i} -> t{i}\n" for i in range(1, 5)
+)
+
+
+def test_each_ring_is_numbered_once(monkeypatch, tmp_path, capsys):
+    """Search, duality, factors and hom validation share ``ring.compiled``:
+    no ring is numbered twice, whichever of them reads it first."""
+    for cached in vars(catalogue).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()  # fresh rings, nothing compiled yet
+    numbered = []
+    init = CompiledRing.__init__
+
+    def counted(self, ring):
+        numbered.append(ring)  # kept alive, so that ids stay distinct
+        init(self, ring)
+
+    monkeypatch.setattr(CompiledRing, "__init__", counted)
+    ring = get("S_2xT2").ring
+    identity = tmp_path / "s2xt2.map"
+    identity.write_text(
+        "map identity\ndomain S_2xT2\nrange S_2xT2\ndegree 1\n"
+        + "".join(f"send {l} -> {l}\n" for l, _ in ring.basis if l != ring.unit_label)
+    )
+    t4 = tmp_path / "t4.map"
+    t4.write_text(IDENTITY_T4)
+    assert main(["check-map", str(identity)]) == EXIT_OK
+    assert main(["check-map", str(t4)]) == EXIT_OK
+    assert main(["degree1-report", "-m", "T4", "-n", "T4", "--map", str(t4)]) == EXIT_OK
+    capsys.readouterr()
+    counts = Counter(map(id, numbered))
+    # the product, its two factors (the surface table and T2) and T4
+    assert {id(ring), id(get("T4").ring)} <= set(counts)
+    assert len(counts) == 4
+    assert set(counts.values()) == {1}

@@ -72,9 +72,15 @@ REQUESTS = {
     "check-map-S_2-zero": ["check-map", "s2-zero.map"],
     "check-map-S_2-invalid": ["check-map", "s2-invalid.map"],
     "check-map-S_2xT2-identity": ["check-map", "s2xt2-identity.map"],
-    "degree1-report-S_2-T2-collapse": ["degree1-report", "-m", "S_2", "-n", "T2", "--map", "s2-collapse.map"],
-    "degree1-report-T3-T3-identity": ["degree1-report", "-m", "T3", "-n", "T3", "--map", "t3-identity.map"],
-    "degree1-report-S_2-S_2-zero": ["degree1-report", "-m", "S_2", "-n", "S_2", "--map", "s2-zero.map"],
+    "degree1-report-S_2-T2-collapse": [
+        "degree1-report", "-m", "S_2", "-n", "T2", "--map", "s2-collapse.map"
+    ],
+    "degree1-report-T3-T3-identity": [
+        "degree1-report", "-m", "T3", "-n", "T3", "--map", "t3-identity.map"
+    ],
+    "degree1-report-S_2-S_2-zero": [
+        "degree1-report", "-m", "S_2", "-n", "S_2", "--map", "s2-zero.map"
+    ],
     "degree1-report-T4-T4": ["degree1-report", "-m", "T4", "-n", "T4"],
     "verify-paper": ["verify-paper"],
 }

@@ -27,7 +27,7 @@ from lscat.homs import (
     StabilizationCheck,
     ValidatedHom,
 )
-from lscat.rings import CompiledRing, Element, GeneratorSpec, TruncatedPresentation
+from lscat.rings import Element, GeneratorSpec, TruncatedPresentation
 from lscat.spacefile import MapFileSpec
 
 # -- start-up -----------------------------------------------------------------------
@@ -52,10 +52,6 @@ def test_cli_import_loads_no_code_generation_modules():
 
 
 # -- the record contract -------------------------------------------------------------
-
-
-def _pairing(d: int) -> tuple[int, ...]:
-    return (1,)
 
 
 def _t2() -> TruncatedPresentation:
@@ -119,7 +115,6 @@ RECORDS = [
             ([(GeneratorSpec("a", 1),), (3,), 1], UserWarning, "above top_degree 1"),
         ],
     ),
-    (CompiledRing, lambda: [2, {0: 1, 1: 2, 2: 1}, ((1, {0: (1,)}),), _pairing], []),
     (
         MorseData,
         lambda: [(1, 2, 1), (0, 0, 0), False, 2],
@@ -179,7 +174,7 @@ def test_every_record_is_covered():
     from lscat._record import Record
 
     covered = {cls for cls, _, _ in RECORDS}
-    assert len(covered) == len(RECORDS) == 15
+    assert len(covered) == len(RECORDS) == 14
     defined = {
         obj
         for module in MODULES
