@@ -14,7 +14,8 @@ import warnings
 from functools import lru_cache, reduce
 
 from ._record import Record
-from .bounds import BoundLedger, MorseData, cat_bounds, cup_length, so_n_presentation
+from .bounds import BoundLedger, MorseData, cat_bounds, cup_length, cup_length_formula
+from .bounds import so_n_presentation
 from .rings import (
     GeneratorSpec,
     MultiplicationTable,
@@ -101,7 +102,12 @@ class SpaceRecord(Record):
             value = self.known_cat[0]
             if not 0 <= value <= self.dimension:
                 raise ValueError(f"{self.name}: known cat {value} outside [0, dim]")
-            if self.ring is not None and cup_length(self.ring) > value:
+            # no search for a presentation: commands that print a cup-length cross-check it
+            if isinstance(self.ring, TruncatedPresentation):
+                cl = cup_length_formula(self.ring)
+            else:
+                cl = 0 if self.ring is None else cup_length(self.ring)
+            if cl > value:
                 raise ValueError(
                     f"{self.name}: known cat {value} below the cup-length bound"
                 )
@@ -129,7 +135,11 @@ def _connectivity_problem(ring: Ring | None, connectivity: int) -> str | None:
     has H^i = 0 for 0 < i <= c."""
     if ring is None or connectivity < 1:
         return None
-    low = next((d for d, n in enumerate(ring.poincare_polynomial()) if d and n), None)
+    if isinstance(ring, TruncatedPresentation):  # the lowest classes are generators
+        degrees = [g.degree for g, p in zip(ring.generators, ring.truncations) if p > 1]
+    else:
+        degrees = [d for _, d in ring.basis if d]
+    low = min(degrees, default=None)
     if low is None or low > connectivity:
         return None
     return (

@@ -110,11 +110,11 @@ class ValidatedHom(Record):
 def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     """Check that the images define a graded ring homomorphism.
 
-    The images are checked as given (known keys, an image per generator,
-    of its degree, unit -> unit), then as bitmasks on the rings' compiled
-    forms (:class:`~lscat.rings.CompiledRing`): a presentation source's
-    relations by square-and-multiply and each monomial's image as one
-    product, a table source's F(x)F(y) = F(xy) on every basis pair.
+    The images are read by the target's ``compiled.vector`` and checked
+    (known keys, an image per generator, homogeneous of its degree, unit
+    -> unit), then as bitmasks on the rings' compiled forms: a presentation
+    source's relations by square-and-multiply and each monomial's image as
+    one product, a table source's F(x)F(y) = F(xy) on every basis pair.
     Returns the per-degree matrices read off the images; raises
     :class:`HomValidationError` listing every problem found."""
     problems: list[str] = []
@@ -133,18 +133,22 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     for key in spec.images:
         if key not in known:
             problems.append(f"unknown {unknown} {key!r}")
+    basis = target.compiled
     if isinstance(source, MultiplicationTable):
-        if spec.images.get(source.unit_label, target.unit()) != target.unit():
+        unit = basis.element({0: 1})
+        if spec.images.get(source.unit_label, unit) != unit:
             problems.append("unit must map to unit")
-    basis, (_, position) = target.compiled, target.compiled.lookups()
     vectors: dict[str, int] = {}  # generator -> image, over the target basis
     for i, (name, degree) in enumerate(generators):
-        img, deg = spec.images.get(name), None
+        img, deg, x = spec.images.get(name), None, 0
         if img is None:
             problems.append(f"no image given for {noun} {name!r}")
         else:
             try:
-                deg = target.element_degree(img)
+                v = basis.vector(img)
+                if len(v) > 1:
+                    raise ValueError(f"element is not homogeneous: degrees {sorted(v)}")
+                deg, x = next(iter(v.items()), (None, 0))
             except ValueError as exc:
                 problems.append(f"image of {name!r}: {exc}")
         if deg is not None and deg != degree:
@@ -152,11 +156,10 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
                 f"degree mismatch: {name!r} has degree {degree}, its image has degree {deg}"
             )
             continue
-        terms = img.terms if deg is not None else ()  # the image over its degree's basis
-        vectors[name] = sum(1 << position[t] - basis.first[deg] for t in terms)
+        vectors[name] = x
         if isinstance(source, TruncatedPresentation):
             p = source.truncations[i]
-            if basis.power(vectors[name], degree, p):
+            if basis.power(x, degree, p):
                 problems.append(
                     f"relation {name}^{p} = 0 is not preserved: image power is nonzero"
                 )

@@ -14,8 +14,10 @@ Two representations are supported:
 Each ring builds one integer form on first use, ``ring.compiled`` (a
 :class:`CompiledRing`): its basis numbered degree by degree, with the
 products, search rows and duality pairing on those numbers.  The
-cup-length search, the duality check, hom validation and factored
-tables all run on it; labels and exponent tuples stay at the edges.
+cup-length search, the duality check, hom validation, file expressions
+and factored tables all run on it.  Its ``vector`` and ``element`` are
+the one place where an :class:`Element` (exponent tuples or basis
+labels) meets those numbers.
 
 Coefficients are fixed to GF(2): an element is a finite set of basis
 terms, addition is symmetric difference, and no signs ever appear.
@@ -64,15 +66,8 @@ class Element(Record):
         self.__dict__.update(terms=terms)
 
     @classmethod
-    def zero(cls) -> "Element":
-        return cls(frozenset())
-
-    @classmethod
     def of(cls, *terms: Term) -> "Element":
         return cls(frozenset(terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -81,14 +76,33 @@ class Element(Record):
         return Element(self.terms ^ other.terms)
 
 
-def _homogeneous(degrees: set[int]) -> int | None:
-    """The one degree of an element's terms; None for zero."""
-    if len(degrees) > 1:
-        raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
-    return degrees.pop() if degrees else None
+class _Ring:
+    """What both ring kinds share: the integer form and the label-level
+    views read off it."""
+
+    @cached_property
+    def compiled(self) -> "CompiledRing":
+        """The integer form, built on first use."""
+        return CompiledRing(self)
+
+    def basis_in_degree(self, d: int) -> list[Term]:
+        """The basis of degree d: a presentation's normal-form monomials,
+        lexicographic on exponents, or a table's labels, in basis order."""
+        c = self.compiled
+        return c.lookups()[0][c.first[d] : c.first[d] + c.dims[d]] if d in c.first else []
+
+    def multiply(self, a: Element, b: Element) -> Element:
+        """Cup product, on the compiled form."""
+        c = self.compiled
+        out: dict[int, int] = {}
+        vb = c.vector(b)
+        for d, x in c.vector(a).items():
+            for e, y in vb.items():
+                out[d + e] = out.get(d + e, 0) ^ c.times(x, d, y, e)
+        return c.element(out)
 
 
-class TruncatedPresentation(Record):
+class TruncatedPresentation(_Ring, Record):
     """GF(2) polynomial algebra truncated by pure power relations.
 
     ``truncations[i] == p_i`` means ``generators[i]**p_i == 0``; a
@@ -144,67 +158,6 @@ class TruncatedPresentation(Record):
         """Number of normal-form monomials."""
         return math.prod(self.truncations)
 
-    @cached_property
-    def compiled(self) -> "CompiledRing":
-        """The integer form, built on first use."""
-        return CompiledRing(self)
-
-    def unit(self) -> Element:
-        return Element.of((0,) * self.ngens)
-
-    def generator_element(self, name: str) -> Element:
-        i = self.generator_index[name]
-        exps = [0] * self.ngens
-        exps[i] = 1
-        return self.normal_form(exps)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def normal_form(self, raw_exponents: Sequence[int]) -> Element:
-        """Reduce a raw monomial modulo the truncation relations.
-
-        Returns the single-monomial element when every exponent is
-        strictly below its truncation, and zero otherwise.
-        """
-        exps = tuple(raw_exponents)
-        if len(exps) != self.ngens:
-            raise ValueError(
-                f"expected {self.ngens} exponents, got {len(exps)}"
-            )
-        for e, p in zip(exps, self.truncations):
-            if e < 0:
-                raise ValueError("exponents must be nonnegative")
-            if e >= p:
-                return Element.zero()
-        return Element.of(exps)
-
-    def monomial_degree(self, exps: Sequence[int]) -> int:
-        return sum(e * g.degree for e, g in zip(exps, self.generators))
-
-    def _check_term(self, t: Term) -> tuple:
-        if not isinstance(t, tuple) or len(t) != self.ngens:
-            raise ValueError(f"term {t!r} does not belong to this presentation")
-        for e, p in zip(t, self.truncations):
-            if not 0 <= e < p:
-                raise ValueError(f"term {t!r} is not in normal form")
-        return t
-
-    def element_degree(self, e: Element) -> int | None:
-        """Degree of a homogeneous element; None for zero."""
-        return _homogeneous({self.monomial_degree(self._check_term(t)) for t in e.terms})
-
-    def multiply(self, a: Element, b: Element) -> Element:
-        """Cup product: bilinear extension of exponent addition mod truncation."""
-        acc: set = set()
-        bterms = [self._check_term(t) for t in b.terms]
-        for s in a.terms:
-            s = self._check_term(s)
-            for t in bterms:
-                prod = tuple(x + y for x, y in zip(s, t))
-                if all(e < p for e, p in zip(prod, self.truncations)):
-                    acc ^= {prod}
-        return Element(frozenset(acc))
-
     # -- enumeration ---------------------------------------------------
 
     @cached_property
@@ -215,11 +168,6 @@ class TruncatedPresentation(Record):
         for g, q in zip(self.generators, self.truncations):
             degrees = [d + e * g.degree for d in degrees for e in range(q)]
         return degrees
-
-    def basis_in_degree(self, d: int) -> list[tuple]:
-        """All normal-form monomials of degree d, lexicographic on exponents."""
-        c = self.compiled
-        return c.lookups()[0][c.first[d] : c.first[d] + c.dims[d]] if d in c.first else []
 
     def poincare_polynomial(self) -> list[int]:
         """Monomial counts per degree, indexed 0..top_degree."""
@@ -257,11 +205,13 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 class CompiledRing:
     """The integer form of a ring, built once on first use as
     ``ring.compiled``; the cup-length search, the duality check, hom
-    validation and factored tables all read it.
+    validation, file expressions and factored tables all read it.
 
-    Positions number the basis degree by degree, in ``basis_in_degree``
-    order: the i-th element of degree d is at position ``first[d] + i``,
-    and a vector of degree d is a bitmask over those i.
+    Positions number the basis degree by degree, by a stable sort on
+    degree: a presentation's monomials in mixed-radix (lexicographic)
+    order, a table's labels in basis order.  The i-th element of degree d
+    is at position ``first[d] + i``, and a vector of degree d is a bitmask
+    over those i.
 
     * ``top`` -- the degree the pairing pairs into: a presentation's
       highest monomial degree (its only monomial there, every exponent
@@ -269,6 +219,8 @@ class CompiledRing:
     * ``degrees[p]``, ``first[d]``, ``dims[d]`` -- the degree of position
       p, the first position of degree d and its dimension (missing
       degrees are zero);
+    * ``vector(e)``, ``element(v)`` -- the one label edge: an
+      :class:`Element` as ``{degree: bitmask}``, and back;
     * ``lookups()`` -- ``(terms, position)``: the element term (exponent
       tuple or basis label) at each position, and back;
     * ``product(p, q)``, ``times``, ``power`` -- products of positions and
@@ -287,23 +239,22 @@ class CompiledRing:
     """
 
     # slots, no cached_property: product() and times() run once per basis pair
-    __slots__ = ("ring", "_order", "degrees", "top", "first", "dims", "_lookups", "_search")
+    __slots__ = ("ring", "_order", "_at", "degrees", "top", "first", "dims", "_lookups", "_search")
 
     def __init__(self, ring: "Ring") -> None:
         self.ring = ring
-        if isinstance(ring, TruncatedPresentation):
-            mixed = ring.monomial_degrees
-            # position -> mixed-radix monomial number, lexicographic in each degree
-            self._order = sorted(range(len(mixed)), key=mixed.__getitem__)
-            self.degrees = sorted(mixed)
-            self.top = self.degrees[-1]
-        else:
-            # position -> basis index
-            self._order = [i for d in sorted(ring._members) for i in ring._members[d]]
-            self.degrees = [ring.basis[i][1] for i in self._order]
-            self.top = ring.top_degree
+        table = isinstance(ring, MultiplicationTable)
+        degrees = [d for _, d in ring.basis] if table else ring.monomial_degrees
+        # position -> basis index, or mixed-radix monomial number
+        self._order = sorted(range(len(degrees)), key=degrees.__getitem__)
+        self.degrees = sorted(degrees)
+        self.top = ring.top_degree if table else self.degrees[-1]
         self.first = {d: bisect.bisect_left(self.degrees, d) for d in dict.fromkeys(self.degrees)}
         self.dims = {d: bisect.bisect_right(self.degrees, d) - p for d, p in self.first.items()}
+        # code -> position; the code of a monomial or an explicit table's basis
+        # element is its number, a factored table's is over its factors
+        codes = [ring._codes[i] for i in self._order] if table and ring._factors else self._order
+        self._at = sorted(range(len(codes)), key=codes.__getitem__)
         self._lookups = self._search = None  # built on first use
 
     def lookups(self) -> tuple[list[Term], dict[Term, int]]:
@@ -316,13 +267,31 @@ class CompiledRing:
             self._lookups = terms, {u: p for p, u in enumerate(terms)}
         return self._lookups
 
+    def vector(self, e: Element) -> dict[int, int]:
+        """``e`` as ``{degree: bitmask}``; raises ValueError for a term not
+        in the ring."""
+        position = (self._lookups or self.lookups())[1]
+        out: dict[int, int] = {}
+        for t in e.terms:
+            p = position.get(t)
+            if p is None:
+                raise ValueError(f"term {t!r} does not belong to this ring")
+            d = self.degrees[p]
+            out[d] = out.get(d, 0) | 1 << p - self.first[d]
+        return out
+
+    def element(self, v: Mapping[int, int]) -> Element:
+        """The element of a ``{degree: bitmask}`` vector."""
+        terms = (self._lookups or self.lookups())[0]
+        return Element(frozenset(terms[self.first[d] + b] for d, x in v.items() for b in _bits(x)))
+
     def _rows_and_pairing(self) -> tuple:
         if self._search is None:
             ring = self.ring
             self._search = (
                 _compile_presentation(self) if isinstance(ring, TruncatedPresentation)
-                else _compile_explicit(ring, self.dims) if ring._factors is None
-                else _compile_factored(ring)
+                else _compile_explicit(self) if ring._factors is None
+                else _compile_factored(self)
             )
         return self._search
 
@@ -340,8 +309,24 @@ class CompiledRing:
             terms, position = self._lookups or self.lookups()
             w = position.get(tuple(map(operator.add, terms[p], terms[q])))  # None off normal form
             return [] if w is None else [w]
-        start, order = self.first.get(self.degrees[p] + self.degrees[q]), self._order
-        return [] if start is None else [start + b for b in _bits(ring._pair(order[p], order[q]))]
+        start = self.first.get(self.degrees[p] + self.degrees[q])
+        if start is None:
+            return []
+        if ring._factors is None:
+            return [start + b for b in _bits(ring._store.get((p, q) if p <= q else (q, p), 0))]
+        return self._factored_product(ring, p, q)
+
+    def _factored_product(self, ring: "MultiplicationTable", p: int, q: int) -> list[int]:
+        # a product of basis tensors multiplies in each factor
+        codes, out = ring._codes, [0]
+        cp, cq = codes[self._order[p]], codes[self._order[q]]
+        for f, stride in zip(ring._factors, ring._strides):
+            size = len(f.degrees)
+            ws = f.product(cp // stride % size, cq // stride % size)
+            if not ws:
+                return []
+            out = [c + w * stride for c in out for w in ws]
+        return [self._at[c] for c in out]
 
     def times(self, x: int, d: int, y: int, e: int) -> int:
         """The product of vectors x of degree d and y of degree e."""
@@ -364,10 +349,7 @@ class CompiledRing:
 
 def _compile_presentation(c: CompiledRing) -> tuple:
     order, first, dims, top = c._order, c.first, c.dims, c.top
-    local = [0] * len(order)  # monomial number -> number within its degree
-    for d, start in first.items():
-        for i, n in enumerate(order[start : start + dims[d]]):
-            local[n] = i
+    local = [p - first[c.degrees[p]] for p in c._at]  # monomial number -> number within its degree
     rows = []
     stride = len(order)
     for g, q in zip(c.ring.generators, c.ring.truncations):
@@ -399,35 +381,39 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _compile_explicit(t: "MultiplicationTable", dims: dict[int, int]) -> tuple:
-    # every positive basis element g generates; its rows are read off the
-    # stored products it takes part in (the unit row gives degree 0)
-    rows: dict[int, dict[int, list[int]]] = {g: {} for g, (_, d) in enumerate(t.basis) if d}
+def _compile_explicit(c: CompiledRing) -> tuple:
+    # every positive basis element g generates, in basis order; its rows are
+    # read off the stored products it takes part in (the unit row gives
+    # degree 0)
+    t, degrees, first, dims = c.ring, c.degrees, c.first, c.dims
+    rows: dict[int, dict[int, list[int]]] = {c._at[i]: {} for i, (_, d) in enumerate(t.basis) if d}
     for (i, j), mask in t._store.items():
         for x, g in ((i, j), (j, i)):
             if g in rows:
-                d = t.basis[x][1]
-                rows[g].setdefault(d, [0] * dims[d])[t._local[x]] = mask
-    rows = [(t.basis[g][1], {d: tuple(r) for d, r in by_d.items()}) for g, by_d in rows.items()]
+                d = degrees[x]
+                rows[g].setdefault(d, [0] * dims[d])[x - first[d]] = mask
+    rows = [(degrees[g], {d: tuple(r) for d, r in by_d.items()}) for g, by_d in rows.items()]
 
     def pairing(d: int) -> tuple[int, ...]:
         # the top degree has a unique class, number 0
         out = [0] * dims[d]
         for (i, j), mask in t._store.items():
-            if mask & 1 and t.basis[i][1] + t.basis[j][1] == t.top_degree:
+            if mask & 1 and degrees[i] + degrees[j] == c.top:
                 for x, y in ((i, j), (j, i)):
-                    if t.basis[x][1] == d:
-                        out[t._local[x]] |= 1 << t._local[y]
+                    if degrees[x] == d:
+                        out[x - first[d]] |= 1 << y - first[c.top - d]
         return tuple(out)
 
     return tuple(rows), pairing
 
 
-def _compile_factored(t: "MultiplicationTable") -> tuple:
+def _compile_factored(c: CompiledRing) -> tuple:
     # a basis element is a mixed-radix code over its factors' positions;
     # multiplying by a generator of factor k moves digit k only, along the
     # factor's own rows: (x.g) (x) y, or x (x) (y.h)
-    at = [t._local[x] for x in t._at]  # code -> number within its degree
+    t, first, dims = c.ring, c.first, c.dims
+    codes = [t._codes[i] for i in c._order]  # position -> code
+    at = [p - first[c.degrees[p]] for p in c._at]  # code -> number within its degree
     rows = []
     for f, stride in zip(t._factors, t._strides):
         size = len(f.degrees)
@@ -438,14 +424,14 @@ def _compile_factored(t: "MultiplicationTable") -> tuple:
                 mask = by_e[e][p - f.first[e]] if e in by_e else 0
                 shifts.append([(f.first[e + dg] + b - p) * stride for b in _bits(mask)])
             by_degree = {}
-            for d, members in t._members.items():
-                if d + dg not in t._members:
+            for d, start in first.items():
+                if d + dg not in first:
                     continue
                 out = []
-                for x in members:
-                    c, w = t._codes[x], 0
-                    for s in shifts[c // stride % size]:
-                        w |= 1 << at[c + s]
+                for code in codes[start : start + dims[d]]:
+                    w = 0
+                    for s in shifts[code // stride % size]:
+                        w |= 1 << at[code + s]
                     out.append(w)
                 by_degree[d] = tuple(out)
             rows.append((dg, by_degree))
@@ -456,34 +442,35 @@ def _compile_factored(t: "MultiplicationTable") -> tuple:
         # the pairing of a tensor product is the tensor product of the
         # factor pairings
         out = []
-        for x in t._members[d]:
-            code, codes = t._codes[x], [0]
+        for code in codes[first[d] : first[d] + dims[d]]:
+            sums = [0]
             for k, (f, stride) in enumerate(zip(t._factors, t._strides)):
                 p = code // stride % len(f.degrees)
                 e = f.degrees[p]
                 if e not in factor_pairings[k]:
                     factor_pairings[k][e] = f.pairing(e)
                 mask = factor_pairings[k][e][p - f.first[e]]
-                codes = [s + (f.first[f.top - e] + b) * stride for s in codes for b in _bits(mask)]
-            out.append(sum(1 << at[s] for s in codes))
+                sums = [s + (f.first[f.top - e] + b) * stride for s in sums for b in _bits(mask)]
+            out.append(sum(1 << at[s] for s in sums))
         return tuple(out)
 
     return tuple(rows), pairing
 
 
-class MultiplicationTable:
+class MultiplicationTable(_Ring):
     """Finite graded GF(2) algebra given by a basis and structure constants.
 
     The basis is an ordered sequence of (label, degree) pairs with a
-    unique degree-0 label (the unit).  The basis of each degree d is
-    numbered in basis order, as in the compiled form, and an element of
-    degree d is a bitmask over those numbers.  A table is one of two kinds:
+    unique degree-0 label (the unit).  The compiled form numbers the basis
+    of each degree d in basis order, and an element of degree d is a
+    bitmask over those numbers.  A table is one of two kinds:
 
     * explicit, from ``MultiplicationTable(basis, top_degree, products)``
       (space files, surfaces): each nonzero product of two basis elements
-      is stored once, as a bitmask over the basis of the degree sum, and
-      missing pairs are zero.  Construction validates the unit law,
-      degree additivity, commutativity and associativity.
+      is stored once, under the pair of their compiled positions, as a
+      bitmask over the basis of the degree sum, and missing pairs are
+      zero.  Construction validates the unit law, degree additivity,
+      commutativity and associativity.
     * factored, from :func:`tensor_product` and :func:`expand_to_table`: a
       tensor product of factors (presentations or explicit tables), kept
       as their compiled forms.  Its products and compiled form are built
@@ -512,7 +499,6 @@ class MultiplicationTable:
         t = cls.__new__(cls)
         t._set_basis(basis, top)
         t._factors, t._codes = factors, codes
-        t._at = sorted(range(len(codes)), key=codes.__getitem__)  # code -> basis index
         sizes = [len(f.degrees) for f in factors]
         t._strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
         return t
@@ -525,48 +511,44 @@ class MultiplicationTable:
         labels = [l for l, _ in self.basis]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate basis labels")
-        self._index = {l: i for i, l in enumerate(labels)}
-        self._degree = dict(self.basis)
         units = [l for l, d in self.basis if d == 0]
         if len(units) != 1:
             raise ValueError(f"need exactly one degree-0 basis element, got {units}")
         self.unit_label = units[0]
-        self._members: dict[int, list[int]] = {}  # degree -> basis indices, in order
-        self._local: list[int] = []  # basis index -> number within its degree
-        for i, (l, d) in enumerate(self.basis):
+        for l, d in self.basis:
             if d < 0 or d > self.top_degree:
                 raise ValueError(f"basis element {l!r} has degree {d} outside 0..{self.top_degree}")
-            members = self._members.setdefault(d, [])
-            self._local.append(len(members))
-            members.append(i)
 
     def _load_products(self, products: Mapping[tuple[str, str], frozenset]) -> None:
-        """Store each nonzero product once, under its index-ordered pair
+        """Store each nonzero product once, under its position-ordered pair
         (commutativity), as a bitmask over the basis of the degree sum."""
+        c = self.compiled
+        position, degrees, first = c.lookups()[1], c.degrees, c.first
         given: dict[tuple[int, int], int] = {}
         for (la, lb), val in products.items():
-            if la not in self._index or lb not in self._index:
+            if la not in position or lb not in position:
                 raise ValueError(f"product entry references unknown label: {(la, lb)}")
             terms = frozenset(val.terms if isinstance(val, Element) else val)
-            d = self._degree[la] + self._degree[lb]
+            p, q = sorted((position[la], position[lb]))
+            d = degrees[p] + degrees[q]
             if terms and d > self.top_degree:
                 raise ValueError(f"product {la}*{lb} exceeds top degree but is nonzero")
             for t in terms:
-                if t not in self._index:
+                if t not in position:
                     raise ValueError(f"product {la}*{lb} references unknown label {t!r}")
-                if self._degree[t] != d:
+                if degrees[position[t]] != d:
                     raise ValueError(
                         f"product {la}*{lb} not degree-additive: {t!r} has degree "
-                        f"{self._degree[t]}, expected {d}"
+                        f"{degrees[position[t]]}, expected {d}"
                     )
-            i, j = sorted((self._index[la], self._index[lb]))
-            mask = sum(1 << self._local[self._index[t]] for t in terms)
-            if given.setdefault((i, j), mask) != mask:
+            mask = sum(1 << position[t] - first[d] for t in terms)
+            if given.setdefault((p, q), mask) != mask:
                 raise ValueError(f"conflicting entries for product {la}*{lb}")
-        # unit row is forced, not data
-        u = self._index[self.unit_label]
-        for i, (l, _) in enumerate(self.basis):
-            if given.setdefault((min(u, i), max(u, i)), 1 << self._local[i]) != 1 << self._local[i]:
+        # unit row is forced, not data; the unit is position 0
+        for l, _ in self.basis:
+            p = position[l]
+            one = 1 << p - first[degrees[p]]
+            if given.setdefault((0, p), one) != one:
                 raise ValueError(f"unit law violated at {l!r}")
         self._store = {key: mask for key, mask in given.items() if mask}
 
@@ -575,43 +557,32 @@ class MultiplicationTable:
         # with the unit (its row is forced) and above the top degree (both
         # sides vanish there); so with x, y a stored positive pair in either
         # order and z free, every triple that can fail is checked
-        degree = [d for _, d in self.basis]
-        positive = sorted((i for i, d in enumerate(degree) if d > 0), key=degree.__getitem__)
-        degrees = [degree[i] for i in positive]
+        c, store = self.compiled, self._store
+        degrees, order = c.degrees, c._order
 
         def times(x: int, y: int, z: int) -> int:  # (xy)z, as a bitmask
-            members = self._members.get(degree[x] + degree[y], ())
-            xy = _bits(self._pair(x, y))
-            return reduce(operator.xor, (self._pair(members[b], z) for b in xy), 0)
+            pairs = ((w, z) if w <= z else (z, w) for w in c.product(x, y))
+            return reduce(operator.xor, (store.get(pair, 0) for pair in pairs), 0)
 
-        for i, j in self._store:
-            if not degree[i] or not degree[j]:
+        for key in store:
+            i, j = sorted(key, key=order.__getitem__)  # in basis order, as reported
+            if not degrees[i] or not degrees[j]:
                 continue
-            room = self.top_degree - degree[i] - degree[j]
+            room = self.top_degree - degrees[i] - degrees[j]
             for x, y in ((i, j), (j, i)):
-                for z in positive[: bisect.bisect_right(degrees, room)]:
+                # the positive positions, up to degree room
+                for z in range(1, bisect.bisect_right(degrees, room)):
                     if times(x, y, z) != times(y, z, x):
-                        names = ", ".join(self.basis[k][0] for k in (x, y, z))
+                        names = ", ".join(c.lookups()[0][k] for k in (x, y, z))
                         raise ValueError(f"associativity fails on ({names})")
 
-    def _pair(self, i: int, j: int) -> int:
-        """Product of basis elements i and j, as a bitmask over the basis of
-        their degree sum."""
-        if self._factors is None:
-            return self._store.get((i, j) if i <= j else (j, i), 0)
-        ci, cj, codes = self._codes[i], self._codes[j], [0]
-        for f, stride in zip(self._factors, self._strides):
-            size = len(f.degrees)
-            out = f.product(ci // stride % size, cj // stride % size)
-            if not out:
-                return 0
-            codes = [c + p * stride for c in codes for p in out]
-        return sum(1 << self._local[self._at[c]] for c in codes)
-
     def _products(self) -> dict[tuple[int, int], int]:
-        """Every nonzero product of basis elements i <= j, as a bitmask."""
+        """Every nonzero product of basis elements i <= j (basis indices),
+        as a bitmask."""
+        c = self.compiled
+        order = c._order
         if self._factors is None:
-            return self._store
+            return {tuple(sorted((order[p], order[q]))): m for (p, q), m in self._store.items()}
         # a product of basis tensors is nonzero iff every factor product is
         pairs = [
             [(p * s, q * s) for p, q in itertools.product(range(len(f.degrees)), repeat=2)
@@ -620,17 +591,17 @@ class MultiplicationTable:
         ]
         out = {}
         for combo in itertools.product(*pairs):
-            i, j = self._at[sum(p for p, _ in combo)], self._at[sum(q for _, q in combo)]
-            if i <= j:
-                out[i, j] = self._pair(i, j)
+            p, q = c._at[sum(x for x, _ in combo)], c._at[sum(y for _, y in combo)]
+            if order[p] <= order[q]:
+                start = c.first[c.degrees[p] + c.degrees[q]]
+                out[order[p], order[q]] = sum(1 << w - start for w in c.product(p, q))
         return out
 
     def _as_factors(self) -> tuple[tuple[CompiledRing, ...], list[int]]:
         """This table's factors and basis codes; an explicit table is its own factor."""
         if self._factors is not None:
             return self._factors, self._codes
-        f = self.compiled
-        return (f,), [f.lookups()[1][l] for l, _ in self.basis]
+        return (self.compiled,), self.compiled._at
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same basis, top degree, and all products;
@@ -655,67 +626,18 @@ class MultiplicationTable:
     def size(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def compiled(self) -> CompiledRing:
-        """The integer form, built on first use."""
-        return CompiledRing(self)
-
-    def degree_of_label(self, label: str) -> int:
-        try:
-            return self._degree[label]
-        except KeyError:
-            raise ValueError(f"unknown basis label {label!r}") from None
-
-    def unit(self) -> Element:
-        return Element.of(self.unit_label)
-
-    def basis_in_degree(self, d: int) -> list[str]:
-        return [self.basis[i][0] for i in self._members.get(d, ())]
-
     def poincare_polynomial(self) -> list[int]:
-        return [len(self._members.get(d, ())) for d in range(self.top_degree + 1)]
-
-    def element_degree(self, e: Element) -> int | None:
-        return _homogeneous({self.degree_of_label(self._check_term(t)) for t in e.terms})
-
-    def _check_term(self, t: Term) -> str:
-        if not isinstance(t, str) or t not in self._index:
-            raise ValueError(f"term {t!r} does not belong to this table")
-        return t
+        dims = self.compiled.dims
+        return [dims.get(d, 0) for d in range(self.top_degree + 1)]
 
     # -- arithmetic --------------------------------------------------------
 
     def product(self, la: str, lb: str) -> frozenset:
         """Structure constants: the product of two basis elements as a label set."""
-        i, j = self._index[self._check_term(la)], self._index[self._check_term(lb)]
-        members = self._members.get(self.basis[i][1] + self.basis[j][1], ())
-        return frozenset(self.basis[members[b]][0] for b in _bits(self._pair(i, j)))
-
-    def multiply(self, a: Element, b: Element) -> Element:
-        acc: set = set()
-        bterms = [self._check_term(t) for t in b.terms]
-        for s in a.terms:
-            self._check_term(s)
-            for t in bterms:
-                acc ^= self.product(s, t)
-        return Element(frozenset(acc))
+        return self.multiply(Element.of(la), Element.of(lb)).terms
 
 
 Ring = Union[TruncatedPresentation, MultiplicationTable]
-
-
-def _element_power(ring: Ring, e: Element, n: int) -> Element:
-    """``e**n`` by square-and-multiply: O(log n) products, so an exponent
-    read from a file cannot make the work unbounded."""
-    result = ring.unit()
-    base = e
-    while n:
-        if n & 1:
-            result = ring.multiply(result, base)
-        n >>= 1
-        if n:
-            base = ring.multiply(base, base)
-    return result
 
 
 def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
@@ -727,7 +649,7 @@ def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
     declared dimension) and table products agree with presentation
     products on every basis pair (no extra truncation happens).  The
     table is factored, with the presentation as its one factor: nothing
-    is materialized, and its compiled form is the presentation's.
+    is materialized, and its compiled form numbers it as the presentation's.
     """
     f = p.compiled
     labels = [p.monomial_label(m) for m in f.lookups()[0]]

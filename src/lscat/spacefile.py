@@ -35,14 +35,7 @@ import re
 from ._record import Record
 from .catalogue import SpaceRecord, _connectivity_problem
 from .homs import RingHomSpec
-from .rings import (
-    Element,
-    GeneratorSpec,
-    MultiplicationTable,
-    Ring,
-    TruncatedPresentation,
-    _element_power,
-)
+from .rings import Element, GeneratorSpec, MultiplicationTable, Ring, TruncatedPresentation
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _FACTOR = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^([0-9]+))?$")
@@ -126,15 +119,20 @@ def parse_expression(text: str, lineno: int | None = None) -> list[dict[str, int
 def element_from_monomials(
     ring: Ring, monomials: list[dict[str, int]], lineno: int | None = None
 ) -> Element:
-    """Evaluate parsed monomials to an element of ``ring``.
+    """Evaluate parsed monomials to an element of ``ring``, on its compiled
+    form.
 
-    Presentations map identifiers to generators; tables treat each
-    identifier as a basis label (``1`` is the unit) and evaluate
-    products and powers through the table.
+    Presentations map identifiers to generators, and a monomial off
+    normal form is 0; tables treat each identifier as a basis label
+    (``1`` is the unit) and evaluate products and powers through the
+    table.
     """
-    acc = Element.zero()
-    if isinstance(ring, TruncatedPresentation):
-        for mono in monomials:
+    c = ring.compiled
+    position = c.lookups()[1]
+    acc: dict[int, int] = {}  # degree -> bitmask
+    for mono in monomials:
+        d, x = 0, 1  # the unit
+        if isinstance(ring, TruncatedPresentation):
             exps = [0] * ring.ngens
             for name, exp in mono.items():
                 idx = ring.generator_index.get(name)
@@ -143,22 +141,22 @@ def element_from_monomials(
                         f"unknown generator {name!r}", lineno, kind="unknown-generator"
                     )
                 exps[idx] += exp
-            acc = acc + ring.normal_form(exps)
-        return acc
-    for mono in monomials:
-        term = ring.unit()
-        for name, exp in mono.items():
-            label = ring.unit_label if name == "1" else name
-            try:
-                factor = Element.of(label)
-                ring.degree_of_label(label)
-            except ValueError:
-                raise SpaceFileError(
-                    f"unknown basis label {name!r}", lineno, kind="unknown-label"
-                ) from None
-            term = ring.multiply(term, _element_power(ring, factor, exp))
-        acc = acc + term
-    return acc
+            p = position.get(tuple(exps))  # None off normal form
+            if p is None:
+                continue
+            d, x = c.degrees[p], 1 << p - c.first[c.degrees[p]]
+        else:
+            for name, exp in mono.items():
+                p = position.get(ring.unit_label if name == "1" else name)
+                if p is None:
+                    raise SpaceFileError(
+                        f"unknown basis label {name!r}", lineno, kind="unknown-label"
+                    )
+                e = c.degrees[p]
+                x, d = c.times(x, d, c.power(1 << p - c.first[e], e, exp), e * exp), d + e * exp
+        if x:
+            acc[d] = acc.get(d, 0) ^ x
+    return c.element(acc)
 
 
 _KNOWN_CAT = re.compile(r'(\S+)\s+"([^"]*)"$')
@@ -387,11 +385,13 @@ def serialize_space(record: SpaceRecord) -> str:
     elif ring is not None:
         for label, degree in ring.basis:
             out.append(f"basis {label} {degree}")
-        for i, j in sorted(ring._products()):
+        c = ring.compiled
+        terms = c.lookups()[0]
+        for (i, j), mask in sorted(ring._products().items()):
             (la, da), (lb, db) = ring.basis[i], ring.basis[j]
-            if da and db:
-                prod = ring.product(la, lb)  # listed in basis order
-                rhs = " + ".join(l for l in ring.basis_in_degree(da + db) if l in prod)
+            if da and db:  # the product's labels, in basis order
+                start = c.first[da + db]
+                rhs = " + ".join(terms[start + b] for b in range(mask.bit_length()) if mask >> b & 1)
                 out.append(f"product {la} {lb} = {rhs}")
     return "\n".join(out) + "\n"
 

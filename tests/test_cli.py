@@ -315,3 +315,60 @@ def test_duality_fails_without_a_class_in_the_declared_dimension(tmp_path, capsy
 def test_missing_map_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "check-map", str(tmp_path / "nope.map"))
     assert code == EXIT_USAGE
+
+
+# -- a cited cat below the cup-length, and connectivity beside a huge dim ------------
+
+
+def test_known_cat_below_the_cup_length_is_parse_error(tmp_path, capsys):
+    # T2 as a presentation and as an explicit table: cup-length 2
+    presentation = "generator a 1\ngenerator b 1\ntruncate a 2\ntruncate b 2\n"
+    table = "basis 1 0\nbasis a 1\nbasis b 1\nbasis w 2\nproduct a b = w\n"
+    for name, ring in (("p", presentation), ("t", table)):
+        space = tmp_path / f"{name}.space"
+        space.write_text(f'space X\ndim 2\nknown-cat 1 "too low"\n{ring}')
+        for command in ("show", "invariants", "cup-length"):
+            code, out, err = run(capsys, command, str(space))
+            assert code == EXIT_PARSE, (name, command)
+            assert out == ""
+            assert err == (
+                "lscat: X: known cat 1 below the cup-length bound [inconsistent-known-cat]\n"
+            )
+
+
+def test_connectivity_beside_a_huge_dim(tmp_path, capsys):
+    n = 10**20
+    space = tmp_path / "x.space"
+    space.write_text(f"space X\ndim {n}\nconnectivity 1\ngenerator x {n}\ntruncate x 2\n")
+    code, out, err = run(capsys, "show", str(space))
+    assert code == EXIT_OK and err == ""
+    assert f"generator x {n}\n" in out
+    code, out, err = run(capsys, "cup-length", str(space))
+    assert (code, out, err) == (EXIT_OK, "cup-length of X: 1\nformula 1 / search 1: agree\n", "")
+    # a class in degree 1 still refutes connectivity 1
+    space.write_text(f"space X\ndim {n + 1}\nconnectivity 1\ngenerator x {n}\ngenerator y 1\n"
+                     "truncate x 2\ntruncate y 1\n")
+    assert run(capsys, "show", str(space))[0] == EXIT_OK
+    space.write_text(space.read_text().replace("truncate y 1", "truncate y 2"))
+    code, out, err = run(capsys, "show", str(space))
+    assert code == EXIT_PARSE and "[inconsistent-connectivity]" in err
+
+
+# -- map-file edge messages, byte for byte -------------------------------------------
+
+
+def test_map_edge_messages(tmp_path, capsys):
+    cases = [
+        ("domain T3\nrange T3\nsend t1 -> t1 + t1*t2\nsend t2 -> t2\nsend t3 -> t3\n",
+         "image of 't1': element is not homogeneous: degrees [1, 2]"),
+        ("domain S_2\nrange T2\nsend t1 -> a1 + 1\nsend t2 -> b1\n",
+         "image of 't1': element is not homogeneous: degrees [0, 1]"),
+        ("domain T2\nrange S_1\nsend 1 -> 1 + t1\nsend a1 -> t1\nsend b1 -> t2\nsend w -> t1*t2\n",
+         "unit must map to unit"),
+    ]
+    for body, problem in cases:
+        path = tmp_path / "edge.map"
+        path.write_text(f"map edge\ndegree 1\n{body}")
+        assert run(capsys, "check-map", str(path)) == (
+            EXIT_PARSE, "", f"lscat: invalid homomorphism:\n  - {problem}\n"
+        )

@@ -91,13 +91,13 @@ def test_compiled_rows_match_expanded_products():
         for d in range(c.top + 1):
             assert c.dims.get(d, 0) == len(brute_basis_in_degree(p, d))
         generators = [
-            p.monomial_label(next(iter(p.generator_element(g.name).terms)))
+            p.monomial_label(tuple(int(h == g) for h in p.generators))
             for g, h in zip(p.generators, p.truncations)
             if h >= 2
         ]
         assert len(generators) == len(c.generator_rows)
         for g, (dg, rows_by_degree) in zip(generators, c.generator_rows):
-            assert dg == table.degree_of_label(g)
+            assert dg == dict(table.basis)[g]
             for d, rows in rows_by_degree.items():
                 assert rows == tuple(mask(table.product(x, g), d + dg) for x in labels[d])
         (top_label,) = table.basis_in_degree(c.top)
@@ -177,6 +177,22 @@ def test_invariants_skips_expansion_above_the_limit(kernel_runs, monkeypatch, ca
     assert "poincare duality: None" in out
     assert "compiled" not in get("T16").ring.__dict__
     assert kernel_runs == []
+
+
+def test_resolving_records_searches_tables_only(kernel_runs, capsys):
+    """A cited cat is checked against a presentation's formula, so resolving
+    T12 runs no search and listing the catalogue searches only the five
+    surface tables S_0..S_4; printing a cup-length still cross-checks it."""
+    for cached in vars(catalogue).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()  # records are checked when they are built
+    assert main(["show", "T12"]) == EXIT_OK
+    assert kernel_runs == []
+    assert main(["catalogue"]) == EXIT_OK
+    assert len(kernel_runs) == 5
+    assert main(["invariants", "T12"]) == EXIT_OK
+    assert "cup-length: 12 (formula) = 12 (search) [agree]" in capsys.readouterr().out
+    assert len(kernel_runs) == 6
 
 
 # -- one integer form per ring -------------------------------------------------------

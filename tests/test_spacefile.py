@@ -9,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lscat.bounds import cup_length, cup_length_formula
-from lscat.catalogue import SpaceRecord, get, names
+from lscat.catalogue import SpaceRecord, get, names, surface_table
 from lscat.homs import check_injectivity, check_top_class, validate_hom
-from lscat.rings import Element, GeneratorSpec, MultiplicationTable, TruncatedPresentation
+from lscat.rings import (
+    CompiledRing,
+    Element,
+    GeneratorSpec,
+    MultiplicationTable,
+    TruncatedPresentation,
+    tensor_product,
+)
 from lscat.spacefile import (
     SpaceFileError,
     element_from_monomials,
@@ -21,6 +28,8 @@ from lscat.spacefile import (
     resolve_map,
     serialize_space,
 )
+
+from label_algebra import evaluate
 
 SO5_FILE = """\
 # special orthogonal group SO(5)
@@ -267,7 +276,7 @@ def test_parse_expression_rejects_garbage():
 def test_element_from_monomials_presentation_reduces():
     s4 = get("SO4").ring
     elem = element_from_monomials(s4, parse_expression("b1^4"))
-    assert elem.is_zero()
+    assert elem == Element()
     elem = element_from_monomials(s4, parse_expression("b1^3*b3 + b1 + b1"))
     assert elem == Element.of((3, 1))
 
@@ -276,7 +285,14 @@ def test_element_from_monomials_table_evaluates_products():
     s1 = get("S_1").ring
     elem = element_from_monomials(s1, parse_expression("a1*b1"))
     assert elem == Element.of("w")
-    assert element_from_monomials(s1, parse_expression("1")) == s1.unit()
+    assert element_from_monomials(s1, parse_expression("1")) == Element.of("1")
+    assert element_from_monomials(s1, parse_expression("1 + a1*b1 + b1")) == Element.of(
+        "1", "w", "b1"
+    )
+    assert element_from_monomials(s1, parse_expression("b1*a1 + a1*b1 + 0")) == Element()
+    assert element_from_monomials(s1, parse_expression("a1^1")) == Element.of("a1")
+    assert element_from_monomials(s1, parse_expression("a1^1000000000000")) == Element()
+    assert element_from_monomials(s1, parse_expression("w^0 + a1^0")) == Element()
 
 
 def test_element_from_monomials_unknown_names():
@@ -292,20 +308,68 @@ def test_table_powers_take_logarithmically_many_products(monkeypatch):
     s2 = get("S_2").ring
     named_unit = parse_space(TORUS_TABLE_FILE.replace("basis 1 0", "basis e 0")).ring
     calls = []
-    multiply = MultiplicationTable.multiply
+    times = CompiledRing.times
 
-    def counted(self, a, b):
+    def counted(self, *args):
         calls.append(1)
         if len(calls) > 300:
             raise AssertionError("a power costs one product per unit of the exponent")
-        return multiply(self, a, b)
+        return times(self, *args)
 
-    monkeypatch.setattr(MultiplicationTable, "multiply", counted)
+    monkeypatch.setattr(CompiledRing, "times", counted)
     n = 10**12
-    assert element_from_monomials(s2, parse_expression(f"a1^{n}")).is_zero()
-    assert element_from_monomials(named_unit, parse_expression(f"e^{n}")) == named_unit.unit()
+    assert element_from_monomials(s2, parse_expression(f"a1^{n}")) == Element()
+    assert element_from_monomials(named_unit, parse_expression(f"e^{n}")) == Element.of("e")
     assert element_from_monomials(named_unit, parse_expression(f"a*e^{n}")) == Element.of("a")
     assert element_from_monomials(named_unit, parse_expression("a*b^1")) == Element.of("w")
+    assert calls
+
+
+# -- the evaluator against the label-level reference -------------------------------
+
+# Z/2[x]/(x^4) from a file that lists its basis out of degree order
+TRUNCATED_FILE = (
+    "space P3\ndim 3\nbasis x3 3\nbasis 1 0\nbasis x 1\nbasis x2 2\n"
+    "product x x = x2\nproduct x x2 = x3\n"
+)
+EXPRESSION_RINGS = [
+    get("SO4").ring,
+    get("T3").ring,
+    TruncatedPresentation((GeneratorSpec("c", 2), GeneratorSpec("z", 1)), (3, 1), 4),
+    get("S_2").ring,
+    parse_space(TORUS_TABLE_FILE).ring,
+    parse_space(TRUNCATED_FILE).ring,
+    get("S_1xT2").ring,
+    get("SO3xS_1").ring,
+    tensor_product(parse_space(TRUNCATED_FILE).ring, surface_table(1)),
+]
+
+
+def _names(ring) -> list[str]:
+    if isinstance(ring, TruncatedPresentation):
+        return [g.name for g in ring.generators]
+    return [l for l, _ in ring.basis if re.fullmatch(r"[A-Za-z_]\w*", l)]
+
+
+@st.composite
+def expressions(draw):
+    """A ring and an expression over its names: sums of 0, 1 and products of
+    powers, the exponents small, past a truncation or up to 10^12."""
+    ring = draw(st.sampled_from(EXPRESSION_RINGS))
+    exponent = st.one_of(st.integers(0, 5), st.sampled_from([10**12, 10**12 + 1]))
+    factor = st.tuples(st.sampled_from(_names(ring)), exponent).map(
+        lambda f: f[0] if f[1] == 1 else f"{f[0]}^{f[1]}"
+    )
+    summand = st.one_of(st.sampled_from(["0", "1"]), st.lists(factor, min_size=1, max_size=3).map("*".join))
+    return ring, " + ".join(draw(st.lists(summand, min_size=1, max_size=5)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(expressions())
+def test_element_from_monomials_agrees_with_the_label_reference(case):
+    ring, text = case
+    monomials = parse_expression(text)
+    assert element_from_monomials(ring, monomials) == evaluate(ring, monomials), text
 
 
 # -- map files ---------------------------------------------------------------------

@@ -1,0 +1,154 @@
+"""Check that two source trees give byte-identical CLI outputs.
+
+Usage::
+
+    python tools/same_outputs.py PARENT_TREE CHANGE_TREE --seeds A-B [--smoke] [--workloads W,...]
+
+Each tree is a checkout with ``src/lscat``.  The requests are those of the
+benchmark decks (``perfbench/decks.py``, imported unchanged) for every
+workload (or those named) and every seed from A to B, and a fixed set of map requests the
+decks do not reach: the edge messages of map parsing, identity maps on
+large presentations and product tables, and invalid maps with problem
+lists for each kind of source ring.  ``--smoke`` keeps the smoke decks and
+drops the fixed set.
+
+Every distinct request runs once per tree as ``python -m lscat.cli ARGV``
+in a fresh directory holding its files.  The tool lists each request
+whose exit code, stdout or stderr differ (with the trees' source paths
+masked), and exits 1 if there is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import decks  # noqa: E402
+
+WORKERS = 2
+TIMEOUT_S = 120
+
+
+def _map(domain: str, range_: str, sends: list[tuple[str, str]]) -> str:
+    lines = ["map f", f"domain {domain}", f"range {range_}", "degree +1"]
+    return "\n".join(lines + [f"send {g} -> {e}" for g, e in sends]) + "\n"
+
+
+def _torus_labels(k: int) -> list[str]:
+    monomials = itertools.product((0, 1), repeat=k)
+    return ["*".join(f"t{i}" for i, e in enumerate(m, 1) if e) or "1" for m in monomials]
+
+
+def _surface_labels(g: int) -> list[str]:
+    return ["1"] + [f"{c}{i}" for c in "ab" for i in range(1, g + 1)] + ["w"]
+
+
+def _product_labels(a: list[str], b: list[str]) -> list[str]:
+    """Basis labels of a catalogue product of two rings with unit label 1."""
+    return [y if x == "1" else x if y == "1" else f"{x}_{y}" for x in a for y in b]
+
+
+def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]]:
+    """(argv, files) of the map requests the decks do not reach."""
+    s1xt2 = _product_labels(_surface_labels(1), _torus_labels(2))[1:]
+    maps = {  # name: (domain, range, sends)
+        # edge messages of the parser and the first validation stage
+        "t3-inhomogeneous": ("T3", "T3", [("t1", "t1 + t1*t2"), ("t2", "t2"), ("t3", "t3")]),
+        "s2-unit-summand": ("S_2", "T2", [("t1", "a1 + 1"), ("t2", "b1")]),
+        "s1-unit-image": ("T2", "S_1", [("1", "1 + t1"), ("a1", "t1"), ("b1", "t2"), ("w", "t1*t2")]),
+        # problem lists: presentation, explicit-table and factored-table sources
+        "t4-invalid": ("T4", "T4", [("t1", "t1*t2"), ("t3", "t3 + t1*t2"), ("zz", "t1"),
+                                    ("t2", "t2^2 + 0")]),
+        "so3-relation": ("SO3", "T3", [("t1", "b1"), ("t2", "b1"), ("t3", "b1^3 + b1^4")]),
+        "s3-invalid": ("S_3", "S_3", [("1", "a1 + 1"), ("a1", "a1"), ("a2", "w"), ("zz", "a1"),
+                                      ("b1", "b1 + b2"), ("w", "a1*b1 + a2*b2")]),
+        "s3-multiplicativity": ("S_3", "S_3", [("a1", "a1"), ("a2", "a2"), ("a3", "a3"), ("b1", "a1"),
+                                               ("b2", "a1"), ("b3", "a1"), ("w", "w")]),
+        "s1xt2-invalid": ("S_1xT2", "S_1xT2", [("a1", "a1_t1"), ("t1*t2", "t1 + t2"),
+                                               ("a1_t1*t2", "1"), ("qq", "w")]),
+        "s1xt2-multiplicativity": ("S_1xT2", "S_1xT2", [(l, "a1" if l == "b1" else l) for l in s1xt2]),
+    }
+    for k in (12, 16):
+        maps[f"t{k}-identity"] = (f"T{k}", f"T{k}", [(f"t{i}", f"t{i}") for i in range(1, k + 1)])
+    for k in (4, 6):
+        labels = _product_labels(_surface_labels(2), _torus_labels(k))[1:]
+        maps[f"s_2xt{k}-identity"] = (f"S_2xT{k}", f"S_2xT{k}", [(l, l) for l in labels])
+    out = []
+    for name, (domain, range_, sends) in maps.items():
+        files = ((f"{name}.map", _map(domain, range_, sends)),)
+        for json in ((), ("--json",)):
+            out.append((json + ("check-map", f"{name}.map"), files))
+            out.append((json + ("degree1-report", "-m", domain, "-n", range_, "--map", f"{name}.map"), files))
+    return out
+
+
+def requests(
+    workloads: list[str], seeds: range, smoke: bool
+) -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]]:
+    """Every distinct (argv, files) pair, in first-seen order."""
+    seen: dict = {}
+    for workload in workloads:
+        for seed in seeds:
+            for req in decks.deck(workload, seed, smoke):
+                seen.setdefault((req.argv, req.files), None)
+    if not smoke:
+        for key in fixed_requests():
+            seen.setdefault(key, None)
+    return list(seen)
+
+
+def run(tree: Path, argv: tuple[str, ...], files: tuple[tuple[str, str], ...]) -> tuple[int, str, str]:
+    src = str(tree.resolve() / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
+        for name, text in files:
+            Path(work, name).write_text(text, encoding="utf-8")
+        try:
+            proc = subprocess.run([sys.executable, "-m", "lscat.cli", *argv], cwd=work, env=env,
+                                  stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return -1, "", f"timed out after {TIMEOUT_S} s"
+    return proc.returncode, proc.stdout.replace(src, "<src>"), proc.stderr.replace(src, "<src>")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seeds", required=True, help="inclusive seed range, e.g. 1-20")
+    parser.add_argument("--smoke", action="store_true", help="smoke decks only, no fixed requests")
+    parser.add_argument("--workloads", default=",".join(decks.WORKLOADS),
+                        help="comma-separated deck names (default: all)")
+    args = parser.parse_args(argv)
+    first, _, last = args.seeds.partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    reqs = requests(args.workloads.split(","), seeds, args.smoke)
+
+    def compare(req):
+        return req, run(args.parent, *req), run(args.change, *req)
+
+    differ = 0
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for (req_argv, _), old, new in pool.map(compare, reqs):
+            if old != new:
+                differ += 1
+                print(f"DIFFERS: lscat {' '.join(req_argv)}")
+                for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+                    if a != b:
+                        print(f"  {what}: parent {a!r:.300}\n  {what}: change {b!r:.300}")
+    print(f"{len(reqs)} requests, {differ} with different outputs")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
