@@ -3,8 +3,8 @@
 The cup-length is computed two independent ways: a closed formula for
 pure-truncation presentations (sum of truncation exponents minus one
 each) and a definitional search (largest m with a nonzero m-th power of
-the positive-degree ideal), which runs on the compiled form of either
-ring representation.  The two are cross-checked whenever
+the positive-degree ideal), one pass over the degrees of the compiled
+form of either ring representation.  The two are cross-checked whenever
 the presentation stays small enough, once per ring.
 
 The ledger chains every bound the toolkit knows:
@@ -18,6 +18,8 @@ cat itself is never computed; known values enter as cited data.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import xor
 from typing import Mapping, Sequence
 
 from ._record import Record
@@ -27,6 +29,7 @@ from .rings import (
     MultiplicationTable,
     Ring,
     TruncatedPresentation,
+    _bits,
 )
 
 # presentations of at most this many monomials get the formula/search
@@ -113,14 +116,12 @@ def so_n_presentation(n: int) -> TruncatedPresentation:
 
 
 def cup_length_search(t: MultiplicationTable) -> int:
-    """Largest m with a nonzero m-th power of the positive-degree ideal I.
+    """Largest m with a nonzero m-th power of the positive-degree ideal I,
+    in one pass over the degrees of the table's compiled form.
 
-    Iterates spans degree by degree: the span of I^(m+1) is generated
-    by products of a spanning set of I^m with ideal generators of I.
-    Explicit tables use every positive basis element as a generator (the
-    definitional choice); factored tables (expansions, tensor products)
-    use their factors' generators, which span the same ideals since
-    I^m . I = I^m . (generators).  Runs on the table's compiled form.
+    Explicit tables use every positive basis element as a generator of I
+    (the definitional choice); factored tables (expansions, tensor
+    products) use their factors' generators, which generate the same ideal.
     """
     c = t.compiled
     return _ideal_power_search(c.dims, c.generator_rows)
@@ -137,43 +138,40 @@ def _ideal_power_search(
     generator, its degree and, per source degree, the row bitmasks of
     multiplication by it (missing degrees multiply to zero).
 
-    The span of I^(m+1) in degree e depends only on the spans of I^m in
-    the degrees e - deg(g).  Powers of an ideal shrink, so a span whose
-    dimension did not move between I^(m-1) and I^m is the same span;
-    only degrees fed by a moved one are recomputed.
+    One pass over the positive degrees, in increasing order, gives each
+    a basis adapted to I > I^2 > ...: ``{level: vectors}``, whose
+    vectors of level >= m span I^m; the highest level is the cup-length.
     """
-    spans = {
-        d: XorBasis(1 << i for i in range(n)) for d, n in dims.items() if d > 0 and n
-    }
-    if not spans:
-        return 0
-    degrees = {dg for dg, _ in generator_rows}
-    moved = set(spans) | {0}  # from I^0, the whole ring, to I
-    m = 1
-    while True:
-        targets = {d + dg for d in moved for dg in degrees}
-        new_spans = {e: span for e, span in spans.items() if e not in targets}
-        for e in targets:
-            image = XorBasis()
-            for dg, rows_by_degree in generator_rows:
-                span, rows = spans.get(e - dg), rows_by_degree.get(e - dg)
-                if span is None or rows is None:
-                    continue
-                for bits in span.vectors():
-                    w = 0
-                    while bits:
-                        low = bits & -bits
-                        w ^= rows[low.bit_length() - 1]
-                        bits ^= low
-                    if w:
-                        image.insert(w)
-            if len(image):
-                new_spans[e] = image
-        if not new_spans:
-            return m
-        moved = {d for d, span in spans.items() if len(new_spans.get(d, ())) != len(span)}
-        spans = new_spans
-        m += 1
+    adapted: dict[int, dict[int, list[int]]] = {}
+    for e in sorted(d for d, n in dims.items() if d > 0 and n):
+        sources = [(adapted[e - dg], rows[e - dg]) for dg, rows in generator_rows
+                   if e - dg in adapted and e - dg in rows]
+        adapted[e] = _adapted_basis(dims[e], sources)
+    return max((max(levels) for levels in adapted.values()), default=0)
+
+
+def _adapted_basis(n: int, sources: list[tuple[dict[int, list[int]], Sequence[int]]]) -> dict:
+    """Degree e's adapted basis, of dimension n, from each generator g's
+    adapted basis and rows in degree e - deg(g).
+
+    I^(m+1)_e is the sum of g I^m_(e - deg g), since I^m is an ideal and
+    the ring commutative: products go into one basis, highest level
+    first, a kept product of a level-l vector gets level l + 1, and the
+    degree stops once full.  Unit vectors complete it at level 1.
+    """
+    basis, levels = XorBasis(), {}
+    for level in range(max((max(source) for source, _ in sources), default=0), 0, -1):
+        for source, rows in sources:
+            for bits in source.get(level, ()):
+                # a single-bit vector, as every vector of a monomial basis, is one row
+                w = (rows[bits.bit_length() - 1] if bits & (bits - 1) == 0
+                     else reduce(xor, map(rows.__getitem__, _bits(bits))))
+                if w and basis.insert(w):
+                    levels.setdefault(level + 1, []).append(w)
+                    if len(basis) == n:
+                        return levels
+    levels[1] = [1 << i for i in range(n) if len(basis) < n and basis.insert(1 << i)]
+    return levels
 
 
 class CupLength(Record):

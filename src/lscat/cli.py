@@ -9,7 +9,6 @@ the text output is a projection of the same payload.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -177,6 +176,7 @@ def _resolve_space(token: str, loaded: dict[str, SpaceRecord]) -> SpaceRecord:
 
 def _emit(args, payload: dict, text: list[str]) -> None:
     if args.json:
+        import json  # only --json output needs it; keeps it out of start-up
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print("\n".join(text))
@@ -188,6 +188,7 @@ def _emit(args, payload: dict, text: list[str]) -> None:
 def cmd_show(args) -> int:
     record = _resolve_space(args.space, {})
     if args.json:
+        import json
         print(json.dumps(_record_dict(record), indent=2, sort_keys=True))
         return EXIT_OK
     print(serialize_space(record), end="")

@@ -49,9 +49,6 @@ class XorBasis:
     def __len__(self) -> int:
         return len(self._pivots)
 
-    def vectors(self) -> list[int]:
-        return [self._pivots[h] for h in sorted(self._pivots)]
-
 
 def rank(rows: Iterable[int]) -> int:
     """GF(2) rank of the rows, each a bitmask; at most the number of rows."""

@@ -3,13 +3,17 @@
 These deliberately avoid the library's own algorithms: rank by
 enumerating all row combinations, degree bases by exhaustive exponent
 enumeration, cup-length by breadth-first products of basis elements.
-Only usable on small inputs.
+Only usable on small inputs.  The one exception is the reference
+ideal-power search, the search kernel's earlier design, kept as the
+oracle of the one-pass kernel on rings too large for brute force.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Mapping, Sequence
 
+from lscat.gf2 import XorBasis
 from lscat.rings import Element, MultiplicationTable, TruncatedPresentation
 
 
@@ -78,4 +82,50 @@ def brute_cup_length(t: MultiplicationTable) -> int:
         if not nxt:
             return m
         level = nxt
+        m += 1
+
+
+def reference_ideal_power_search(
+    dims: Mapping[int, int],
+    generator_rows: Sequence[tuple[int, Mapping[int, Sequence[int]]]],
+) -> int:
+    """The cup-length search as it was before the one-pass kernel: builds
+    I, I^2, ... in turn until a power vanishes.  It takes the arguments
+    of ``bounds._ideal_power_search`` and must return the same value.
+
+    The span of I^(m+1) in degree e depends only on the spans of I^m in
+    the degrees e - deg(g).  Powers of an ideal shrink, so a span whose
+    dimension did not move between I^(m-1) and I^m is the same span;
+    only degrees fed by a moved one are recomputed.  Each span is kept
+    as the list of vectors that entered its basis.
+    """
+    spans = {d: [1 << i for i in range(n)] for d, n in dims.items() if d > 0 and n}
+    if not spans:
+        return 0
+    degrees = {dg for dg, _ in generator_rows}
+    moved = set(spans) | {0}  # from I^0, the whole ring, to I
+    m = 1
+    while True:
+        targets = {d + dg for d in moved for dg in degrees}
+        new_spans = {e: span for e, span in spans.items() if e not in targets}
+        for e in targets:
+            image, kept = XorBasis(), []
+            for dg, rows_by_degree in generator_rows:
+                span, rows = spans.get(e - dg), rows_by_degree.get(e - dg)
+                if span is None or rows is None:
+                    continue
+                for bits in span:
+                    w = 0
+                    while bits:
+                        low = bits & -bits
+                        w ^= rows[low.bit_length() - 1]
+                        bits ^= low
+                    if w and image.insert(w):
+                        kept.append(w)
+            if kept:
+                new_spans[e] = kept
+        if not new_spans:
+            return m
+        moved = {d for d, span in spans.items() if len(new_spans.get(d, ())) != len(span)}
+        spans = new_spans
         m += 1

@@ -2,7 +2,8 @@
 one compiled form per ring.
 
 The compiled form is checked against the label-based expansion it
-replaces and against the brute-force oracles; the memo is checked by
+replaces and against the brute-force oracles, and the search kernel
+against its earlier design and by the rows it reads; the memo is checked by
 counting runs of the search kernel, and the sharing of ``ring.compiled``
 by counting the compiled forms built.
 """
@@ -10,6 +11,7 @@ by counting the compiled forms built.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -24,13 +26,14 @@ from lscat.rings import (
     CompiledRing,
     GeneratorSpec,
     MultiplicationTable,
+    Ring,
     TruncatedPresentation,
     check_poincare_duality,
     expand_to_table,
 )
 from lscat.spacefile import parse_space
 
-from oracles import brute_basis_in_degree, brute_cup_length
+from oracles import brute_basis_in_degree, brute_cup_length, reference_ideal_power_search
 
 
 def presentation(gens: list[tuple[int, int]]) -> TruncatedPresentation:
@@ -41,8 +44,8 @@ def presentation(gens: list[tuple[int, int]]) -> TruncatedPresentation:
     return TruncatedPresentation(specs, heights, top)
 
 
-def compiled_search(p: TruncatedPresentation) -> int:
-    c = p.compiled
+def compiled_search(ring: Ring) -> int:
+    c = ring.compiled
     return bounds._ideal_power_search(c.dims, c.generator_rows)
 
 
@@ -117,6 +120,137 @@ def test_compiled_rows_match_expanded_products():
 def test_formula_equals_compiled_search(gens):
     p = presentation(gens)
     assert cup_length_formula(p) == compiled_search(p)
+
+
+# -- the one-pass search kernel ---------------------------------------------------
+
+
+def reference_search(ring: Ring) -> int:
+    c = ring.compiled
+    return reference_ideal_power_search(c.dims, c.generator_rows)
+
+
+def rebased(t: MultiplicationTable, rng: random.Random) -> MultiplicationTable:
+    """``t`` in a random graded unitriangular change of basis, as an
+    explicit table: new element i of a degree is old element i plus a
+    random sum of the later ones, so products are sums of basis elements."""
+    old = {d: t.basis_in_degree(d) for d in dict.fromkeys(d for _, d in t.basis)}
+    masks = {  # new label -> (degree, bitmask over the old basis of its degree)
+        l if d == 0 else f"e{d}_{i}": (d, 1 << i | sum(1 << j for j in range(i + 1, len(ls))
+                                                       if rng.random() < 0.5))
+        for d, ls in old.items() for i, l in enumerate(ls)
+    }
+    new = {d: [l for l, (e, _) in masks.items() if e == d] for d in old}
+
+    def in_new_basis(d: int, v: int) -> frozenset:
+        terms = []
+        for i, l in enumerate(new[d]):  # unitriangular: bit i decides term i
+            if v >> i & 1:
+                v ^= masks[l][1]
+                terms.append(l)
+        return frozenset(terms)
+
+    labels = list(masks)
+    products = {}
+    for i, x in enumerate(labels):
+        for y in labels[i:]:
+            (dx, mx), (dy, my) = masks[x], masks[y]
+            v = 0
+            for a, b in itertools.product(range(len(old[dx])), range(len(old[dy]))):
+                if mx >> a & my >> b & 1:
+                    v ^= sum(1 << old[dx + dy].index(z) for z in t.product(old[dx][a], old[dy][b]))
+            if v:
+                products[(x, y)] = in_new_basis(dx + dy, v)
+    return MultiplicationTable([(l, d) for l, (d, _) in masks.items()], t.top_degree, products)
+
+
+def generator_lists(max_size: int, max_degree: int = 5, min_size: int = 1):
+    """Generators as (degree, height) of a presentation of at most max_size monomials."""
+    pairs = st.tuples(st.integers(1, max_degree), st.sampled_from((1, 2, 2, 3, 4, 5, 8)))
+    return st.lists(pairs, min_size=min_size, max_size=4).filter(
+        lambda gens: presentation(gens).total_dimension <= max_size
+    )
+
+
+# catalogue factors of at most 16 basis elements; a product with a surface is a table
+SURFACES = ["S_0", "S_1", "S_2", "S_3"]
+FACTORS = SURFACES + ["T1", "T2", "T3", "SO3", "SO4", "SO5", "S1", "S2", "S4"]
+
+
+@st.composite
+def searched_rings(draw):
+    """A ring the search runs on, with its cup-length formula when it has one:
+    a presentation of at most 512 monomials or its expansion, a catalogue
+    product with a surface factor, or a rebased expansion or surface table."""
+    kind = draw(st.sampled_from(("presentation", "expansion", "product", "rebased")))
+    if kind == "product":
+        names = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=2))
+        names = draw(st.permutations([draw(st.sampled_from(SURFACES))] + names))
+        return get("x".join(names)).ring, None
+    if kind == "rebased":
+        rng = draw(st.randoms(use_true_random=False))
+        if draw(st.integers(0, 3)) == 0:
+            return rebased(surface_table(draw(st.integers(0, 4))), rng), None
+        # low degrees, so that some degree has several basis elements to mix
+        p = presentation(draw(generator_lists(48, max_degree=2, min_size=2)))
+        return rebased(expand_to_table(p), rng), cup_length_formula(p)
+    p = presentation(draw(generator_lists(512)))
+    return (p if kind == "presentation" else expand_to_table(p)), cup_length_formula(p)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(searched_rings())
+def test_search_equals_the_reference_kernel_and_the_formula(ring_and_formula):
+    ring, formula = ring_and_formula
+    found = compiled_search(ring)
+    assert found == reference_search(ring)
+    assert formula is None or found == formula
+
+
+def test_rebased_tables_multiply_into_sums():
+    # the rebased tables are the only ones whose rows have several bits
+    table = rebased(expand_to_table(presentation([(1, 4), (1, 2), (2, 2)])), random.Random(3))
+    rows = [r for _, by_degree in table.compiled.generator_rows for rs in by_degree.values() for r in rs]
+    assert any(r & (r - 1) for r in rows)
+    assert compiled_search(table) == reference_search(table) == brute_cup_length(table) == 5
+
+
+class CountedRows(tuple):
+    """Rows that count their reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountedRows.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def row_reads(ring: Ring) -> tuple[int, int]:
+    """(row reads of one search of ``ring``, its cup-length)."""
+    c = ring.compiled
+    rows = [(dg, {d: CountedRows(rs) for d, rs in by_degree.items()})
+            for dg, by_degree in c.generator_rows]
+    CountedRows.reads = 0
+    found = bounds._ideal_power_search(c.dims, rows)
+    return CountedRows.reads, found
+
+
+@pytest.mark.parametrize("name", ["SO12", "T11", "SO7xT5", "4096 monomials"])
+def test_search_multiplies_each_basis_vector_by_each_generator_once(name):
+    ring = (presentation([(1, 8), (2, 8), (1, 4), (2, 4), (3, 2), (1, 2)])
+            if name == "4096 monomials" else get(name).ring)
+    c = ring.compiled
+    reads, found = row_reads(ring)
+    assert found == cup_length_formula(ring)
+    assert reads <= len(c.generator_rows) * sum(n for d, n in c.dims.items() if d > 0)
+
+
+def test_search_stops_a_degree_once_it_is_full():
+    # one nonzero product fills the top degree of a surface
+    table = surface_table(200)
+    reads, found = row_reads(table)
+    assert found == 2
+    assert reads <= len(table.basis)
 
 
 # -- one computation per ring ------------------------------------------------------

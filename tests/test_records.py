@@ -51,6 +51,17 @@ def test_cli_import_loads_no_code_generation_modules():
     assert proc.stdout.split() == []
 
 
+def test_cli_import_leaves_json_to_json_output():
+    # json is imported by the two functions that write --json output
+    probe = "import sys\nimport lscat.cli\nprint('json' in sys.modules)\n"
+    src = str(Path(lscat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
 # -- the record contract -------------------------------------------------------------
 
 

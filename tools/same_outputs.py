@@ -6,11 +6,14 @@ Usage::
 
 Each tree is a checkout with ``src/lscat``.  The requests are those of the
 benchmark decks (``perfbench/decks.py``, imported unchanged) for every
-workload (or those named) and every seed from A to B, and a fixed set of map requests the
+workload (or those named) and every seed from A to B, and a fixed set of requests the
 decks do not reach: the edge messages of map parsing, identity maps on
-large presentations and product tables, and invalid maps with problem
-lists for each kind of source ring.  ``--smoke`` keeps the smoke decks and
-drops the fixed set.
+large presentations and product tables, invalid maps with problem lists
+for each kind of source ring, and ``cup-length`` and ``--json
+invariants`` of every catalogue name and sweep product of the decks and
+of ``S_2xT10``, ``S_4xS_4xS_4`` and ``S_200``, so that the cup-length
+search runs on explicit, factored and presentation rings.  ``--smoke``
+keeps the smoke decks and drops the fixed set.
 
 Every distinct request runs once per tree as ``python -m lscat.cli ARGV``
 in a fresh directory holding its files.  The tool lists each request
@@ -58,7 +61,7 @@ def _product_labels(a: list[str], b: list[str]) -> list[str]:
 
 
 def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]]:
-    """(argv, files) of the map requests the decks do not reach."""
+    """(argv, files) of the map and search requests the decks do not reach."""
     s1xt2 = _product_labels(_surface_labels(1), _torus_labels(2))[1:]
     maps = {  # name: (domain, range, sends)
         # edge messages of the parser and the first validation stage
@@ -88,6 +91,8 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
         for json in ((), ("--json",)):
             out.append((json + ("check-map", f"{name}.map"), files))
             out.append((json + ("degree1-report", "-m", domain, "-n", range_, "--map", f"{name}.map"), files))
+    for name in [*decks.CATALOGUE_NAMES, *decks.SWEEP_PRODUCTS, "S_2xT10", "S_4xS_4xS_4", "S_200"]:
+        out += [(("cup-length", name), ()), (("--json", "invariants", name), ())]
     return out
 
 
