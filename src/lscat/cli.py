@@ -8,11 +8,12 @@ the text output is a projection of the same payload.
 
 from __future__ import annotations
 
-import argparse
 import math
 import random
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import catalogue
 from .bounds import CROSS_CHECK_LIMIT, cup_length_check, so_n_presentation
@@ -69,60 +70,190 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse default exits 2; we use 64
-        raise _UsageError(message)
+class _HelpRequested(Exception):
+    """-h/--help was read; carries the help text to print."""
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="lscat",
-        description="Cup-length, Morse and category bounds for closed manifolds, "
-        "and degree-one map obstruction reports.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for randomized cross-checks (default %(default)s)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line as one table; it drives both the parser and --help.
+# An option is (flags, dest, kind, help).  Kinds: "help"; "flag" stores
+# True; "int" and "str" store the value, "required" is a "str" that must
+# be given; "append" collects every value.  Options that repeat keep the
+# last value.
+_HELP = (("-h", "--help"), None, "help", "show this help message and exit")
+_SPACES = (("--space",), "space", "append", "extra space file (repeatable)")
+_TOP = (
+    _HELP,
+    (("--json",), "json", "flag", "emit machine-readable JSON"),
+    (("--seed",), "seed", "int", f"seed for randomized cross-checks (default {DEFAULT_SEED})"),
+)
+COMMANDS = {  # name: (help, positional argument or None, options besides -h/--help)
+    "show": ("print a space as a normalized space file", "space", ()),
+    "invariants": ("Poincare polynomial, cup-length, ledger", "space", ()),
+    "cup-length": ("cup-length by formula and/or search", "space", ()),
+    "check-map": ("validate a map file and its consequences", "mapfile", (_SPACES,)),
+    "degree1-report": ("run every criterion for maps domain -> range", None, (
+        (("-m", "--domain"), "domain", "required", "domain manifold M"),
+        (("-n", "--range"), "range", "required", "range manifold N"),
+        (("--map",), "mapfile", "str", "optional map file with the induced hom"),
+        _SPACES,
+    )),
+    "verify-paper": ("recompute the SO(n) table and checks", None, ()),
+    "catalogue": ("list built-in spaces", None, ()),
+}
+_ABOUT = (
+    "Cup-length, Morse and category bounds for closed manifolds,\n"
+    "and degree-one map obstruction reports."
+)
+_ARGUMENTS = {"space": "catalogue name or space file path", "mapfile": "map file"}
+_NO_VALUE = ("help", "flag")
 
-    p_show = sub.add_parser("show", help="print a space as a normalized space file")
-    p_show.add_argument("space", help="catalogue name or space file path")
 
-    p_inv = sub.add_parser("invariants", help="Poincare polynomial, cup-length, ledger")
-    p_inv.add_argument("space")
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read the command line into the fields the commands use: command,
+    json and seed, then the command's own (space, mapfile, domain, range).
 
-    p_cl = sub.add_parser("cup-length", help="cup-length by formula and/or search")
-    p_cl.add_argument("space")
+    It takes ``--opt=value``, unique prefixes of long options,
+    ``-mVALUE``, ``--`` before positionals and negative numbers as values,
+    with the reference grammar in ``tests/oracles.py`` as its oracle;
+    top-level options go before the command.  Raises _UsageError or
+    _HelpRequested.
+    """
+    values = {"json": False, "seed": DEFAULT_SEED, "command": None}
+    unknown = _read(list(argv), None, values)
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**values)
 
-    p_map = sub.add_parser("check-map", help="validate a map file and its consequences")
-    p_map.add_argument("mapfile")
-    p_map.add_argument(
-        "--space", action="append", default=[], help="extra space file (repeatable)"
-    )
 
-    p_rep = sub.add_parser(
-        "degree1-report", help="run every criterion for maps domain -> range"
-    )
-    p_rep.add_argument("-m", "--domain", required=True, help="domain manifold M")
-    p_rep.add_argument("-n", "--range", required=True, help="range manifold N")
-    p_rep.add_argument("--map", dest="mapfile", help="optional map file with the induced hom")
-    p_rep.add_argument("--space", action="append", default=[])
+def _read(tokens: list[str], command: str | None, values: dict) -> list[str]:
+    """Read one level (the top level, or a command's arguments) into
+    values; return the tokens this level does not know."""
+    if command is None:
+        options, positional = _TOP, "command"
+    else:
+        _, positional, options = COMMANDS[command]
+        options = (_HELP, *options)
+        values.update({dest: [] if kind == "append" else None for _, dest, kind, _ in options if dest})
+        if positional:
+            values[positional] = None
+    table = {flag: option for option in options for flag in option[0]}
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    # each token's role: (option, flag, attached value), None for a
+    # positional, or "--".  Every token after the first "--" is positional;
+    # one "--" past the end stands for "no more tokens".
+    roles = [_classify(t, table) for t in tokens[:cut]] + ["--"] + [None] * len(tokens)
+    unknown, seen, i = [], set(), 0
+    while i < len(tokens):
+        if roles[i] is None or roles[i] == "--":
+            j = i + (roles[i] == "--")
+            if positional and j < len(tokens):
+                if command is None:  # the command word takes every token after it
+                    if tokens[i] not in COMMANDS:
+                        choices = ", ".join(map(repr, COMMANDS))
+                        raise _UsageError(
+                            f"argument command: invalid choice: {tokens[i]!r} (choose from {choices})"
+                        )
+                    values["command"] = tokens[i]
+                    return unknown + _read(tokens[i + 1 :], tokens[i], values)
+                values[positional], positional = tokens[j], None
+                i = j + 1 + (roles[j + 1] == "--")
+            else:
+                unknown.append(tokens[i])
+                i += 1
+            continue
+        option, flag, value = roles[i]
+        if option is None:
+            unknown.append(tokens[i])
+            i += 1
+            continue
+        taken = []
+        while value is not None and option[2] in _NO_VALUE:  # -hm: -h, then -m
+            following = "-" + value[:1]
+            if flag[1] == "-" or following not in table:
+                raise _UsageError(f"argument {'/'.join(option[0])}: ignored explicit argument {value!r}")
+            taken.append((option, None))
+            option, flag, value = table[following], following, value[1:] or None
+        if option[2] not in _NO_VALUE and value is None:
+            if roles[i + 1] is not None:
+                raise _UsageError(f"argument {'/'.join(option[0])}: expected one argument")
+            i += 1
+            value = tokens[i]
+        taken.append((option, value))
+        i += 1
+        for (flags, dest, kind, _), value in taken:
+            seen.add(flags)
+            if kind == "help":
+                raise _HelpRequested(_help(command))
+            if kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _UsageError(f"argument {'/'.join(flags)}: invalid int value: {value!r}") from None
+            if kind == "flag":
+                value = True
+            elif kind == "append":
+                value = [*values[dest], value]
+            values[dest] = value
+    missing = [positional] if positional else []
+    missing += ["/".join(o[0]) for o in options if o[2] == "required" and o[0] not in seen]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return unknown
 
-    sub.add_parser("verify-paper", help="recompute the SO(n) table and checks")
 
-    sub.add_parser("catalogue", help="list built-in spaces")
+def _classify(token: str, table: dict):
+    """(option, flag, attached value) for an option token, (None, token,
+    None) for an unknown one, None for a positional."""
+    if token in table:
+        return table[token], token, None
+    if len(token) < 2 or token[0] != "-":
+        return None
+    flag, eq, value = token.partition("=")
+    if eq and flag in table:
+        return table[flag], flag, value
+    if token[1] == "-":
+        found = [(table[f], f, value if eq else None) for f in table if f.startswith(flag)]
+    else:
+        found = [(table[token[:2]], token[:2], token[2:])] if token[:2] in table else []
+    if len(found) > 1:
+        matches = ", ".join(f for _, f, _ in found)
+        raise _UsageError(f"ambiguous option: {token} could match {matches}")
+    if found:
+        return found[0]
+    if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None
+    return None, token, None
 
-    return parser
+
+def _help(command: str | None) -> str:
+    """The --help text of the top level or of one command, from the table."""
+    if command is None:
+        prog, about, positional, options = "lscat", _ABOUT, "COMMAND ...", _TOP
+        listed = ("commands", [(name, spec[0]) for name, spec in COMMANDS.items()])
+    else:
+        about, positional, options = COMMANDS[command]
+        prog, options = f"lscat {command}", (_HELP, *options)
+        listed = ("arguments", [(positional, _ARGUMENTS[positional])] if positional else [])
+    usage, rows = [prog], []
+    for flags, dest, kind, text in options:
+        metavar = "" if kind in _NO_VALUE else " " + dest.upper()
+        usage.append(flags[0] + metavar if kind == "required" else f"[{flags[0]}{metavar}]")
+        rows.append((", ".join(flags) + metavar, text))
+    sections = [listed, ("options", rows)]
+    width = max(len(label) for _, group in sections for label, _ in group)
+    lines = ["usage: " + " ".join(usage + [positional] * bool(positional)), "", about]
+    for heading, group in sections:
+        if group:
+            lines += ["", f"{heading}:", *(f"  {label:<{width}}  {text}" for label, text in group)]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except _HelpRequested as shown:
+        print(shown, end="")
+        return EXIT_OK
     except _UsageError as exc:
         print(f"lscat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,8 +37,10 @@ from .catalogue import SpaceRecord, _connectivity_problem
 from .homs import RingHomSpec
 from .rings import Element, GeneratorSpec, MultiplicationTable, Ring, TruncatedPresentation
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_FACTOR = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^([0-9]+))?$")
+# pattern strings, compiled by re on first use: a request that reads no
+# space or map file pays nothing for them
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*$"
+_FACTOR = r"([A-Za-z_][A-Za-z0-9_]*)(?:\^([0-9]+))?$"
 
 
 class SpaceFileError(ValueError):
@@ -100,7 +102,7 @@ def parse_expression(text: str, lineno: int | None = None) -> list[dict[str, int
             raise SpaceFileError("empty summand in expression", lineno, kind="bad-expression")
         mono: dict[str, int] = {}
         for factor in part.split("*"):
-            m = _FACTOR.match(factor)
+            m = re.match(_FACTOR, factor)
             if not m:
                 raise SpaceFileError(
                     f"bad factor {factor!r} in expression", lineno, kind="bad-expression"
@@ -159,7 +161,7 @@ def element_from_monomials(
     return c.element(acc)
 
 
-_KNOWN_CAT = re.compile(r'(\S+)\s+"([^"]*)"$')
+_KNOWN_CAT = r'(\S+)\s+"([^"]*)"$'
 
 
 def parse_space(text: str) -> SpaceRecord:
@@ -219,7 +221,7 @@ def parse_space(text: str) -> SpaceRecord:
                 raise SpaceFileError("usage: orientable BOOL", lineno)
             orientable = _bool(tokens[1], lineno)
         elif keyword == "known-cat":
-            m = _KNOWN_CAT.match(line[len("known-cat") :].strip())
+            m = re.match(_KNOWN_CAT, line[len("known-cat") :].strip())
             if not m:
                 raise SpaceFileError('usage: known-cat K "CITATION"', lineno)
             known_cat = (_int(m.group(1), lineno, "known-cat"), m.group(2))
@@ -228,7 +230,7 @@ def parse_space(text: str) -> SpaceRecord:
             if len(tokens) != 3:
                 raise SpaceFileError("usage: generator NAME DEGREE", lineno)
             gname = tokens[1]
-            if not _IDENT.match(gname):
+            if not re.match(_IDENT, gname):
                 raise SpaceFileError(f"bad generator name {gname!r}", lineno)
             if any(g.name == gname for g in generators):
                 raise SpaceFileError(
@@ -260,7 +262,7 @@ def parse_space(text: str) -> SpaceRecord:
             if len(tokens) != 3:
                 raise SpaceFileError("usage: basis LABEL DEGREE", lineno)
             label = tokens[1]
-            if label != "1" and not _IDENT.match(label):
+            if label != "1" and not re.match(_IDENT, label):
                 raise SpaceFileError(f"bad basis label {label!r}", lineno)
             if any(l == label for l, _ in basis):
                 raise SpaceFileError(

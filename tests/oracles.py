@@ -5,14 +5,18 @@ enumerating all row combinations, degree bases by exhaustive exponent
 enumeration, cup-length by breadth-first products of basis elements.
 Only usable on small inputs.  The one exception is the reference
 ideal-power search, the search kernel's earlier design, kept as the
-oracle of the one-pass kernel on rings too large for brute force.
+oracle of the one-pass kernel on rings too large for brute force.  The
+reference command-line grammar is the argparse parser the CLI used to
+build, kept as the oracle of its table-driven parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from typing import Mapping, Sequence
 
+from lscat.cli import DEFAULT_SEED
 from lscat.gf2 import XorBasis
 from lscat.rings import Element, MultiplicationTable, TruncatedPresentation
 
@@ -129,3 +133,60 @@ def reference_ideal_power_search(
         moved = {d for d, span in spans.items() if len(new_spans.get(d, ())) != len(span)}
         spans = new_spans
         m += 1
+
+
+class ReferenceUsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # argparse default exits 2; we use 64
+        raise ReferenceUsageError(message)
+
+
+def reference_cli_parser() -> _Parser:
+    """The CLI's argparse parser as it was before the table-driven one.
+    parse_args returns a Namespace, raises ReferenceUsageError, or prints
+    help and raises SystemExit(0)."""
+    parser = _Parser(
+        prog="lscat",
+        description="Cup-length, Morse and category bounds for closed manifolds, "
+        "and degree-one map obstruction reports.",
+    )
+    parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="seed for randomized cross-checks (default %(default)s)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_show = sub.add_parser("show", help="print a space as a normalized space file")
+    p_show.add_argument("space", help="catalogue name or space file path")
+
+    p_inv = sub.add_parser("invariants", help="Poincare polynomial, cup-length, ledger")
+    p_inv.add_argument("space")
+
+    p_cl = sub.add_parser("cup-length", help="cup-length by formula and/or search")
+    p_cl.add_argument("space")
+
+    p_map = sub.add_parser("check-map", help="validate a map file and its consequences")
+    p_map.add_argument("mapfile")
+    p_map.add_argument(
+        "--space", action="append", default=[], help="extra space file (repeatable)"
+    )
+
+    p_rep = sub.add_parser(
+        "degree1-report", help="run every criterion for maps domain -> range"
+    )
+    p_rep.add_argument("-m", "--domain", required=True, help="domain manifold M")
+    p_rep.add_argument("-n", "--range", required=True, help="range manifold N")
+    p_rep.add_argument("--map", dest="mapfile", help="optional map file with the induced hom")
+    p_rep.add_argument("--space", action="append", default=[])
+
+    sub.add_parser("verify-paper", help="recompute the SO(n) table and checks")
+
+    sub.add_parser("catalogue", help="list built-in spaces")
+
+    return parser

@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lscat.cli import (
+    COMMANDS,
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
     EXIT_VIOLATED,
+    _HelpRequested,
+    _UsageError,
     main,
+    parse_args,
 )
 from lscat.spacefile import parse_space
+from oracles import ReferenceUsageError, reference_cli_parser
 
 COLLAPSE_MAP = """\
 map collapse
@@ -372,3 +383,98 @@ def test_map_edge_messages(tmp_path, capsys):
         assert run(capsys, "check-map", str(path)) == (
             EXIT_PARSE, "", f"lscat: invalid homomorphism:\n  - {problem}\n"
         )
+
+
+# -- the command-line grammar against the argparse parser it replaced ----------------
+
+ARGV_TOKENS = [
+    "--json", "--js", "--seed", "--seed=3", "7", "-5", "x", "--", "-h", "--help", "--bogus",
+    *COMMANDS, "SO5", "T3", "f.map",
+    "-m", "-n", "-mS2", "--domain", "--dom", "--range", "--map", "--map=f.map", "--space",
+]
+_TOKEN = st.sampled_from(ARGV_TOKENS)
+# the second form puts a command word in place, so that more lists parse
+ARGVS = st.lists(_TOKEN, max_size=7) | st.tuples(
+    st.lists(_TOKEN, max_size=2), st.sampled_from(list(COMMANDS)), st.lists(_TOKEN, max_size=4)
+).map(lambda parts: [*parts[0], parts[1], *parts[2]])
+
+
+def _reference_outcome(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "accept", vars(reference_cli_parser().parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help", None
+    except ReferenceUsageError:
+        return "reject", None
+
+
+def _outcome(argv):
+    try:
+        return "accept", vars(parse_args(argv))
+    except _HelpRequested:
+        return "help", None
+    except _UsageError:
+        return "reject", None
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(ARGVS)
+def test_parser_agrees_with_the_argparse_reference(argv):
+    assert _outcome(argv) == _reference_outcome(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["--seed=5", "cup-length", "T3"], {"seed": 5, "space": "T3"}),
+        (["--js", "cup-length", "T3"], {"json": True, "space": "T3"}),
+        (["cup-length", "--", "T3"], {"space": "T3"}),
+        (["cup-length", "T3", "--"], {"space": "T3"}),
+        (["cup-length", "-5"], {"space": "-5"}),
+        (["cup-length", "-x y"], {"space": "-x y"}),
+        (["--seed", "-5", "--seed", "2", "catalogue"], {"seed": 2}),
+        (["degree1-report", "-m=S2", "-n", "T2"], {"domain": "S2", "range": "T2"}),
+        (["degree1-report", "--dom", "S2", "--ran=T2", "-mS_2", "--ma", "f.map"],
+         {"domain": "S_2", "range": "T2", "mapfile": "f.map", "space": []}),
+        (["check-map", "f.map", "--space", "a", "--space=b"], {"mapfile": "f.map", "space": ["a", "b"]}),
+        # argparse stripped "--" out of an attached value and stored [], which crashed main
+        (["degree1-report", "-m--", "-n", "S2"], {"domain": "--", "range": "S2"}),
+    ],
+)
+def test_accepted_forms(argv, fields):
+    args = vars(parse_args(argv))
+    assert {key: args[key] for key in fields} == fields
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "command"),  # required
+        (["cup-length"], "space"),
+        (["degree1-report", "-m", "S2"], "-n/--range"),
+        (["K3"], "'K3'"),  # invalid choice
+        (["cup-length", "T3", "--json"], "--json"),  # options of the top level go first
+        (["--bogus", "catalogue"], "--bogus"),
+        (["check-map", "--space"], "--space"),  # expected one argument
+        (["--seed", "x", "verify-paper"], "'x'"),  # invalid int
+        (["--json=x", "catalogue"], "--json"),  # ignored explicit argument
+        (["catalogue", "-hx"], "-h/--help"),
+        (["--=x", "catalogue"], "--=x"),  # ambiguous option
+    ],
+)
+def test_usage_errors_name_the_offender(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("lscat: error: ") and named in err and err.count("\n") == 1
+
+
+def test_help_returns_zero_from_main(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: lscat [-h] [--json] [--seed SEED] COMMAND ...")
+    assert all(name in out for name in COMMANDS)
+    code, out, err = run(capsys, "--seed", "3", "cup-length", "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: lscat cup-length [-h] space\n")

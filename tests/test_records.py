@@ -62,6 +62,32 @@ def test_cli_import_leaves_json_to_json_output():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_requests_load_no_argparse_gettext_or_locale(tmp_path):
+    # the command line is read from cli.py's own table; argparse brings in
+    # gettext and locale, a few ms of every request's start-up
+    mapfile = tmp_path / "collapse.map"
+    mapfile.write_text("map c\ndomain S_2\nrange T2\ndegree 1\nsend t1 -> a1\nsend t2 -> b1\n")
+    requests = [
+        ["show", "T2"], ["invariants", "T2"], ["cup-length", "T2"], ["check-map", str(mapfile)],
+        ["degree1-report", "-m", "S2", "-n", "T2"], ["verify-paper"], ["catalogue"],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "import lscat.cli\n"
+        f"for argv in {requests!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(lscat.cli.main(argv), end=' ', file=sys.stderr)\n"
+        "print(' '.join(sorted(set(sys.modules) & {'argparse', 'gettext', 'locale'})))\n"
+    )
+    src = str(Path(lscat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stderr.split() == ["0", "0", "0", "0", "2", "0", "0"]
+    assert proc.stdout.split() == []
+
+
 # -- the record contract -------------------------------------------------------------
 
 

@@ -9,10 +9,11 @@ benchmark decks (``perfbench/decks.py``, imported unchanged) for every
 workload (or those named) and every seed from A to B, and a fixed set of requests the
 decks do not reach: the edge messages of map parsing, identity maps on
 large presentations and product tables, invalid maps with problem lists
-for each kind of source ring, and ``cup-length`` and ``--json
+for each kind of source ring, ``cup-length`` and ``--json
 invariants`` of every catalogue name and sweep product of the decks and
 of ``S_2xT10``, ``S_4xS_4xS_4`` and ``S_200``, so that the cup-length
-search runs on explicit, factored and presentation rings.  ``--smoke``
+search runs on explicit, factored and presentation rings, and the
+command line's help, usage errors and accepted option forms.  ``--smoke``
 keeps the smoke decks and drops the fixed set.
 
 Every distinct request runs once per tree as ``python -m lscat.cli ARGV``
@@ -93,6 +94,13 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
             out.append((json + ("degree1-report", "-m", domain, "-n", range_, "--map", f"{name}.map"), files))
     for name in [*decks.CATALOGUE_NAMES, *decks.SWEEP_PRODUCTS, "S_2xT10", "S_4xS_4xS_4", "S_200"]:
         out += [(("cup-length", name), ()), (("--json", "invariants", name), ())]
+    # the front door: help, usage errors and the accepted option forms
+    out += [(argv, ()) for argv in [
+        (), ("--help",), ("cup-length", "--help"), ("no-such-command",),
+        ("degree1-report", "-m", "S2"), ("--seed", "x", "verify-paper"), ("cup-length", "T3", "--json"),
+        ("--js", "cup-length", "T3"), ("--seed=5", "cup-length", "T3"), ("cup-length", "--", "T3"),
+        ("degree1-report", "--dom", "S2", "--ran", "S2"),
+    ]]
     return out
 
 
