@@ -23,7 +23,6 @@ from operator import xor
 from typing import Mapping, Sequence
 
 from ._record import Record
-from .gf2 import XorBasis
 from .rings import (
     GeneratorSpec,
     MultiplicationTable,
@@ -157,20 +156,31 @@ def _adapted_basis(n: int, sources: list[tuple[dict[int, list[int]], Sequence[in
     I^(m+1)_e is the sum of g I^m_(e - deg g), since I^m is an ideal and
     the ring commutative: products go into one basis, highest level
     first, a kept product of a level-l vector gets level l + 1, and the
-    degree stops once full.  Unit vectors complete it at level 1.
+    degree stops once full.  Unit vectors complete it at level 1, one at
+    each bit that leads no pivot.
+
+    The elimination is ``XorBasis.insert`` written out, since most
+    products reduce to zero and a call per product would cost more than
+    their reduction.
     """
-    basis, levels = XorBasis(), {}
+    pivots, levels = {}, {}
     for level in range(max((max(source) for source, _ in sources), default=0), 0, -1):
         for source, rows in sources:
             for bits in source.get(level, ()):
                 # a single-bit vector, as every vector of a monomial basis, is one row
-                w = (rows[bits.bit_length() - 1] if bits & (bits - 1) == 0
-                     else reduce(xor, map(rows.__getitem__, _bits(bits))))
-                if w and basis.insert(w):
-                    levels.setdefault(level + 1, []).append(w)
-                    if len(basis) == n:
-                        return levels
-    levels[1] = [1 << i for i in range(n) if len(basis) < n and basis.insert(1 << i)]
+                product = w = (rows[bits.bit_length() - 1] if bits & (bits - 1) == 0
+                               else reduce(xor, map(rows.__getitem__, _bits(bits))))
+                while w:
+                    lead = w.bit_length() - 1
+                    p = pivots.get(lead)
+                    if p is None:
+                        pivots[lead] = w
+                        levels.setdefault(level + 1, []).append(product)
+                        if len(pivots) == n:
+                            return levels
+                        break
+                    w ^= p
+    levels[1] = [1 << i for i in range(n) if i not in pivots]
     return levels
 
 

@@ -9,6 +9,7 @@ the text output is a projection of the same payload.
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
 import sys
@@ -282,7 +283,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The process entry: ``main()``, then leave without the interpreter's
+    teardown.  The answer is on the streams once they are flushed, and a
+    request holds nothing else to release (no file open for writing, no
+    atexit callback, no thread), so ``os._exit`` ends it.  If a flush fails
+    (a closed pipe, say), it leaves through ``sys.exit``, whose teardown
+    reports the failure."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError, AttributeError):  # a broken pipe, a closed or absent stream
+        sys.exit(code)
+    os._exit(code)
 
 
 # -- resolution ----------------------------------------------------------------

@@ -5,7 +5,8 @@ enumerating all row combinations, degree bases by exhaustive exponent
 enumeration, cup-length by breadth-first products of basis elements.
 Only usable on small inputs.  The one exception is the reference
 ideal-power search, the search kernel's earlier design, kept as the
-oracle of the one-pass kernel on rings too large for brute force.  The
+oracle of the one-pass kernel on rings too large for brute force, and
+that kernel's per-degree step as it was on ``XorBasis``.  The
 reference command-line grammar is the argparse parser the CLI used to
 build, kept as the oracle of its table-driven parser.
 """
@@ -133,6 +134,25 @@ def reference_ideal_power_search(
         moved = {d for d, span in spans.items() if len(new_spans.get(d, ())) != len(span)}
         spans = new_spans
         m += 1
+
+
+def reference_adapted_basis(n: int, sources) -> dict:
+    """``bounds._adapted_basis`` as it was, on ``XorBasis``: it takes the
+    same arguments and must return the same levels, vector for vector."""
+    basis, levels = XorBasis(), {}
+    for level in range(max((max(source) for source, _ in sources), default=0), 0, -1):
+        for source, rows in sources:
+            for bits in source.get(level, ()):
+                w = 0
+                for i in range(bits.bit_length()):
+                    if bits >> i & 1:
+                        w ^= rows[i]
+                if w and basis.insert(w):
+                    levels.setdefault(level + 1, []).append(w)
+                    if len(basis) == n:
+                        return levels
+    levels[1] = [1 << i for i in range(n) if len(basis) < n and basis.insert(1 << i)]
+    return levels
 
 
 class ReferenceUsageError(Exception):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,12 @@ from lscat.rings import (
 )
 from lscat.spacefile import parse_space
 
-from oracles import brute_basis_in_degree, brute_cup_length, reference_ideal_power_search
+from oracles import (
+    brute_basis_in_degree,
+    brute_cup_length,
+    reference_adapted_basis,
+    reference_ideal_power_search,
+)
 
 
 def presentation(gens: list[tuple[int, int]]) -> TruncatedPresentation:
@@ -205,6 +211,25 @@ def test_search_equals_the_reference_kernel_and_the_formula(ring_and_formula):
     found = compiled_search(ring)
     assert found == reference_search(ring)
     assert formula is None or found == formula
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(searched_rings())
+def test_each_adapted_basis_equals_the_xor_basis_reference(ring_and_formula):
+    # the written-out elimination keeps the pivots, the order and the levels
+    ring, _ = ring_and_formula
+    steps, step = [], bounds._adapted_basis
+
+    def recorded(n, sources):
+        levels = step(n, sources)
+        steps.append((n, sources, levels))
+        return levels
+
+    with mock.patch.object(bounds, "_adapted_basis", recorded):
+        compiled_search(ring)
+    assert steps or not any(d > 0 and n for d, n in ring.compiled.dims.items())
+    for n, sources, levels in steps:
+        assert levels == reference_adapted_basis(n, sources)
 
 
 def test_rebased_tables_multiply_into_sums():
