@@ -7,96 +7,38 @@ checks of the criteria under which a degree +-1 map f: M -> N certifies
 cat M >= cat N.
 """
 
-from .bounds import (
-    BoundLedger,
-    CupLength,
-    Interval,
-    LedgerError,
-    MorseData,
-    betti_sum,
-    cat_bounds,
-    cup_length,
-    cup_length_check,
-    cup_length_formula,
-    cup_length_search,
-    morse_lower_bound,
-    so_n_presentation,
-)
-from .catalogue import SpaceRecord, UnknownSpaceError, get, names, surface_table
-from .gf2 import rank
-from .homs import (
-    CriterionVerdict,
-    DimensionMismatch,
-    HomValidationError,
-    Report,
-    RingHomSpec,
-    ValidatedHom,
-    check_cl_monotone,
-    check_injectivity,
-    check_top_class,
-    cor_cat_transfer,
-    full_report,
-    low_dim_check,
-    morse_transfer_check,
-    thm_main_check,
-    thm_torus_check,
-    torus_stabilization_k,
-    validate_hom,
-)
-from .rings import (
-    Element,
-    GeneratorSpec,
-    MultiplicationTable,
-    TruncatedPresentation,
-    check_poincare_duality,
-    expand_to_table,
-    tensor_product,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundLedger",
-    "CriterionVerdict",
-    "CupLength",
-    "DimensionMismatch",
-    "Element",
-    "GeneratorSpec",
-    "HomValidationError",
-    "Interval",
-    "LedgerError",
-    "MorseData",
-    "MultiplicationTable",
-    "Report",
-    "RingHomSpec",
-    "SpaceRecord",
-    "TruncatedPresentation",
-    "UnknownSpaceError",
-    "ValidatedHom",
-    "betti_sum",
-    "cat_bounds",
-    "check_cl_monotone",
-    "check_injectivity",
-    "check_poincare_duality",
-    "check_top_class",
-    "cor_cat_transfer",
-    "cup_length",
-    "cup_length_check",
-    "cup_length_formula",
-    "cup_length_search",
-    "expand_to_table",
-    "full_report",
-    "get",
-    "low_dim_check",
-    "morse_lower_bound",
-    "morse_transfer_check",
-    "names",
-    "rank",
-    "so_n_presentation",
-    "surface_table",
-    "tensor_product",
-    "thm_main_check",
-    "thm_torus_check",
-    "torus_stabilization_k",
-    "validate_hom",
-]
+# Each exported name and the module that defines it.  A name is imported
+# when it is first read (PEP 562), so ``import lscat`` loads no layer.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "bounds": "BoundLedger CupLength Interval LedgerError MorseData betti_sum cat_bounds"
+        " cup_length cup_length_check cup_length_formula cup_length_search"
+        " morse_lower_bound so_n_presentation",
+        "catalogue": "SpaceRecord UnknownSpaceError get names surface_table",
+        "gf2": "rank",
+        "homs": "CriterionVerdict DimensionMismatch HomValidationError Report RingHomSpec"
+        " ValidatedHom check_cl_monotone check_injectivity check_top_class cor_cat_transfer"
+        " full_report low_dim_check morse_transfer_check thm_main_check thm_torus_check"
+        " torus_stabilization_k validate_hom",
+        "rings": "Element GeneratorSpec MultiplicationTable TruncatedPresentation"
+        " check_poincare_duality expand_to_table tensor_product",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = __import__(f"{__name__}.{_EXPORTS[name]}", fromlist=[name])
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

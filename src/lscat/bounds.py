@@ -18,9 +18,9 @@ cat itself is never computed; known values enter as cited data.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from functools import reduce
 from operator import xor
-from typing import Mapping, Sequence
 
 from ._record import Record
 from .rings import (

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-import random
-import re
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import catalogue
@@ -221,9 +218,18 @@ def _classify(token: str, table: dict):
         raise _UsageError(f"ambiguous option: {token} could match {matches}")
     if found:
         return found[0]
-    if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+    if " " in token or _is_negative_number(token):
         return None
     return None, token, None
+
+
+def _is_negative_number(token: str) -> bool:
+    r"""argparse's negative-number test, re.match(r"-\d+$|-\d*\.\d+$", token),
+    without loading re; like $, it lets one final newline through."""
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return fraction.isdecimal() and (whole == "" or whole.isdecimal())
 
 
 def _help(command: str | None) -> str:
@@ -301,10 +307,26 @@ def entry() -> None:
 # -- resolution ----------------------------------------------------------------
 
 
+def _read_file(token: str, optional: bool = False) -> str | None:
+    """The text of the file ``token`` names, read as pathlib reads a path:
+    empty and ``.`` parts are dropped, so ``x.space/`` names ``x.space``.
+    An optional read returns None where no regular file is; any other
+    read raises OSError.  Text that is not UTF-8 raises SpaceFileError."""
+    path = "/" * token.startswith("/") + "/".join(p for p in token.split("/") if p not in ("", "."))
+    path = path or "."
+    if optional and not os.path.isfile(path):
+        return None
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except UnicodeDecodeError as exc:
+        raise SpaceFileError(f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})") from None
+
+
 def _load_extra_spaces(paths: list[str]) -> dict[str, SpaceRecord]:
     loaded = {}
     for path in paths:
-        record = parse_space(Path(path).read_text(encoding="utf-8"))
+        record = parse_space(_read_file(path))
         loaded[record.name] = record
     return loaded
 
@@ -312,10 +334,8 @@ def _load_extra_spaces(paths: list[str]) -> dict[str, SpaceRecord]:
 def _resolve_space(token: str, loaded: dict[str, SpaceRecord]) -> SpaceRecord:
     if token in loaded:
         return loaded[token]
-    path = Path(token)
-    if path.is_file():
-        return parse_space(path.read_text(encoding="utf-8"))
-    return catalogue.get(token)
+    text = _read_file(token, optional=True)
+    return catalogue.get(token) if text is None else parse_space(text)
 
 
 def _emit(args, payload: dict, text: list[str]) -> None:
@@ -438,7 +458,7 @@ def cmd_cup_length(args) -> int:
 
 def cmd_check_map(args) -> int:
     loaded = _load_extra_spaces(args.space)
-    spec = parse_map(Path(args.mapfile).read_text(encoding="utf-8"))
+    spec = parse_map(_read_file(args.mapfile))
     try:
         domain = _resolve_space(spec.domain, loaded)
         range_ = _resolve_space(spec.range, loaded)
@@ -482,7 +502,7 @@ def cmd_degree1_report(args) -> int:
     n_record = _resolve_space(args.range, loaded)
     hom = None
     if args.mapfile:
-        spec = parse_map(Path(args.mapfile).read_text(encoding="utf-8"))
+        spec = parse_map(_read_file(args.mapfile))
         map_domain = _resolve_space(spec.domain, loaded)
         map_range = _resolve_space(spec.range, loaded)
         if (map_domain.name, map_range.name) != (m_record.name, n_record.name):
@@ -567,6 +587,8 @@ def cmd_verify_paper(args) -> int:
         }
     )
 
+    import random  # only this command draws random rings
+
     rng = random.Random(args.seed)
     spot_ok = all(cup_length_check(_random_presentation(rng)).agree for _ in range(5))
     rows.append(
@@ -587,7 +609,7 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if ok_all else EXIT_MISMATCH
 
 
-def _random_presentation(rng: random.Random) -> TruncatedPresentation:
+def _random_presentation(rng) -> TruncatedPresentation:
     while True:
         k = rng.randint(1, 3)
         gens = tuple(GeneratorSpec(f"g{i}", rng.randint(1, 4)) for i in range(k))

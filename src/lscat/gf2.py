@@ -8,7 +8,7 @@ so the elimination works on whole words only.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class XorBasis:

@@ -14,7 +14,7 @@ category-transferring criteria means cat(domain) >= cat(range) holds.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from ._record import Record
 from .bounds import BoundLedger, MorseData, cup_length, morse_lower_bound

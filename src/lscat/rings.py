@@ -31,13 +31,13 @@ import itertools
 import math
 import operator
 import warnings
+from collections.abc import Mapping, Sequence
 from functools import cached_property, reduce
-from typing import Mapping, Sequence, Union
 
 from ._record import Record
 from .gf2 import XorBasis
 
-Term = Union[tuple, str]
+Term = tuple | str
 
 
 class GeneratorSpec(Record):
@@ -637,7 +637,7 @@ class MultiplicationTable(_Ring):
         return self.multiply(Element.of(la), Element.of(lb)).terms
 
 
-Ring = Union[TruncatedPresentation, MultiplicationTable]
+Ring = TruncatedPresentation | MultiplicationTable
 
 
 def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:

@@ -30,15 +30,13 @@ identity on normalized files.
 
 from __future__ import annotations
 
-import re
-
 from ._record import Record
 from .catalogue import SpaceRecord, _connectivity_problem
 from .homs import RingHomSpec
 from .rings import Element, GeneratorSpec, MultiplicationTable, Ring, TruncatedPresentation
 
-# pattern strings, compiled by re on first use: a request that reads no
-# space or map file pays nothing for them
+# pattern strings; the three parse functions import re and compile them
+# on first use, so a request that reads no space or map file loads neither
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*$"
 _FACTOR = r"([A-Za-z_][A-Za-z0-9_]*)(?:\^([0-9]+))?$"
 
@@ -88,6 +86,8 @@ def parse_expression(text: str, lineno: int | None = None) -> list[dict[str, int
     The empty dict is the unit monomial; ``0`` contributes nothing.
     Duplicate monomials are kept (the caller reduces mod 2).
     """
+    import re
+
     compact = "".join(text.split())
     if not compact:
         raise SpaceFileError("empty expression", lineno, kind="bad-expression")
@@ -166,6 +166,8 @@ _KNOWN_CAT = r'(\S+)\s+"([^"]*)"$'
 
 def parse_space(text: str) -> SpaceRecord:
     """Parse a space file into a validated record."""
+    import re
+
     name: str | None = None
     dim: int | None = None
     connectivity = 0
@@ -414,6 +416,8 @@ class MapFileSpec(Record):
 
 
 def parse_map(text: str) -> MapFileSpec:
+    import re
+
     name: str | None = None
     domain: str | None = None
     range_: str | None = None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from lscat.cli import (
     EXIT_USAGE,
     EXIT_VIOLATED,
     _HelpRequested,
+    _is_negative_number,
     _UsageError,
     main,
     parse_args,
@@ -328,6 +330,46 @@ def test_missing_map_file_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "{space}"],
+        ["check-map", "{map}"],
+        ["degree1-report", "-m", "T2", "-n", "T2", "--map", "{map}"],
+        ["degree1-report", "-m", "T2", "-n", "T2", "--space", "{space}"],
+    ],
+)
+def test_a_file_that_is_not_utf8_is_parse_error(tmp_path, capsys, argv):
+    space, mapfile = tmp_path / "bad.space", tmp_path / "bad.map"
+    space.write_bytes(b"space X\ndim 1\ngenerator t 1\ntruncate t 2\n\xff\n")
+    mapfile.write_bytes(b"map f\ndomain T2\nrange T2\ndegree 1\nsend t1 -> t1 # \xff\n")
+    named = {"{space}": str(space), "{map}": str(mapfile)}
+    code, out, err = run(capsys, *(named.get(a, a) for a in argv))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "not UTF-8 text (invalid start byte at offset" in err
+    assert err.rstrip().endswith("[syntax]")
+
+
+def test_a_trailing_slash_after_a_space_file_reads_the_file(tmp_path, capsys):
+    # paths are read as pathlib reads them: empty and "." parts are dropped
+    space = tmp_path / "x.space"
+    space.write_text("space C1\ndim 1\ngenerator t 1\ntruncate t 2\n")
+    for token in (f"{space}/", f"{tmp_path}/./x.space/."):
+        code, out, _ = run(capsys, "cup-length", token)
+        assert code == EXIT_OK
+        assert out.startswith("cup-length of C1: 1\n")
+
+
+def test_a_directory_as_map_file_is_usage_error(tmp_path, capsys):
+    folder = tmp_path / "d.map"
+    folder.mkdir()
+    for token in (str(folder), f"{folder}/"):
+        code, out, err = run(capsys, "check-map", token)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"lscat: error: [Errno 21] Is a directory: '{folder}'\n"
+
+
 # -- a cited cat below the cup-length, and connectivity beside a huge dim ------------
 
 
@@ -423,6 +465,14 @@ def _outcome(argv):
 @given(ARGVS)
 def test_parser_agrees_with_the_argparse_reference(argv):
     assert _outcome(argv) == _reference_outcome(argv)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.text(alphabet="0123456789.-\n٣²x", max_size=6))
+def test_negative_numbers_are_told_as_argparse_tells_them(rest):
+    # argparse's pattern; U+0663 is a decimal digit to \d, U+00B2 is not
+    token = "-" + rest
+    assert _is_negative_number(token) == bool(re.match(r"-\d+$|-\d*\.\d+$", token))
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,89 @@ def test_cli_requests_load_no_argparse_gettext_or_locale(tmp_path):
     assert proc.stdout.split() == []
 
 
+# Without site hooks (python -S), nothing has loaded these before lscat does.
+# typing served annotations only; pathlib (with urllib.parse, ipaddress and
+# fnmatch) four file reads; random one command and re the file parsers.
+CLEAN_FORBIDDEN = {"typing", "pathlib", "urllib.parse", "ipaddress", "fnmatch", "random", "re"}
+SPACE_FILE = "space C1\ndim 1\ngenerator t 1\ntruncate t 2\n"
+MAP_FILE = "map c\ndomain S_2\nrange T2\ndegree 1\nsend t1 -> a1\nsend t2 -> b1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, allowed",
+    [
+        (None, set()),
+        (["catalogue"], set()),
+        (["show", "T3"], set()),
+        (["invariants", "SO5"], set()),
+        (["cup-length", "T3"], set()),
+        (["degree1-report", "-m", "T2", "-n", "T2"], set()),
+        (["verify-paper"], {"random"}),
+        (["invariants", "c1.space"], {"re"}),
+        (["check-map", "c.map"], {"re"}),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_clean_start_up_loads_only_what_the_request_uses(tmp_path, argv, allowed):
+    (tmp_path / "c1.space").write_text(SPACE_FILE)
+    (tmp_path / "c.map").write_text(MAP_FILE)
+    probe = (
+        "import io, sys\n"
+        "import lscat.cli\n"
+        f"if {argv!r} is not None:\n"
+        "    sys.stdout = io.StringIO()\n"
+        f"    print(lscat.cli.main({argv!r}), file=sys.stderr)\n"
+        f"print(' '.join(sorted(set(sys.modules) & {CLEAN_FORBIDDEN!r})), file=sys.__stdout__)\n"
+    )
+    src = str(Path(lscat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], cwd=tmp_path, env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert proc.stderr.split() == ([] if argv is None else ["0"])
+    assert set(proc.stdout.split()) <= allowed
+
+
+# lscat.__all__ as the package's own imports listed it before they became lazy
+EXPORTED = [
+    "BoundLedger", "CriterionVerdict", "CupLength", "DimensionMismatch", "Element",
+    "GeneratorSpec", "HomValidationError", "Interval", "LedgerError", "MorseData",
+    "MultiplicationTable", "Report", "RingHomSpec", "SpaceRecord", "TruncatedPresentation",
+    "UnknownSpaceError", "ValidatedHom", "betti_sum", "cat_bounds", "check_cl_monotone",
+    "check_injectivity", "check_poincare_duality", "check_top_class", "cor_cat_transfer",
+    "cup_length", "cup_length_check", "cup_length_formula", "cup_length_search",
+    "expand_to_table", "full_report", "get", "low_dim_check", "morse_lower_bound",
+    "morse_transfer_check", "names", "rank", "so_n_presentation", "surface_table",
+    "tensor_product", "thm_main_check", "thm_torus_check", "torus_stabilization_k",
+    "validate_hom",
+]
+
+
+def test_the_package_exports_lazily_what_it_exported_eagerly():
+    probe = (
+        "import sys\n"
+        "import lscat\n"
+        "print(' '.join(name for name in sys.modules if name.startswith('lscat.')))\n"
+        "lscat.rank\n"
+        "print(' '.join(sorted(name for name in sys.modules if name.startswith('lscat.'))))\n"
+    )
+    src = str(Path(lscat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split("\n") == ["", "lscat.gf2", ""]
+    assert lscat.__all__ == EXPORTED
+    for name in EXPORTED:
+        module = importlib.import_module(f"lscat.{lscat._EXPORTS[name]}")
+        assert getattr(lscat, name) is getattr(module, name)
+        assert getattr(module, name).__module__ == module.__name__
+    assert set(EXPORTED) <= set(dir(lscat))
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        lscat.nonesuch
+
+
 # -- the record contract -------------------------------------------------------------
 
 
