@@ -298,6 +298,8 @@ def _product_record(name: str, parts: list[str]) -> SpaceRecord:
                 f"cannot form product {name!r}: {rec.name} has no ring data"
             )
     rings = [rec.ring for rec in records]
+    # a product with a table is one from its first factor on: S2xS3xS_1 lists
+    # x3 before x2 and x2_x3, where S2xS3 as one presentation gives x2, x3, x2*x3
     if not all(isinstance(r, TruncatedPresentation) for r in rings):
         rings = [r if isinstance(r, MultiplicationTable) else expand_to_table(r) for r in rings]
     with warnings.catch_warnings():

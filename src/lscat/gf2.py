@@ -2,8 +2,9 @@
 
 Vectors and matrix rows are stored as Python integers used as bitsets
 (bit i = coordinate i), so row addition is a single XOR regardless of
-length.  Rank/span queries are the inner loop of the cup-length search,
-so the elimination works on whole words only.
+length.  Ranks decide the duality check and the injectivity of induced
+maps; the cup-length search runs its own elimination, on the same
+words.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class XorBasis:
             return False
         self._pivots[v.bit_length() - 1] = v
         return True
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
 
     def __len__(self) -> int:
         return len(self._pivots)

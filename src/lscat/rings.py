@@ -8,16 +8,17 @@ Two representations are supported:
   reduction is confluent without any Groebner machinery.
 * :class:`MultiplicationTable` -- a finite algebra given by a basis per
   degree and structure constants, for rings (surfaces) whose relations
-  are not pure powers; tensor products of tables and expansions of
+  are not pure powers; tensor products with a table and expansions of
   presentations are tables too, factored into their factors.
 
 Each ring builds one integer form on first use, ``ring.compiled`` (a
 :class:`CompiledRing`): its basis numbered degree by degree, with the
-products, search rows and duality pairing on those numbers.  The
-cup-length search, the duality check, hom validation, file expressions
-and factored tables all run on it.  Its ``vector`` and ``element`` are
-the one place where an :class:`Element` (exponent tuples or basis
-labels) meets those numbers.
+products, search rows and duality pairing on those numbers; a
+presentation compiles as the tensor product of its factors k[x]/(x^q),
+as a factored table does.  The cup-length search, the duality check,
+hom validation, file expressions and factored tables all run on it.
+Its ``vector`` and ``element`` are the one place where an
+:class:`Element` (exponent tuples or basis labels) meets those numbers.
 
 Coefficients are fixed to GF(2): an element is a finite set of basis
 terms, addition is symmetric difference, and no signs ever appear.
@@ -202,6 +203,29 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+class _Monogenic(Record):
+    """k[x]/(x^q), x of degree g: a presentation's factor per generator.
+    Position e is x^e, alone in degree e*g, so products, rows (x^e x is
+    x^(e+1)) and pairing (x^e x^(q-1-e) is the top class) are closed forms."""
+
+    degree: int
+    truncation: int
+
+    def __init__(self, degree: int, truncation: int) -> None:
+        q, g = truncation, degree
+        rows = ((g, dict.fromkeys(range(0, (q - 1) * g, g), (1,))),) if q > 1 else ()
+        self.__dict__.update(degree=g, truncation=q, degrees=range(0, q * g, g), top=(q - 1) * g,
+                             first={e * g: e for e in range(q)}, generator_rows=rows)
+
+    ring = property(lambda self: self)  # what factors compare by, as a compiled form's ring
+
+    def product(self, p: int, r: int) -> list[int]:
+        return [p + r] if p + r < self.truncation else []
+
+    def pairing(self, e: int) -> tuple[int, ...]:
+        return (1,)
+
+
 class CompiledRing:
     """The integer form of a ring, built once on first use as
     ``ring.compiled``; the cup-length search, the duality check, hom
@@ -213,18 +237,26 @@ class CompiledRing:
     is at position ``first[d] + i``, and a vector of degree d is a bitmask
     over those i.
 
+    Every ring but an explicit table is a tensor product of factors: a
+    presentation of its :class:`_Monogenic` ones, a factored table of
+    those and explicit tables' compiled forms.  A basis element's code is
+    the mixed-radix number of its factor positions, the first factor
+    most significant (a monomial's is its number).
+
     * ``top`` -- the degree the pairing pairs into: a presentation's
       highest monomial degree (its only monomial there, every exponent
       maximal, is the top class), a table's declared top degree;
     * ``degrees[p]``, ``first[d]``, ``dims[d]`` -- the degree of position
       p, the first position of degree d and its dimension (missing
       degrees are zero);
+    * ``factors``, ``strides``, ``codes`` -- the factors (None for an
+      explicit table), their code strides, and each position's code;
     * ``vector(e)``, ``element(v)`` -- the one label edge: an
       :class:`Element` as ``{degree: bitmask}``, and back;
     * ``lookups()`` -- ``(terms, position)``: the element term (exponent
       tuple or basis label) at each position, and back;
     * ``product(p, q)``, ``times``, ``power`` -- products of positions and
-      of vectors; a factored table multiplies in each factor;
+      of vectors; a tensor product multiplies in each factor;
     * ``generator_rows`` -- per ideal generator, its degree and, per
       source degree d (degree 0 included), a tuple of row bitmasks: row i
       is the i-th basis element of degree d times the generator (missing
@@ -234,27 +266,35 @@ class CompiledRing:
       defined when degree d has a basis and ``top`` a unique class.
 
     Lookups, rows and pairing are built on first use (the search reads
-    only the rows): by mixed-radix monomial number, from an explicit
-    table's stored products, or from a factored table's factors.
+    only the rows): from an explicit table's stored products, or from
+    the factors' own.
     """
 
     # slots, no cached_property: product() and times() run once per basis pair
-    __slots__ = ("ring", "_order", "_at", "degrees", "top", "first", "dims", "_lookups", "_search")
+    __slots__ = ("ring", "factors", "strides", "codes", "_order", "_at", "degrees", "top",
+                 "first", "dims", "_lookups", "_search")
 
     def __init__(self, ring: "Ring") -> None:
         self.ring = ring
-        table = isinstance(ring, MultiplicationTable)
-        degrees = [d for _, d in ring.basis] if table else ring.monomial_degrees
-        # position -> basis index, or mixed-radix monomial number
+        presentation = isinstance(ring, TruncatedPresentation)
+        if presentation:
+            gens = zip(ring.generators, ring.truncations)
+            self.factors = tuple(_Monogenic(g.degree, q) for g, q in gens)
+            degrees = ring.monomial_degrees
+        else:
+            self.factors = ring._factors
+            degrees = [d for _, d in ring.basis]
+        # position -> basis index, or monomial number
         self._order = sorted(range(len(degrees)), key=degrees.__getitem__)
         self.degrees = sorted(degrees)
-        self.top = ring.top_degree if table else self.degrees[-1]
+        self.top = self.degrees[-1] if presentation else ring.top_degree
         self.first = {d: bisect.bisect_left(self.degrees, d) for d in dict.fromkeys(self.degrees)}
         self.dims = {d: bisect.bisect_right(self.degrees, d) - p for d, p in self.first.items()}
-        # code -> position; the code of a monomial or an explicit table's basis
-        # element is its number, a factored table's is over its factors
-        codes = [ring._codes[i] for i in self._order] if table and ring._factors else self._order
-        self._at = sorted(range(len(codes)), key=codes.__getitem__)
+        sizes = [len(f.degrees) for f in self.factors or ()]
+        self.strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+        self.codes = self._order if presentation or self.factors is None else [
+            ring._codes[i] for i in self._order]
+        self._at = sorted(range(len(self.codes)), key=self.codes.__getitem__)  # code -> position
         self._lookups = self._search = None  # built on first use
 
     def lookups(self) -> tuple[list[Term], dict[Term, int]]:
@@ -287,12 +327,7 @@ class CompiledRing:
 
     def _rows_and_pairing(self) -> tuple:
         if self._search is None:
-            ring = self.ring
-            self._search = (
-                _compile_presentation(self) if isinstance(ring, TruncatedPresentation)
-                else _compile_explicit(self) if ring._factors is None
-                else _compile_factored(self)
-            )
+            self._search = (_compile_explicit if self.factors is None else _compile_factored)(self)
         return self._search
 
     @property
@@ -304,28 +339,22 @@ class CompiledRing:
 
     def product(self, p: int, q: int) -> list[int]:
         """Positions of the terms of the product of positions p and q."""
-        ring = self.ring
-        if isinstance(ring, TruncatedPresentation):
-            terms, position = self._lookups or self.lookups()
-            w = position.get(tuple(map(operator.add, terms[p], terms[q])))  # None off normal form
-            return [] if w is None else [w]
         start = self.first.get(self.degrees[p] + self.degrees[q])
         if start is None:
             return []
-        if ring._factors is None:
-            return [start + b for b in _bits(ring._store.get((p, q) if p <= q else (q, p), 0))]
-        return self._factored_product(ring, p, q)
-
-    def _factored_product(self, ring: "MultiplicationTable", p: int, q: int) -> list[int]:
+        if self.factors is None:
+            return [start + b for b in _bits(self.ring._store.get((p, q) if p <= q else (q, p), 0))]
         # a product of basis tensors multiplies in each factor
-        codes, out = ring._codes, [0]
-        cp, cq = codes[self._order[p]], codes[self._order[q]]
-        for f, stride in zip(ring._factors, ring._strides):
+        out, cp, cq = [0], self.codes[p], self.codes[q]
+        for f, stride in zip(self.factors, self.strides):
             size = len(f.degrees)
             ws = f.product(cp // stride % size, cq // stride % size)
             if not ws:
                 return []
-            out = [c + w * stride for c in out for w in ws]
+            if len(ws) == len(out) == 1:  # most factor products are one term
+                out[0] += ws[0] * stride
+            else:
+                out = [c + w * stride for c in out for w in ws]
         return [self._at[c] for c in out]
 
     def times(self, x: int, d: int, y: int, e: int) -> int:
@@ -345,32 +374,6 @@ class CompiledRing:
                 out, e = self.times(out, e, x, d), e + d
             x, d, n = self.times(x, d, x, d) if n > 1 else 0, 2 * d, n >> 1
         return out
-
-
-def _compile_presentation(c: CompiledRing) -> tuple:
-    order, first, dims, top = c._order, c.first, c.dims, c.top
-    local = [p - first[c.degrees[p]] for p in c._at]  # monomial number -> number within its degree
-    rows = []
-    stride = len(order)
-    for g, q in zip(c.ring.generators, c.ring.truncations):
-        stride //= q
-        if q < 2:
-            continue
-        by_degree = {}
-        for d, start in first.items():
-            if d + g.degree <= top:
-                by_degree[d] = tuple(
-                    1 << local[n + stride] if n // stride % q < q - 1 else 0
-                    for n in order[start : start + dims[d]]
-                )
-        rows.append((g.degree, by_degree))
-    # exponents e and q - 1 - e pair to the top class: numbers n and last - n
-    last = len(order) - 1
-
-    def pairing(d: int) -> tuple[int, ...]:
-        return tuple(1 << local[last - n] for n in order[first[d] : first[d] + dims[d]])
-
-    return tuple(rows), pairing
 
 
 def _bits(mask: int):
@@ -408,51 +411,51 @@ def _compile_explicit(c: CompiledRing) -> tuple:
 
 
 def _compile_factored(c: CompiledRing) -> tuple:
-    # a basis element is a mixed-radix code over its factors' positions;
-    # multiplying by a generator of factor k moves digit k only, along the
-    # factor's own rows: (x.g) (x) y, or x (x) (y.h)
-    t, first, dims = c.ring, c.first, c.dims
-    codes = [t._codes[i] for i in c._order]  # position -> code
-    at = [p - first[c.degrees[p]] for p in c._at]  # code -> number within its degree
-    rows = []
-    for f, stride in zip(t._factors, t._strides):
-        size = len(f.degrees)
-        for dg, by_e in f.generator_rows:
-            # shifts[p]: how x.g moves the code of an x at position p in f
-            shifts = []
-            for p, e in enumerate(f.degrees):
-                mask = by_e[e][p - f.first[e]] if e in by_e else 0
-                shifts.append([(f.first[e + dg] + b - p) * stride for b in _bits(mask)])
-            by_degree = {}
-            for d, start in first.items():
-                if d + dg not in first:
-                    continue
-                out = []
-                for code in codes[start : start + dims[d]]:
-                    w = 0
-                    for s in shifts[code // stride % size]:
-                        w |= 1 << at[code + s]
-                    out.append(w)
-                by_degree[d] = tuple(out)
-            rows.append((dg, by_degree))
+    # a generator of factor k moves a code's digit k only, along the factor's
+    # own rows: (x.g) (x) y, or x (x) (y.h); the pairing moves every digit.
+    # Layer j of a factor holds each position's j-th term, n for none
+    first, dims, codes, n = c.first, c.dims, c.codes, len(c.codes)
+    bit = [1 << p - first[c.degrees[p]] for p in c._at] + [0] * n  # code -> bit in its degree, or 0
 
-    factor_pairings: list[dict[int, tuple[int, ...]]] = [{} for _ in t._factors]
+    def layers(terms: list[list[int]]) -> list[list[int]]:
+        return [[t[j] if j < len(t) else n for t in terms] for j in range(max(map(len, terms)))]
+
+    rows = []
+    for f, stride in zip(c.factors, c.strides):
+        for dg, by_e in f.generator_rows:
+            # code offsets: x.g for the x at position p in f
+            moves = [
+                [(f.first[e + dg] + b - p) * stride for b in _bits(by_e[e][p - f.first[e]])]
+                if e in by_e else []
+                for p, e in enumerate(f.degrees)
+            ]
+            image = [0] * n  # per position
+            for layer in layers(moves):
+                offset = [o for o in layer for _ in range(stride)] * (n // (len(layer) * stride))
+                image = [w | bit[code + offset[code]] for w, code in zip(image, codes)]
+            rows.append((dg, {d: tuple(image[start : start + dims[d]])
+                              for d, start in first.items() if d + dg <= c.top}))
+
+    partners: list[int] | None = None
 
     def pairing(d: int) -> tuple[int, ...]:
-        # the pairing of a tensor product is the tensor product of the
-        # factor pairings
-        out = []
-        for code in codes[first[d] : first[d] + dims[d]]:
-            sums = [0]
-            for k, (f, stride) in enumerate(zip(t._factors, t._strides)):
-                p = code // stride % len(f.degrees)
-                e = f.degrees[p]
-                if e not in factor_pairings[k]:
-                    factor_pairings[k][e] = f.pairing(e)
-                mask = factor_pairings[k][e][p - f.first[e]]
-                sums = [s + (f.first[f.top - e] + b) * stride for s in sums for b in _bits(mask)]
-            out.append(sum(1 << at[s] for s in sums))
-        return tuple(out)
+        # the tensor product of the factor pairings: a term per choice of
+        # layers, its code composed factor by factor
+        nonlocal partners
+        if partners is None:
+            choices = [
+                layers([[f.first[f.top - e] + b for b in _bits(mask)]
+                        for e in f.first for mask in f.pairing(e)])
+                for f in c.factors
+            ]
+            partners = [0] * n  # per position
+            for choice in itertools.product(*choices):
+                sums = [0]
+                for f, layer in zip(c.factors, choice):
+                    size = len(f.degrees)
+                    sums = [s * size + t for s in sums for t in layer]
+                partners = [w | bit[min(sums[code], n)] for w, code in zip(partners, codes)]
+        return tuple(partners[first[d] : first[d] + dims[d]])
 
     return tuple(rows), pairing
 
@@ -472,10 +475,10 @@ class MultiplicationTable(_Ring):
       zero.  Construction validates the unit law, degree additivity,
       commutativity and associativity.
     * factored, from :func:`tensor_product` and :func:`expand_to_table`: a
-      tensor product of factors (presentations or explicit tables), kept
-      as their compiled forms.  Its products and compiled form are built
-      from theirs, nothing is materialized, and the ring laws hold by
-      construction.
+      tensor product of factors, each a presentation's monogenic factor
+      k[x]/(x^q) or an explicit table's compiled form.  Its products and
+      compiled form are built from theirs, nothing is materialized, and
+      the ring laws hold by construction.
     """
 
     def __init__(
@@ -485,22 +488,19 @@ class MultiplicationTable(_Ring):
         products: Mapping[tuple[str, str], frozenset],
     ) -> None:
         self._set_basis(basis, top_degree)
-        self._factors: tuple[CompiledRing, ...] | None = None
+        self._factors: tuple | None = None
         self._load_products(products)
         self._validate_full()
 
     @classmethod
     def _from_factors(
-        cls, basis: list[tuple[str, int]], top: int, factors: tuple[CompiledRing, ...],
-        codes: list[int],
+        cls, basis: list[tuple[str, int]], top: int, factors: tuple, codes: list[int]
     ) -> "MultiplicationTable":
         # codes[x] is basis element x as a mixed-radix number over the
         # factors' positions, the first factor most significant
         t = cls.__new__(cls)
         t._set_basis(basis, top)
         t._factors, t._codes = factors, codes
-        sizes = [len(f.degrees) for f in factors]
-        t._strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
         return t
 
     # -- construction helpers -------------------------------------------
@@ -581,13 +581,13 @@ class MultiplicationTable(_Ring):
         as a bitmask."""
         c = self.compiled
         order = c._order
-        if self._factors is None:
+        if c.factors is None:
             return {tuple(sorted((order[p], order[q]))): m for (p, q), m in self._store.items()}
         # a product of basis tensors is nonzero iff every factor product is
         pairs = [
             [(p * s, q * s) for p, q in itertools.product(range(len(f.degrees)), repeat=2)
              if f.product(p, q)]
-            for f, s in zip(self._factors, self._strides)
+            for f, s in zip(c.factors, c.strides)
         ]
         out = {}
         for combo in itertools.product(*pairs):
@@ -597,7 +597,7 @@ class MultiplicationTable(_Ring):
                 out[order[p], order[q]] = sum(1 << w - start for w in c.product(p, q))
         return out
 
-    def _as_factors(self) -> tuple[tuple[CompiledRing, ...], list[int]]:
+    def _as_factors(self) -> tuple[tuple, list[int]]:
         """This table's factors and basis codes; an explicit table is its own factor."""
         if self._factors is not None:
             return self._factors, self._codes
@@ -643,13 +643,15 @@ Ring = TruncatedPresentation | MultiplicationTable
 def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
     """Rewrite a presentation as a multiplication table on its monomial basis.
 
-    The table's top degree is the presentation's declared top_degree,
-    raised to the maximal monomial degree when some monomial overflows
-    it, so the table models the same space (duality pairs into the
-    declared dimension) and table products agree with presentation
+    The basis is the presentation's monomials in position order, labelled
+    ``b1^2*b3``.  The table's top degree is the presentation's declared
+    top_degree, raised to the maximal monomial degree when some monomial
+    overflows it, so the table models the same space (duality pairs into
+    the declared dimension) and table products agree with presentation
     products on every basis pair (no extra truncation happens).  The
-    table is factored, with the presentation as its one factor: nothing
-    is materialized, and its compiled form numbers it as the presentation's.
+    table is factored over the presentation's monogenic factors, with
+    each monomial's code: nothing is materialized, and its compiled form
+    numbers it as the presentation's.
     """
     f = p.compiled
     labels = [p.monomial_label(m) for m in f.lookups()[0]]
@@ -657,30 +659,27 @@ def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
         raise ValueError("generator names produce ambiguous monomial labels")
     basis = list(zip(labels, f.degrees))
     top = max(p.top_degree, f.degrees[-1])
-    return MultiplicationTable._from_factors(basis, top, (f,), list(range(len(basis))))
+    return MultiplicationTable._from_factors(basis, top, f.factors, f.codes)
 
 
 def tensor_product(a: Ring, b: Ring) -> Ring:
-    """Tensor product over GF(2), in the same representation kind.
+    """Tensor product over GF(2) of any two rings.
 
-    For presentations: disjoint union of generators (name collisions
-    are renamed with numeric suffixes and reported); truncations keep
-    their generator; top degrees add.  For tables: basis is the pair
-    basis, in order of a's basis then b's, with componentwise products,
-    again with top degrees added; the result is a factored table whose
-    factors are those of a followed by those of b (an explicit table is
-    one factor), so its products and compiled form are built from
-    theirs.  Over a field this realizes the Kunneth ring of a product
-    space.
+    Of two presentations, a presentation: disjoint union of generators
+    (name collisions are renamed with numeric suffixes and reported);
+    truncations keep their generator; top degrees add.  Otherwise a
+    table, a presentation taking part as its :func:`expand_to_table`:
+    basis is the pair basis, in order of a's basis then b's, with
+    componentwise products, again with top degrees added.  The table is
+    factored, its factors those of a followed by those of b (an explicit
+    table is one factor), so its products and compiled form are built
+    from theirs.  Over a field this realizes the Kunneth ring of a
+    product space.
     """
     if isinstance(a, TruncatedPresentation) and isinstance(b, TruncatedPresentation):
         return _tensor_presentations(a, b)
-    if isinstance(a, MultiplicationTable) and isinstance(b, MultiplicationTable):
-        return _tensor_tables(a, b)
-    raise TypeError(
-        "tensor_product needs two rings of the same representation kind; "
-        "expand_to_table the presentation first"
-    )
+    a, b = (expand_to_table(r) if isinstance(r, TruncatedPresentation) else r for r in (a, b))
+    return _tensor_tables(a, b)
 
 
 def _tensor_presentations(

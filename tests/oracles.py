@@ -8,13 +8,17 @@ ideal-power search, the search kernel's earlier design, kept as the
 oracle of the one-pass kernel on rings too large for brute force, and
 that kernel's per-degree step as it was on ``XorBasis``.  The
 reference command-line grammar is the argparse parser the CLI used to
-build, kept as the oracle of its table-driven parser.
+build, kept as the oracle of its table-driven parser.  The reference
+presentation compile is the compiled form presentations had before they
+compiled over their monogenic factors, kept as the oracle of that path.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import itertools
+import operator
 from typing import Mapping, Sequence
 
 from lscat.cli import DEFAULT_SEED
@@ -88,6 +92,52 @@ def brute_cup_length(t: MultiplicationTable) -> int:
             return m
         level = nxt
         m += 1
+
+
+def reference_presentation_compile(p: TruncatedPresentation) -> tuple:
+    """``(generator_rows, pairing, product)`` of a presentation as its
+    compiled form built them by mixed-radix monomial number: rows and
+    pairing as ``CompiledRing.generator_rows`` and ``pairing`` give them,
+    and ``product(a, b)`` the positions of the product of positions a
+    and b, by adding exponent tuples.  Positions are numbered as the
+    compiled form numbers them: by a stable sort on degree."""
+    degrees = p.monomial_degrees  # per monomial number
+    order = sorted(range(len(degrees)), key=degrees.__getitem__)  # position -> monomial number
+    by_position = sorted(degrees)
+    top = by_position[-1]
+    first = {d: bisect.bisect_left(by_position, d) for d in dict.fromkeys(by_position)}
+    dims = {d: bisect.bisect_right(by_position, d) - q for d, q in first.items()}
+    at = sorted(range(len(order)), key=order.__getitem__)  # monomial number -> position
+    local = [q - first[by_position[q]] for q in at]  # monomial number -> number within its degree
+    rows = []
+    stride = len(order)
+    for g, q in zip(p.generators, p.truncations):
+        stride //= q
+        if q < 2:
+            continue
+        by_degree = {}
+        for d, start in first.items():
+            if d + g.degree <= top:
+                by_degree[d] = tuple(
+                    1 << local[n + stride] if n // stride % q < q - 1 else 0
+                    for n in order[start : start + dims[d]]
+                )
+        rows.append((g.degree, by_degree))
+    # exponents e and q - 1 - e pair to the top class: numbers n and last - n
+    last = len(order) - 1
+
+    def pairing(d: int) -> tuple[int, ...]:
+        return tuple(1 << local[last - n] for n in order[first[d] : first[d] + dims[d]])
+
+    terms = list(itertools.product(*map(range, p.truncations)))
+    terms = [terms[n] for n in order]
+    position = {t: q for q, t in enumerate(terms)}
+
+    def product(a: int, b: int) -> list[int]:
+        w = position.get(tuple(map(operator.add, terms[a], terms[b])))  # None off normal form
+        return [] if w is None else [w]
+
+    return tuple(rows), pairing, product
 
 
 def reference_ideal_power_search(

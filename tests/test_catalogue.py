@@ -143,6 +143,9 @@ def test_product_record_mixed_kinds():
     assert rec.dimension == 4
     assert isinstance(rec.ring, MultiplicationTable)
     assert cup_length(rec.ring) == 3
+    # presentations ahead of a table join it one by one, by their expansions' labels
+    labels = [l for l, _ in get("S2xS3xS_1").ring.basis]
+    assert labels[4:8] == ["x3", "x3_a1", "x3_b1", "x3_w"] and "x2_x3" in labels
 
 
 def test_product_with_g2_rejected():

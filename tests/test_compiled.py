@@ -39,6 +39,7 @@ from oracles import (
     brute_cup_length,
     reference_adapted_basis,
     reference_ideal_power_search,
+    reference_presentation_compile,
 )
 
 
@@ -83,6 +84,25 @@ def test_compiled_duality_matches_table_duality():
     for p in [presentation(gens) for gens in GRID] + [below_dim]:
         assert check_poincare_duality(p) == check_poincare_duality(expand_to_table(p)), p
     assert check_poincare_duality(expand_to_table(below_dim)) is False
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 8)), max_size=5).filter(
+        lambda gens: presentation(gens).total_dimension <= 256
+    )
+)
+def test_presentations_compile_over_their_factors_as_by_monomial_number(gens):
+    p = presentation(gens)
+    c = p.compiled
+    rows, pairing, product = reference_presentation_compile(p)
+    assert c.generator_rows == rows
+    for d in c.dims:
+        assert c.pairing(d) == pairing(d), d
+    positions = range(len(c.degrees))
+    assert [c.product(a, b) for a in positions for b in positions] == [
+        product(a, b) for a in positions for b in positions
+    ]
 
 
 def test_compiled_rows_match_expanded_products():

@@ -27,7 +27,7 @@ from lscat.homs import (
     StabilizationCheck,
     ValidatedHom,
 )
-from lscat.rings import Element, GeneratorSpec, TruncatedPresentation
+from lscat.rings import Element, GeneratorSpec, TruncatedPresentation, _Monogenic
 from lscat.spacefile import MapFileSpec
 
 # -- start-up -----------------------------------------------------------------------
@@ -220,6 +220,7 @@ RECORDS = [
         [(["a", 0], ValueError, "generator 'a' must have degree >= 1")],
     ),
     (Element, lambda: [frozenset({(1, 0)})], []),
+    (_Monogenic, lambda: [2, 3], []),
     (
         TruncatedPresentation,
         lambda: [(GeneratorSpec("a", 1), GeneratorSpec("b", 1)), (2, 2), 2],
@@ -294,7 +295,7 @@ def test_every_record_is_covered():
     from lscat._record import Record
 
     covered = {cls for cls, _, _ in RECORDS}
-    assert len(covered) == len(RECORDS) == 14
+    assert len(covered) == len(RECORDS) == 15
     defined = {
         obj
         for module in MODULES

@@ -250,9 +250,14 @@ def test_tensor_tables_componentwise():
     assert prod.poincare_polynomial() == [1, 2, 2, 2, 1]
 
 
-def test_tensor_mixed_kinds_rejected():
-    with pytest.raises(TypeError):
-        tensor_product(so_n_presentation(3), surface_table(1))
+def test_tensor_mixed_kinds_expand_the_presentation():
+    so3, s1 = so_n_presentation(3), surface_table(1)
+    for mixed, expanded in (
+        (tensor_product(so3, s1), tensor_product(expand_to_table(so3), s1)),
+        (tensor_product(s1, so3), tensor_product(s1, expand_to_table(so3))),
+    ):
+        assert mixed.basis == expanded.basis and mixed._codes == expanded._codes
+        assert mixed == expanded
 
 
 # -- expansion ----------------------------------------------------------------

@@ -9,11 +9,13 @@ benchmark decks (``perfbench/decks.py``, imported unchanged) for every
 workload (or those named) and every seed from A to B, and a fixed set of requests the
 decks do not reach: the edge messages of map parsing, identity maps on
 large presentations and product tables, invalid maps with problem lists
-for each kind of source ring, ``cup-length`` and ``--json
-invariants`` of every catalogue name and sweep product of the decks and
-of ``S_2xT10``, ``S_4xS_4xS_4`` and ``S_200``, so that the cup-length
-search runs on explicit, factored and presentation rings, and the
-command line's help, usage errors and accepted option forms.  ``--smoke``
+for each kind of source ring, identity maps on ``SO9`` and ``SO5xS_1``,
+whose truncations above 2 make products carry, ``show`` of
+``SO5xS_1``, ``cup-length`` and ``--json invariants`` of every catalogue
+name and sweep product of the decks and of ``S_2xT10``, ``S_4xS_4xS_4``
+and ``S_200``, so that the cup-length search runs on explicit, factored
+and presentation rings, and the command line's help, usage errors and
+accepted option forms.  ``--smoke``
 keeps the smoke decks and drops the fixed set.
 
 Every distinct request runs once per tree as ``python -m lscat.cli ARGV``
@@ -47,9 +49,16 @@ def _map(domain: str, range_: str, sends: list[tuple[str, str]]) -> str:
     return "\n".join(lines + [f"send {g} -> {e}" for g, e in sends]) + "\n"
 
 
+def _monomial_labels(gens: list[tuple[str, int]]) -> list[str]:
+    """Basis labels of a presentation's expansion, generators given as
+    (name, truncation), in mixed-radix order."""
+    monomials = itertools.product(*(range(q) for _, q in gens))
+    return ["*".join(name if e == 1 else f"{name}^{e}" for (name, _), e in zip(gens, m) if e) or "1"
+            for m in monomials]
+
+
 def _torus_labels(k: int) -> list[str]:
-    monomials = itertools.product((0, 1), repeat=k)
-    return ["*".join(f"t{i}" for i, e in enumerate(m, 1) if e) or "1" for m in monomials]
+    return _monomial_labels([(f"t{i}", 2) for i in range(1, k + 1)])
 
 
 def _surface_labels(g: int) -> list[str]:
@@ -57,8 +66,15 @@ def _surface_labels(g: int) -> list[str]:
 
 
 def _product_labels(a: list[str], b: list[str]) -> list[str]:
-    """Basis labels of a catalogue product of two rings with unit label 1."""
-    return [y if x == "1" else x if y == "1" else f"{x}_{y}" for x in a for y in b]
+    """Basis labels of a catalogue product of two rings with unit label 1;
+    a label met again takes the suffix __2, __3, ..."""
+    out: list[str] = []
+    for base in (y if x == "1" else x if y == "1" else f"{x}_{y}" for x in a for y in b):
+        name, k = base, 2
+        while name in out:
+            name, k = f"{base}__{k}", k + 1
+        out.append(name)
+    return out
 
 
 def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]]:
@@ -86,6 +102,13 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     for k in (4, 6):
         labels = _product_labels(_surface_labels(2), _torus_labels(k))[1:]
         maps[f"s_2xt{k}-identity"] = (f"S_2xT{k}", f"S_2xT{k}", [(l, l) for l in labels])
+    # truncations above 2, whose products carry: a presentation, and its expansion
+    # beside a table.  There SO5's b1 is b1__2, after S_1's, and a label with a
+    # power (b1^2_a1) is sent to the product of its factors
+    maps["so9-identity"] = ("SO9", "SO9", [(f"b{i}", f"b{i}") for i in (1, 3, 5, 7)])
+    so5, s1 = _monomial_labels([("b1", 8), ("b3", 2)]), _surface_labels(1)
+    images = ["*".join(f for f in (m.replace("b1", "b1__2"), y) if f != "1") for m in so5 for y in s1]
+    maps["so5xs_1-identity"] = ("SO5xS_1", "SO5xS_1", list(zip(_product_labels(so5, s1), images))[1:])
     out = []
     for name, (domain, range_, sends) in maps.items():
         files = ((f"{name}.map", _map(domain, range_, sends)),)
@@ -94,6 +117,7 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
             out.append((json + ("degree1-report", "-m", domain, "-n", range_, "--map", f"{name}.map"), files))
     for name in [*decks.CATALOGUE_NAMES, *decks.SWEEP_PRODUCTS, "S_2xT10", "S_4xS_4xS_4", "S_200"]:
         out += [(("cup-length", name), ()), (("--json", "invariants", name), ())]
+    out += [(("show", "SO5xS_1"), ()), (("--json", "show", "SO5xS_1"), ())]
     # the front door: help, usage errors and the accepted option forms
     out += [(argv, ()) for argv in [
         (), ("--help",), ("cup-length", "--help"), ("no-such-command",),
