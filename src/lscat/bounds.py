@@ -1,11 +1,10 @@
 """Numerical lower bounds: cup-length, Morse counts, and the bound ledger.
 
-The cup-length is computed two independent ways: a closed formula for
-pure-truncation presentations (sum of truncation exponents minus one
-each) and a definitional search (largest m with a nonzero m-th power of
-the positive-degree ideal), one pass over the degrees of the compiled
-form of either ring representation.  The two are cross-checked whenever
-the presentation stays small enough, once per ring.
+Every ring but an explicit table is a tensor product of factors, whose
+cup-lengths add and which has Poincare duality iff each factor does
+(Kunneth): that is the formula.  The definitional search (largest m with
+a nonzero m-th power of the positive-degree ideal) and the pairing rank
+cross-check it within ``CROSS_CHECK_LIMIT``; an explicit table has those alone.
 
 The ledger chains every bound the toolkit knows:
 
@@ -18,22 +17,17 @@ cat itself is never computed; known values enter as cited data.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from functools import reduce
 from operator import xor
 
 from ._record import Record
-from .rings import (
-    GeneratorSpec,
-    MultiplicationTable,
-    Ring,
-    TruncatedPresentation,
-    _bits,
-)
+from .rings import GeneratorSpec, MultiplicationTable, Ring, TruncatedPresentation
+from .rings import _bits, _Monogenic, check_poincare_duality
 
-# presentations of at most this many monomials get the formula/search
-# cross-check, larger ones the formula alone; every table is searched.  The
-# CLI skips the duality check above it, for monomials and basis elements alike
+# rings of at most this many basis elements get the formulas' cross-checks; an
+# explicit table is searched whatever its size, but above it has no duality verdict
 CROSS_CHECK_LIMIT = 4096
 
 
@@ -87,14 +81,13 @@ def morse_lower_bound(d: MorseData) -> tuple[int, bool]:
     return total, exact
 
 
-def cup_length_formula(p: TruncatedPresentation) -> int:
-    """Cup-length of a pure-truncation presentation: sum of (p_i - 1).
-
-    The product of all top generator powers is the longest nonzero
-    product of positive classes, and any longer product overflows some
-    truncation.
-    """
-    return sum(q - 1 for q in p.truncations)
+def cup_length_formula(ring: Ring) -> int | None:
+    """Cup-length of a factored ring, the sum over its factors: q - 1 for
+    k[x]/(x^q), an explicit table's own for its factor.  None for an explicit table."""
+    if ring.factors is None:
+        return None
+    return sum(f.truncation - 1 if isinstance(f, _Monogenic) else cup_length_check(f.ring).value
+               for f in ring.factors)
 
 
 def so_n_presentation(n: int) -> TruncatedPresentation:
@@ -187,10 +180,10 @@ def _adapted_basis(n: int, sources: list[tuple[dict[int, list[int]], Sequence[in
 class CupLength(Record):
     """A ring's cup-length with the computations that certify it.
 
-    ``formula`` is the closed formula (presentations only); ``search``
-    the ideal-power search (every table, and presentations of at most
-    ``CROSS_CHECK_LIMIT`` monomials); ``agree`` compares the two when
-    both ran.  ``value`` is the formula when there is one.
+    ``formula`` is the sum over the factors (factored rings only);
+    ``search`` the ideal-power search (explicit tables, and rings of at
+    most ``CROSS_CHECK_LIMIT`` basis elements); ``agree`` compares the two
+    when both ran.  ``value`` is the formula when there is one.
     """
 
     value: int
@@ -207,37 +200,37 @@ class CupLength(Record):
         return {"formula": self.formula, "search": self.search, "agree": self.agree}
 
 
-# one entry per ring: presentations by value (two parses of one file share
-# it), tables by identity (table equality compares every nonzero product);
-# a table entry keeps its table alive so that its id is not reused
-_PRESENTATION_CUP_LENGTHS: dict[TruncatedPresentation, CupLength] = {}
-_TABLE_CUP_LENGTHS: dict[int, tuple[MultiplicationTable, CupLength]] = {}
+def _cross_checked(ring: Ring) -> bool:
+    """Whether the ring's basis, counted from its factors, is within the limit."""
+    factors = (ring.compiled,) if ring.factors is None else ring.factors
+    return math.prod(len(f.degrees) for f in factors) <= CROSS_CHECK_LIMIT
+
+
+# one entry per ring, keyed by its factors, which compare by value (two parses of
+# one file share it), or by an explicit table's id, kept in use by the entry
+_CUP_LENGTHS: dict[object, tuple[Ring, CupLength]] = {}
 
 
 def cup_length_check(ring: Ring) -> CupLength:
     """Cup-length of a ring by the cross-check policy, computed once per ring.
 
-    Presentations use the closed formula; when the monomial basis is
-    small enough the definitional ideal-power search runs on the
-    compiled form and must agree.  Tables use the search.
+    A factored ring takes the sum over its factors, which within the limit
+    the ideal-power search must match; an explicit table is searched.
     """
-    if isinstance(ring, TruncatedPresentation):
-        found = _PRESENTATION_CUP_LENGTHS.get(ring)
-        if found is None:
-            formula = cup_length_formula(ring)
-            search = None
-            if ring.total_dimension <= CROSS_CHECK_LIMIT:
-                c = ring.compiled
-                search = _ideal_power_search(c.dims, c.generator_rows)
-            found = CupLength(
-                formula, formula, search, None if search is None else search == formula
-            )
-            _PRESENTATION_CUP_LENGTHS[ring] = found
-        return found
-    entry = _TABLE_CUP_LENGTHS.get(id(ring))
+    key = id(ring) if ring.factors is None else ring.factors
+    entry = _CUP_LENGTHS.get(key)
     if entry is None:
-        searched = cup_length_search(ring)
-        entry = _TABLE_CUP_LENGTHS[id(ring)] = (ring, CupLength(searched, None, searched, None))
+        formula = cup_length_formula(ring)
+        if formula is None:
+            search = cup_length_search(ring)
+        elif _cross_checked(ring):
+            c = ring.compiled
+            search = _ideal_power_search(c.dims, c.generator_rows)
+        else:
+            search = None
+        agree = None if formula is None or search is None else search == formula
+        value = search if formula is None else formula
+        entry = _CUP_LENGTHS[key] = (ring, CupLength(value, formula, search, agree))
     return entry[1]
 
 
@@ -250,6 +243,25 @@ def cup_length(ring: Ring) -> int:
             f"cup-length cross-check failed: formula {check.formula}, search {check.search}"
         )
     return check.value
+
+
+def poincare_duality(ring: Ring) -> bool | None:
+    """Mod-2 Poincare duality in the ring's top degree by the cross-check
+    policy, None when unknown.  A factored ring has it iff its factors' top
+    degrees sum to its own and each factor has it (its pairing is their
+    Kronecker product; k[x]/(x^q) has it), and within the limit
+    :func:`check_poincare_duality` must agree.  An explicit table has that alone."""
+    if ring.factors is None:
+        return check_poincare_duality(ring) if _cross_checked(ring) else None
+    verdicts = {poincare_duality(f.ring) for f in ring.factors if not isinstance(f, _Monogenic)}
+    verdicts.add(sum(f.top for f in ring.factors) == ring.top_degree)
+    formula = False if False in verdicts else None if None in verdicts else True
+    if not _cross_checked(ring):
+        return formula
+    check = check_poincare_duality(ring)
+    if check != formula:
+        raise RuntimeError(f"duality cross-check failed: factors {formula}, pairing {check}")
+    return check
 
 
 class LedgerError(ValueError):

@@ -102,11 +102,10 @@ class SpaceRecord(Record):
             value = self.known_cat[0]
             if not 0 <= value <= self.dimension:
                 raise ValueError(f"{self.name}: known cat {value} outside [0, dim]")
-            # no search for a presentation: commands that print a cup-length cross-check it
-            if isinstance(self.ring, TruncatedPresentation):
-                cl = cup_length_formula(self.ring)
-            else:
-                cl = 0 if self.ring is None else cup_length(self.ring)
+            # no search of a factored ring: commands that print a cup-length cross-check it
+            cl = 0 if self.ring is None else cup_length_formula(self.ring)
+            if cl is None:  # an explicit table
+                cl = cup_length(self.ring)
             if cl > value:
                 raise ValueError(
                     f"{self.name}: known cat {value} below the cup-length bound"
@@ -135,11 +134,9 @@ def _connectivity_problem(ring: Ring | None, connectivity: int) -> str | None:
     has H^i = 0 for 0 < i <= c."""
     if ring is None or connectivity < 1:
         return None
-    if isinstance(ring, TruncatedPresentation):  # the lowest classes are generators
-        degrees = [g.degree for g, p in zip(ring.generators, ring.truncations) if p > 1]
-    else:
-        degrees = [d for _, d in ring.basis if d]
-    low = min(degrees, default=None)
+    # the lowest positive degree of a tensor product is its factors' lowest
+    factors = (ring.compiled,) if ring.factors is None else ring.factors
+    low = min((d for f in factors for d in f.dims if d), default=None)
     if low is None or low > connectivity:
         return None
     return (
@@ -313,7 +310,7 @@ def _product_record(name: str, parts: list[str]) -> SpaceRecord:
     ):
         ranks = [1]
         for rec in records:
-            ranks = _convolve(ranks, list(rec.morse.ranks))
+            ranks = _convolve(ranks, dict(enumerate(rec.morse.ranks)))
         morse = MorseData(
             tuple(ranks),
             (0,) * (dimension + 1),

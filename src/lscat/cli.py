@@ -14,7 +14,7 @@ import sys
 from types import SimpleNamespace
 
 from . import catalogue
-from .bounds import CROSS_CHECK_LIMIT, cup_length_check, so_n_presentation
+from .bounds import cup_length_check, poincare_duality, so_n_presentation
 from .catalogue import SpaceRecord, UnknownSpaceError
 from .homs import (
     CERTIFIED,
@@ -28,12 +28,7 @@ from .homs import (
     torus_stabilization_k,
     validate_hom,
 )
-from .rings import (
-    GeneratorSpec,
-    MultiplicationTable,
-    TruncatedPresentation,
-    check_poincare_duality,
-)
+from .rings import GeneratorSpec, MultiplicationTable, TruncatedPresentation
 from .spacefile import (
     SpaceFileError,
     parse_map,
@@ -408,8 +403,7 @@ def cmd_invariants(args) -> int:
         ring = record.ring
         poly = ring.poincare_polynomial()
         cl = cup_length_check(ring).to_dict()
-        size = ring.size if isinstance(ring, MultiplicationTable) else ring.total_dimension
-        duality = check_poincare_duality(ring) if size <= CROSS_CHECK_LIMIT else None
+        duality = poincare_duality(ring)
         ledger = record.ledger()
         payload.update(
             {

@@ -33,7 +33,7 @@ import math
 import operator
 import warnings
 from collections.abc import Mapping, Sequence
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 from ._record import Record
 from .gf2 import XorBasis
@@ -78,13 +78,21 @@ class Element(Record):
 
 
 class _Ring:
-    """What both ring kinds share: the integer form and the label-level
-    views read off it."""
+    """What both ring kinds share: ``factors`` (None for an explicit table),
+    the integer form, and the views read off them."""
 
     @cached_property
     def compiled(self) -> "CompiledRing":
         """The integer form, built on first use."""
         return CompiledRing(self)
+
+    def poincare_polynomial(self) -> list[int]:
+        """Basis counts per degree, 0..top_degree: the factors' series multiplied."""
+        poly = [1]
+        for f in (self.compiled,) if self.factors is None else self.factors:
+            poly = _convolve(poly, f.dims)
+        poly = poly[: self.top_degree + 1]
+        return poly + [0] * (self.top_degree + 1 - len(poly))
 
     def basis_in_degree(self, d: int) -> list[Term]:
         """The basis of degree d: a presentation's normal-form monomials,
@@ -170,16 +178,10 @@ class TruncatedPresentation(_Ring, Record):
             degrees = [d + e * g.degree for d in degrees for e in range(q)]
         return degrees
 
-    def poincare_polynomial(self) -> list[int]:
-        """Monomial counts per degree, indexed 0..top_degree."""
-        poly = [1]
-        for g, p in zip(self.generators, self.truncations):
-            factor = [0] * ((p - 1) * g.degree + 1)
-            for e in range(p):
-                factor[e * g.degree] = 1
-            poly = _convolve(poly, factor)
-        poly = poly[: self.top_degree + 1]
-        return poly + [0] * (self.top_degree + 1 - len(poly))
+    @cached_property
+    def factors(self) -> tuple[_Monogenic, ...]:
+        """The tensor factors k[x]/(x^q), one per generator."""
+        return tuple(_monogenic(g.degree, q) for g, q in zip(self.generators, self.truncations))
 
     def monomial_label(self, exps: Sequence[int]) -> str:
         parts = []
@@ -191,14 +193,12 @@ class TruncatedPresentation(_Ring, Record):
         return "*".join(parts) if parts else "1"
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    # over the nonzero entries of b only: a generator's factor has one per
-    # power, however high its degree
-    nonzero = [(j, y) for j, y in enumerate(b) if y]
-    out = [0] * (len(a) + len(b) - 1)
+def _convolve(a: list[int], b: Mapping[int, int]) -> list[int]:
+    # b maps degrees to nonzero counts: a generator's factor has one per power
+    out = [0] * (len(a) + max(b))
     for i, x in enumerate(a):
         if x:
-            for j, y in nonzero:
+            for j, y in b.items():
                 out[i + j] += x * y
     return out
 
@@ -214,8 +214,10 @@ class _Monogenic(Record):
     def __init__(self, degree: int, truncation: int) -> None:
         q, g = truncation, degree
         rows = ((g, dict.fromkeys(range(0, (q - 1) * g, g), (1,))),) if q > 1 else ()
-        self.__dict__.update(degree=g, truncation=q, degrees=range(0, q * g, g), top=(q - 1) * g,
-                             first={e * g: e for e in range(q)}, generator_rows=rows)
+        degrees = range(0, q * g, g)
+        self.__dict__.update(degree=g, truncation=q, degrees=degrees, top=(q - 1) * g,
+                             first={e * g: e for e in range(q)}, dims=dict.fromkeys(degrees, 1),
+                             generator_rows=rows)
 
     ring = property(lambda self: self)  # what factors compare by, as a compiled form's ring
 
@@ -224,6 +226,9 @@ class _Monogenic(Record):
 
     def pairing(self, e: int) -> tuple[int, ...]:
         return (1,)
+
+
+_monogenic = cache(_Monogenic)  # a value: one object per (degree, truncation) serves every ring
 
 
 class CompiledRing:
@@ -275,15 +280,9 @@ class CompiledRing:
                  "first", "dims", "_lookups", "_search")
 
     def __init__(self, ring: "Ring") -> None:
-        self.ring = ring
+        self.ring, self.factors = ring, ring.factors
         presentation = isinstance(ring, TruncatedPresentation)
-        if presentation:
-            gens = zip(ring.generators, ring.truncations)
-            self.factors = tuple(_Monogenic(g.degree, q) for g, q in gens)
-            degrees = ring.monomial_degrees
-        else:
-            self.factors = ring._factors
-            degrees = [d for _, d in ring.basis]
+        degrees = ring.monomial_degrees if presentation else [d for _, d in ring.basis]
         # position -> basis index, or monomial number
         self._order = sorted(range(len(degrees)), key=degrees.__getitem__)
         self.degrees = sorted(degrees)
@@ -488,7 +487,7 @@ class MultiplicationTable(_Ring):
         products: Mapping[tuple[str, str], frozenset],
     ) -> None:
         self._set_basis(basis, top_degree)
-        self._factors: tuple | None = None
+        self.factors: tuple | None = None
         self._load_products(products)
         self._validate_full()
 
@@ -500,7 +499,7 @@ class MultiplicationTable(_Ring):
         # factors' positions, the first factor most significant
         t = cls.__new__(cls)
         t._set_basis(basis, top)
-        t._factors, t._codes = factors, codes
+        t.factors, t._codes = factors, codes
         return t
 
     # -- construction helpers -------------------------------------------
@@ -599,8 +598,8 @@ class MultiplicationTable(_Ring):
 
     def _as_factors(self) -> tuple[tuple, list[int]]:
         """This table's factors and basis codes; an explicit table is its own factor."""
-        if self._factors is not None:
-            return self._factors, self._codes
+        if self.factors is not None:
+            return self.factors, self._codes
         return (self.compiled,), self.compiled._at
 
     def __eq__(self, other: object) -> bool:
@@ -610,7 +609,7 @@ class MultiplicationTable(_Ring):
             return NotImplemented
         if self.basis != other.basis or self.top_degree != other.top_degree:
             return False
-        mine, theirs = self._factors, other._factors
+        mine, theirs = self.factors, other.factors
         if mine is None and theirs is None:
             return self._store == other._store
         if mine and theirs and [f.ring for f in mine] == [f.ring for f in theirs]:
@@ -625,10 +624,6 @@ class MultiplicationTable(_Ring):
     @property
     def size(self) -> int:
         return len(self.basis)
-
-    def poincare_polynomial(self) -> list[int]:
-        dims = self.compiled.dims
-        return [dims.get(d, 0) for d in range(self.top_degree + 1)]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -734,14 +729,14 @@ def _tensor_tables(a: MultiplicationTable, b: MultiplicationTable) -> Multiplica
 
 
 def check_poincare_duality(ring: Ring) -> bool:
-    """Nondegeneracy of the mod-2 pairing H^d x H^(n-d) -> H^n, where n
-    is the ring's declared top degree.
+    """Nondegeneracy of the mod-2 pairing H^d x H^(n-d) -> H^n on the
+    compiled form, n the declared top degree: the cross-check, within the
+    limit, of ``bounds.poincare_duality``'s verdict from the factors.
 
     Requires a unique top class in degree n, so a presentation whose
-    monomials stop below n fails; for each degree d the matrix of
-    coefficients of the top class in products of the degree-d and
-    degree-(n-d) bases must have full rank on both sides.  Runs on the
-    compiled form of either representation.
+    monomials stop below n fails; for each degree d the matrix of the
+    top-class coefficients of products of the degree-d and degree-(n-d)
+    bases must have full rank.
     """
     c = ring.compiled
     n = ring.top_degree

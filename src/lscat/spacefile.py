@@ -23,8 +23,9 @@ Map files::
     send GEN -> EXPR                # images of N's generators in M's ring
 
 Expressions are sums of monomials separated by ``+``; a monomial is
-``0``, ``1``, or factors ``ID`` / ``ID^INT`` joined by ``*``; whitespace
-is insignificant within a line.  Parsing a serialized record is the
+``0``, ``1``, or factors ``ID`` / ``ID^INT`` joined by ``*``, where ``ID``
+may hold ``^INT_`` as product labels do (``b1^2_a1``); whitespace is
+insignificant within a line.  Parsing a serialized record is the
 identity on normalized files.
 """
 
@@ -38,7 +39,7 @@ from .rings import Element, GeneratorSpec, MultiplicationTable, Ring, TruncatedP
 # pattern strings; the three parse functions import re and compile them
 # on first use, so a request that reads no space or map file loads neither
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*$"
-_FACTOR = r"([A-Za-z_][A-Za-z0-9_]*)(?:\^([0-9]+))?$"
+_FACTOR = r"([A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+_[A-Za-z0-9_]*)*)(?:\^([0-9]+))?$"
 
 
 class SpaceFileError(ValueError):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
+import warnings
+from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lscat import bounds
 from lscat.bounds import (
     CROSS_CHECK_LIMIT,
     BoundLedger,
@@ -21,6 +26,7 @@ from lscat.bounds import (
     cup_length_formula,
     cup_length_search,
     morse_lower_bound,
+    poincare_duality,
     so_n_presentation,
 )
 from lscat.catalogue import surface_table
@@ -28,6 +34,7 @@ from lscat.rings import (
     GeneratorSpec,
     MultiplicationTable,
     TruncatedPresentation,
+    check_poincare_duality,
     expand_to_table,
     tensor_product,
 )
@@ -195,6 +202,83 @@ def test_cross_check_policy():
     assert (skipped.value, skipped.formula, skipped.search, skipped.agree) == (13, 13, None, None)
     table = cup_length_check(surface_table(2))
     assert (table.value, table.formula, table.search, table.agree) == (2, None, 2, None)
+    product = cup_length_check(tensor_product(surface_table(2), expand_to_table(large)))
+    assert (product.value, product.formula, product.search, product.agree) == (15, 15, None, None)
+
+
+# -- Kunneth: a product's invariants from its factors ----------------------------
+
+
+# explicit tables without duality: a a = w leaves b unpaired, and U (a 3-manifold
+# ring with one degree-1 class a, a^2 = 0) has no class in degree 3
+NOT_DUAL = MultiplicationTable([("1", 0), ("a", 1), ("b", 1), ("w", 2)], 2, {("a", "a"): {"w"}})
+U_LIKE = MultiplicationTable([("1", 0), ("a", 1)], 3, {})
+
+
+@st.composite
+def small_presentations(draw) -> TruncatedPresentation:
+    """At most 9 monomials; the top degree is the highest monomial's or,
+    for a ring without duality, above it."""
+    gens = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=3).filter(
+        lambda gens: math.prod(h for _, h in gens) <= 9))
+    specs = tuple(GeneratorSpec(f"g{i}", d) for i, (d, _) in enumerate(gens))
+    top = sum((h - 1) * d for d, h in gens) + draw(st.sampled_from((0, 0, 0, 1)))
+    return TruncatedPresentation(specs, tuple(h for _, h in gens), top)
+
+
+def kunneth_members():
+    presentations = small_presentations()
+    return st.one_of(
+        presentations,
+        presentations.map(expand_to_table),
+        st.integers(0, 2).map(surface_table),
+        st.sampled_from((NOT_DUAL, U_LIKE)),
+    )
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(kunneth_members(), min_size=2, max_size=3))
+def test_factor_values_equal_the_computations_on_the_product(members):
+    """Within the cross-check limit, the cup-length, duality and Poincare
+    polynomial read off a product's factors equal the ideal-power search,
+    the pairing rank and the compiled dims of the product itself."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # generator names collide
+        ring = reduce(tensor_product, members)
+    c = ring.compiled
+    assert len(c.degrees) <= CROSS_CHECK_LIMIT
+    assert cup_length_formula(ring) == bounds._ideal_power_search(c.dims, c.generator_rows)
+    # the factors' verdict alone: every factored ring taken as above the limit
+    with mock.patch.object(bounds, "_cross_checked", lambda r: r.factors is None), \
+            mock.patch.object(bounds, "_CUP_LENGTHS", {}):
+        assert poincare_duality(ring) == check_poincare_duality(ring)
+    assert ring.poincare_polynomial() == [c.dims.get(d, 0) for d in range(ring.top_degree + 1)]
+    # and the policy itself: formula and cross-check agree
+    check = cup_length_check(ring)
+    assert (check.formula, check.agree) == (check.search, True)
+    assert poincare_duality(ring) == check_poincare_duality(ring)
+
+
+def test_duality_above_the_limit_is_the_factors_verdict():
+    t16 = TruncatedPresentation(tuple(GeneratorSpec(f"t{i}", 1) for i in range(16)), (2,) * 16, 16)
+    assert poincare_duality(t16) is True
+    assert "compiled" not in t16.__dict__
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        above = tensor_product(t16, TruncatedPresentation((GeneratorSpec("a", 1),), (2,), 2))
+    assert poincare_duality(above) is False  # its top degree is above its factors'
+    # an explicit factor above the limit has no verdict, and neither has its product
+    big = surface_table(2100)
+    assert poincare_duality(big) is None
+    assert poincare_duality(tensor_product(big, surface_table(1))) is None
+    assert poincare_duality(tensor_product(big, NOT_DUAL)) is False
+
+
+def test_a_duality_mismatch_is_an_internal_failure():
+    s2 = expand_to_table(TruncatedPresentation((GeneratorSpec("x", 2),), (2,), 2))
+    with mock.patch.object(bounds, "check_poincare_duality", lambda ring: False):
+        with pytest.raises(RuntimeError, match="duality cross-check failed"):
+            poincare_duality(s2)
 
 
 # -- Morse / Betti --------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lscat.catalogue import get
 from lscat.cli import (
     COMMANDS,
     EXIT_INCONCLUSIVE,
@@ -130,6 +131,24 @@ def test_check_map_collapse(tmp_path, capsys):
     assert code == EXIT_OK
     assert "injective" in out
     assert "consistent with a degree +-1 map" in out
+
+
+def test_map_files_name_product_labels_with_powers(tmp_path, capsys):
+    """The identity of SO5xS_1, whose labels such as b1^2_a1 (SO5's b1^2
+    beside S_1's a1) are sent to themselves.  A label with a * is sent to
+    the product of its factors, and so is a bare power such as b1^2, which
+    an expression reads as the square of S_1's b1; SO5's b1 is b1__2."""
+    ring = get("SO5xS_1").ring
+    labels = [l for l, _ in ring.basis if l != ring.unit_label]
+    own = [l for l in labels if "*" not in l and ("^" not in l or "_" in l)]
+    sends = [f"send {l} -> {l if l in own else l.replace('b1', 'b1__2', 1)}\n" for l in labels]
+    assert "send b1^2_a1 -> b1^2_a1\n" in sends
+    path = tmp_path / "identity.map"
+    path.write_text("map identity\ndomain SO5xS_1\nrange SO5xS_1\ndegree +1\n" + "".join(sends))
+    code, out, err = run(capsys, "check-map", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert "NOT injective" not in out
+    assert "top class preserved: True" in out
 
 
 def test_check_map_top_class_violation(tmp_path, capsys):

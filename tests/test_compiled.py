@@ -303,9 +303,9 @@ def test_search_stops_a_degree_once_it_is_full():
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """Empty cup-length memo; returns the list of kernel runs made."""
-    monkeypatch.setattr(bounds, "_PRESENTATION_CUP_LENGTHS", {})
-    monkeypatch.setattr(bounds, "_TABLE_CUP_LENGTHS", {})
+    """Empty cup-length memo; returns the list of kernel runs made, each
+    as its arguments (the searched ring's dims and generator rows)."""
+    monkeypatch.setattr(bounds, "_CUP_LENGTHS", {})
     runs = []
     kernel = bounds._ideal_power_search
 
@@ -346,16 +346,29 @@ def test_tables_are_memoized_by_identity(kernel_runs, monkeypatch):
 
 
 def test_invariants_skips_expansion_above_the_limit(kernel_runs, monkeypatch, capsys):
-    def no_table(*args, **kwargs):
-        raise AssertionError("a multiplication table was built")
+    """T16's 65,536 monomials are above the limit: its cup-length and its
+    duality come from its factors, and nothing of it is compiled."""
+    def not_built(*args, **kwargs):
+        raise AssertionError("a multiplication table or compiled form was built")
 
-    monkeypatch.setattr(MultiplicationTable, "__init__", no_table)
+    monkeypatch.setattr(MultiplicationTable, "__init__", not_built)
+    monkeypatch.setattr(CompiledRing, "__init__", not_built)
     assert main(["invariants", "T16"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "cup-length: 16 (formula)" in out
-    assert "poincare duality: None" in out
+    assert "poincare duality: True" in out
     assert "compiled" not in get("T16").ring.__dict__
     assert kernel_runs == []
+
+
+def test_products_above_the_limit_search_only_their_explicit_factors(kernel_runs, capsys):
+    """S_2xT10 has 6 x 1,024 = 6,144 basis elements, above the limit: its
+    cup-length is the sum over its factors, and the one search is of the
+    explicit factor S_2."""
+    assert main(["cup-length", "S_2xT10"]) == EXIT_OK
+    assert capsys.readouterr().out == "cup-length of S_2xT10: 12\n"
+    assert [dims for dims, _ in kernel_runs] == [surface_table(2).compiled.dims]
+    assert cup_length_check(get("S_2xT10").ring).search is None
 
 
 def test_resolving_records_searches_tables_only(kernel_runs, capsys):

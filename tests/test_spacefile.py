@@ -126,6 +126,7 @@ MALFORMED = [
     ("space X\ndim 2\nbasis 1 0\nbasis a 1\nbasis a 1\n", "duplicate-basis"),
     ("space X\ndim 2\nknown-cat 2 nocitation\n", "syntax"),
     ("space X\ndim 2\nbasis 1 0\nbasis a 1\nproduct a a = ^2\n", "bad-expression"),
+    ("space X\ndim 2\nbasis 1 0\nbasis a 1\nbasis w 2\nproduct a a = w^2\n", "bad-expression"),
     ("dim 2\nspace X\n", "syntax"),
     ("space X\ndim 2\ngenerator a 1\ntruncate a 9\n", "non-manifold"),
     (
@@ -258,6 +259,15 @@ def test_parse_expression_basic():
     assert parse_expression("1") == [{}]
     assert parse_expression("b1^2*b3") == [{"b1": 2, "b3": 1}]
     assert parse_expression("a + b") == [{"a": 1}, {"b": 1}]
+
+
+def test_parse_expression_reads_product_labels_with_powers():
+    # a product table's label keeps its factor's power: SO5's b1^2 beside a1
+    assert parse_expression("b1^2_a1") == [{"b1^2_a1": 1}]
+    assert parse_expression("b1^2_a1^2 + b1^2_a1^3_w") == [{"b1^2_a1": 2}, {"b1^2_a1^3_w": 1}]
+    with pytest.raises(SpaceFileError) as exc:
+        parse_expression("x^2^3")
+    assert exc.value.kind == "bad-expression"
 
 
 def test_parse_expression_whitespace_insensitive():
