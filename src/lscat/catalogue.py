@@ -60,36 +60,12 @@ class SpaceRecord(Record):
     orientable: bool
     stably_parallelizable: bool
     ring: Ring | None
-    morse: MorseData | None
-    known_cat: tuple[int, str] | None
-    genus: int | None
-    notes: tuple[str, ...]
+    morse: MorseData | None = None
+    known_cat: tuple[int, str] | None = None
+    genus: int | None = None
+    notes: tuple[str, ...] = ()
 
-    def __init__(
-        self,
-        name: str,
-        dimension: int,
-        connectivity: int,
-        orientable: bool,
-        stably_parallelizable: bool,
-        ring: Ring | None,
-        morse: MorseData | None = None,
-        known_cat: tuple[int, str] | None = None,
-        genus: int | None = None,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        self.__dict__.update(
-            name=name,
-            dimension=dimension,
-            connectivity=connectivity,
-            orientable=orientable,
-            stably_parallelizable=stably_parallelizable,
-            ring=ring,
-            morse=morse,
-            known_cat=known_cat,
-            genus=genus,
-            notes=notes,
-        )
+    def validate(self) -> None:
         if self.ring is not None and self.ring.top_degree != self.dimension:
             raise ValueError(
                 f"{self.name}: ring top degree {self.ring.top_degree} "
@@ -135,8 +111,7 @@ def _connectivity_problem(ring: Ring | None, connectivity: int) -> str | None:
     if ring is None or connectivity < 1:
         return None
     # the lowest positive degree of a tensor product is its factors' lowest
-    factors = (ring.compiled,) if ring.factors is None else ring.factors
-    low = min((d for f in factors for d in f.dims if d), default=None)
+    low = min((d for f in ring.tensor_factors for d in f.dims if d), default=None)
     if low is None or low > connectivity:
         return None
     return (

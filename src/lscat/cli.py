@@ -14,7 +14,7 @@ import sys
 from types import SimpleNamespace
 
 from . import catalogue
-from .bounds import cup_length_check, poincare_duality, so_n_presentation
+from .bounds import ENUMERATION_LIMIT, cup_length_check, poincare_duality, so_n_presentation
 from .catalogue import SpaceRecord, UnknownSpaceError
 from .homs import (
     CERTIFIED,
@@ -401,6 +401,11 @@ def cmd_invariants(args) -> int:
         text.append("no ring data stored; ring invariants not applicable")
     else:
         ring = record.ring
+        size = ring.top_degree + 1  # the Poincare polynomial's terms, one per degree
+        if size > ENUMERATION_LIMIT:
+            raise SpaceFileError(
+                f"{record.name}: the Poincare polynomial would have {size} terms, "
+                f"above the limit of {ENUMERATION_LIMIT}", kind="too-large")
         poly = ring.poincare_polynomial()
         cl = cup_length_check(ring).to_dict()
         duality = poincare_duality(ring)

@@ -52,22 +52,7 @@ class CriterionVerdict(Record):
     criterion_id: str
     status: str
     reason: str
-    citations: tuple[str, ...]
-
-    def __init__(
-        self, criterion_id: str, status: str, reason: str, citations: tuple[str, ...] = ()
-    ) -> None:
-        self.__dict__.update(
-            criterion_id=criterion_id, status=status, reason=reason, citations=citations
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "criterion_id": self.criterion_id,
-            "status": self.status,
-            "reason": self.reason,
-            "citations": list(self.citations),
-        }
+    citations: tuple[str, ...] = ()
 
 
 class RingHomSpec(Record):
@@ -81,14 +66,9 @@ class RingHomSpec(Record):
     source: Ring
     target: Ring
     images: Mapping[str, Element]
-    asserted_degree: int
+    asserted_degree: int = 1
 
-    def __init__(
-        self, source: Ring, target: Ring, images: Mapping[str, Element], asserted_degree: int = 1
-    ) -> None:
-        self.__dict__.update(
-            source=source, target=target, images=images, asserted_degree=asserted_degree
-        )
+    def validate(self) -> None:
         if self.asserted_degree not in (1, -1):
             raise ValueError("asserted degree must be +1 or -1")
 
@@ -102,9 +82,6 @@ class ValidatedHom(Record):
 
     spec: RingHomSpec
     matrices: tuple[tuple[int, ...], ...]
-
-    def __init__(self, spec: RingHomSpec, matrices: tuple[tuple[int, ...], ...]) -> None:
-        self.__dict__.update(spec=spec, matrices=matrices)
 
 
 def validate_hom(spec: RingHomSpec) -> ValidatedHom:
@@ -383,9 +360,6 @@ class StabilizationCheck(Record):
     lhs: int  # 2k - 4
     rhs: int  # k + n
 
-    def __init__(self, k: int, lhs: int, rhs: int) -> None:
-        self.__dict__.update(k=k, lhs=lhs, rhs=rhs)
-
     @property
     def holds(self) -> bool:
         return self.lhs >= self.rhs
@@ -535,39 +509,8 @@ class Report(Record):
     verdicts: tuple[CriterionVerdict, ...]
     overall: str
     notes: tuple[str, ...]
-    domain_ledger: BoundLedger | None
-    range_ledger: BoundLedger | None
-
-    def __init__(
-        self,
-        domain: str,
-        range: str,
-        verdicts: tuple[CriterionVerdict, ...],
-        overall: str,
-        notes: tuple[str, ...],
-        domain_ledger: BoundLedger | None = None,
-        range_ledger: BoundLedger | None = None,
-    ) -> None:
-        self.__dict__.update(
-            domain=domain,
-            range=range,
-            verdicts=verdicts,
-            overall=overall,
-            notes=notes,
-            domain_ledger=domain_ledger,
-            range_ledger=range_ledger,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "range": self.range,
-            "overall": self.overall,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "notes": list(self.notes),
-            "domain_ledger": self.domain_ledger.to_dict() if self.domain_ledger else None,
-            "range_ledger": self.range_ledger.to_dict() if self.range_ledger else None,
-        }
+    domain_ledger: BoundLedger | None = None
+    range_ledger: BoundLedger | None = None
 
 
 def full_report(

@@ -47,8 +47,7 @@ class GeneratorSpec(Record):
     name: str
     degree: int
 
-    def __init__(self, name: str, degree: int) -> None:
-        self.__dict__.update(name=name, degree=degree)
+    def validate(self) -> None:
         if self.degree < 1:
             raise ValueError(f"generator {self.name!r} must have degree >= 1")
 
@@ -61,10 +60,7 @@ class Element(Record):
     addition is symmetric difference of term sets.
     """
 
-    terms: frozenset
-
-    def __init__(self, terms: frozenset = frozenset()) -> None:
-        self.__dict__.update(terms=terms)
+    terms: frozenset = frozenset()
 
     @classmethod
     def of(cls, *terms: Term) -> "Element":
@@ -86,10 +82,16 @@ class _Ring:
         """The integer form, built on first use."""
         return CompiledRing(self)
 
+    @property
+    def tensor_factors(self) -> tuple:
+        """The factors the ring is the tensor product of; an explicit table
+        is its own single factor, its compiled form."""
+        return (self.compiled,) if self.factors is None else self.factors
+
     def poincare_polynomial(self) -> list[int]:
         """Basis counts per degree, 0..top_degree: the factors' series multiplied."""
         poly = [1]
-        for f in (self.compiled,) if self.factors is None else self.factors:
+        for f in self.tensor_factors:
             poly = _convolve(poly, f.dims)
         poly = poly[: self.top_degree + 1]
         return poly + [0] * (self.top_degree + 1 - len(poly))
@@ -127,10 +129,7 @@ class TruncatedPresentation(_Ring, Record):
     truncations: tuple[int, ...]
     top_degree: int
 
-    def __init__(
-        self, generators: tuple[GeneratorSpec, ...], truncations: tuple[int, ...], top_degree: int
-    ) -> None:
-        self.__dict__.update(generators=generators, truncations=truncations, top_degree=top_degree)
+    def validate(self) -> None:
         if len(self.generators) != len(self.truncations):
             raise ValueError("one truncation exponent per generator required")
         names = [g.name for g in self.generators]
@@ -145,7 +144,7 @@ class TruncatedPresentation(_Ring, Record):
             warnings.warn(
                 f"presentation has monomials of degree {self.max_monomial_degree} "
                 f"above top_degree {self.top_degree}; not a closed-manifold ring",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     # -- structure -----------------------------------------------------
@@ -489,6 +488,7 @@ class MultiplicationTable(_Ring):
         self._set_basis(basis, top_degree)
         self.factors: tuple | None = None
         self._load_products(products)
+        self._codes = self.compiled._at  # codes over tensor_factors: its own positions
         self._validate_full()
 
     @classmethod
@@ -596,12 +596,6 @@ class MultiplicationTable(_Ring):
                 out[order[p], order[q]] = sum(1 << w - start for w in c.product(p, q))
         return out
 
-    def _as_factors(self) -> tuple[tuple, list[int]]:
-        """This table's factors and basis codes; an explicit table is its own factor."""
-        if self.factors is not None:
-            return self.factors, self._codes
-        return (self.compiled,), self.compiled._at
-
     def __eq__(self, other: object) -> bool:
         """Structural equality: same basis, top degree, and all products;
         factored tables with equal codes and factor rings need no products."""
@@ -701,8 +695,6 @@ def _tensor_presentations(
 
 
 def _tensor_tables(a: MultiplicationTable, b: MultiplicationTable) -> MultiplicationTable:
-    factors_a, codes_a = a._as_factors()
-    factors_b, codes_b = b._as_factors()
     used: set[str] = set()
     basis: list[tuple[str, int]] = []
     for la, da in a.basis:
@@ -722,9 +714,9 @@ def _tensor_tables(a: MultiplicationTable, b: MultiplicationTable) -> Multiplica
                 name = f"{name}__{k}"
             used.add(name)
             basis.append((name, da + db))
-    codes = [x * b.size + y for x in codes_a for y in codes_b]
+    codes = [x * b.size + y for x in a._codes for y in b._codes]
     return MultiplicationTable._from_factors(
-        basis, a.top_degree + b.top_degree, factors_a + factors_b, codes
+        basis, a.top_degree + b.top_degree, a.tensor_factors + b.tensor_factors, codes
     )
 
 

@@ -49,7 +49,8 @@ class SpaceFileError(ValueError):
     duplicate-generator, bad-exponent, unknown-generator,
     missing-truncation, mixed-ring-kinds, duplicate-basis,
     unknown-label, bad-expression, bad-degree, inconsistent-known-cat,
-    inconsistent-connectivity, missing-field, no-ring-data, non-manifold.
+    inconsistent-connectivity, missing-field, no-ring-data, non-manifold,
+    too-large (a request would enumerate more than ``bounds.ENUMERATION_LIMIT`` terms).
     """
 
     def __init__(self, message: str, line: int | None = None, kind: str = "syntax"):
@@ -409,11 +410,6 @@ class MapFileSpec(Record):
     range: str
     degree: int
     sends: tuple[tuple[str, str], ...]  # (generator, expression text)
-
-    def __init__(
-        self, name: str, domain: str, range: str, degree: int, sends: tuple[tuple[str, str], ...]
-    ) -> None:
-        self.__dict__.update(name=name, domain=domain, range=range, degree=degree, sends=sends)
 
 
 def parse_map(text: str) -> MapFileSpec:

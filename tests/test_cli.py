@@ -6,11 +6,13 @@ import contextlib
 import io
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lscat.bounds import ENUMERATION_LIMIT
 from lscat.catalogue import get
 from lscat.cli import (
     COMMANDS,
@@ -424,6 +426,26 @@ def test_connectivity_beside_a_huge_dim(tmp_path, capsys):
     space.write_text(space.read_text().replace("truncate y 1", "truncate y 2"))
     code, out, err = run(capsys, "show", str(space))
     assert code == EXIT_PARSE and "[inconsistent-connectivity]" in err
+
+
+def test_invariants_stop_at_the_enumeration_limit(tmp_path, capsys):
+    # the file of test_connectivity_beside_a_huge_dim: the Poincare polynomial
+    # would list every degree up to dim
+    n = 10**20
+    space = tmp_path / "x.space"
+    space.write_text(f"space X\ndim {n}\nconnectivity 1\ngenerator x {n}\ntruncate x 2\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariants", str(space))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == (f"lscat: X: the Poincare polynomial would have {n + 1} terms, above the "
+                   f"limit of {ENUMERATION_LIMIT} [too-large]\n")
+    # the largest dim within the limit still lists every degree
+    n = ENUMERATION_LIMIT - 1
+    space.write_text(f"space Y\ndim {n}\ngenerator y {n}\ntruncate y 2\n")
+    code, out, _ = run(capsys, "--json", "invariants", str(space))
+    poly = json.loads(out)["poincare_polynomial"]
+    assert code == EXIT_OK and len(poly) == ENUMERATION_LIMIT and poly[0] == poly[-1] == 1
 
 
 # -- map-file edge messages, byte for byte -------------------------------------------

@@ -200,27 +200,29 @@ def _verdict() -> CriterionVerdict:
 
 
 def _with(ledger: BoundLedger, **changes: object) -> list:
-    fields = dict(zip(inspect.signature(BoundLedger).parameters, _args(ledger)))
+    fields = dict(zip(BoundLedger._fields, _args(ledger)))
     fields.update(changes)
     return list(fields.values())
 
 
 def _args(record) -> list:
-    return [getattr(record, name) for name in inspect.signature(type(record)).parameters]
+    return [getattr(record, name) for name in type(record)._fields]
 
 
 MODULES = ("gf2", "rings", "bounds", "catalogue", "homs", "spacefile", "cli")
 
-# (class, valid constructor arguments, [(bad arguments, error, message)]); the
-# arguments are built afresh on every call, so equal records are not identical
+# (class, valid constructor arguments, [(bad arguments, error, message)], the
+# trailing fields' defaults); the arguments are built afresh on every call, so
+# equal records are not identical
 RECORDS = [
     (
         GeneratorSpec,
         lambda: ["a", 2],
         [(["a", 0], ValueError, "generator 'a' must have degree >= 1")],
+        {},
     ),
-    (Element, lambda: [frozenset({(1, 0)})], []),
-    (_Monogenic, lambda: [2, 3], []),
+    (Element, lambda: [frozenset({(1, 0)})], [], {"terms": frozenset()}),
+    (_Monogenic, lambda: [2, 3], [], {}),
     (
         TruncatedPresentation,
         lambda: [(GeneratorSpec("a", 1), GeneratorSpec("b", 1)), (2, 2), 2],
@@ -235,6 +237,7 @@ RECORDS = [
             ([(), (), -1], ValueError, "top_degree must be nonnegative"),
             ([(GeneratorSpec("a", 1),), (3,), 1], UserWarning, "above top_degree 1"),
         ],
+        {},
     ),
     (
         MorseData,
@@ -244,9 +247,10 @@ RECORDS = [
             ([(1, 1), (0, 0, 0), False, 2], ValueError, "length dimension\\+1 = 3"),
             ([(1, -2, 1), (0, 0, 0), False, 2], ValueError, "ranks must be nonnegative"),
         ],
+        {},
     ),
-    (CupLength, lambda: [2, 2, 2, True], []),
-    (Interval, lambda: [1, 2, "cl", "dim"], []),
+    (CupLength, lambda: [2, 2, 2, True], [], {}),
+    (Interval, lambda: [1, 2, "cl", "dim"], [], {"lower_provenance": "", "upper_provenance": ""}),
     (
         BoundLedger,
         lambda: _args(_ledger()),
@@ -264,6 +268,7 @@ RECORDS = [
                 "crit_star.lower must be >= crit.lower",
             ),
         ],
+        {"betti_total": None},
     ),
     (
         SpaceRecord,
@@ -273,28 +278,36 @@ RECORDS = [
             (["T2", 2, 0, True, True, _t2(), None, (3, "")], ValueError, "outside \\[0, dim\\]"),
             (["T2", 2, 0, True, True, _t2(), None, (1, "")], ValueError, "below the cup-length"),
         ],
+        {"morse": None, "known_cat": None, "genus": None, "notes": ()},
     ),
-    (CriterionVerdict, lambda: ["low_dim", "certified", "dim <= 3", ("cite",)], []),
+    (
+        CriterionVerdict,
+        lambda: ["low_dim", "certified", "dim <= 3", ("cite",)],
+        [],
+        {"citations": ()},
+    ),
     (
         RingHomSpec,
         lambda: [_t2(), _t2(), {"a": Element.of((1, 0)), "b": Element.of((0, 1))}, -1],
         [([_t2(), _t2(), {}, 2], ValueError, "asserted degree must be \\+1 or -1")],
+        {"asserted_degree": 1},
     ),
-    (ValidatedHom, lambda: [_spec(), ((1,),)], []),
-    (StabilizationCheck, lambda: [5, 6, 6], []),
+    (ValidatedHom, lambda: [_spec(), ((1,),)], [], {}),
+    (StabilizationCheck, lambda: [5, 6, 6], [], {}),
     (
         Report,
         lambda: ["T2", "T2", (_verdict(),), "certified", ("note",), _ledger(), _ledger()],
         [],
+        {"domain_ledger": None, "range_ledger": None},
     ),
-    (MapFileSpec, lambda: ["f", "T2", "T2", 1, (("a", "a + b"),)], []),
+    (MapFileSpec, lambda: ["f", "T2", "T2", 1, (("a", "a + b"),)], [], {}),
 ]
 
 
 def test_every_record_is_covered():
     from lscat._record import Record
 
-    covered = {cls for cls, _, _ in RECORDS}
+    covered = {cls for cls, *_ in RECORDS}
     assert len(covered) == len(RECORDS) == 15
     defined = {
         obj
@@ -305,10 +318,12 @@ def test_every_record_is_covered():
     assert defined == covered
 
 
-@pytest.mark.parametrize("cls, make, checks", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
-def test_record_contract(cls, make, checks):
+@pytest.mark.parametrize(
+    "cls, make, checks, defaults", RECORDS, ids=[c.__name__ for c, *_ in RECORDS]
+)
+def test_record_contract(cls, make, checks, defaults):
     a, b = cls(*make()), cls(*make())
-    names = list(inspect.signature(cls).parameters)
+    names = list(cls._fields)
     assert a == b and not (a != b)
     assert cls(**dict(zip(names, make()))) == a
     assert a != tuple(make())
@@ -331,8 +346,21 @@ def test_record_contract(cls, make, checks):
         if error is None:
             cls(*args)
         elif issubclass(error, Warning):
-            with pytest.warns(error, match=message):
+            with pytest.warns(error, match=message) as warned:
                 cls(*args)
+            assert warned[0].filename == __file__  # the warning points at the caller
         else:
             with pytest.raises(error, match=message):
                 cls(*args)
+    # the constructor binds arguments as a function signature would
+    required = len(names) - len(defaults)
+    assert names[required:] == list(defaults)
+    for args, kwargs, message in [
+        (make() + [None], {}, "arguments but"),
+        (make(), {"nonesuch": None}, "unexpected keyword argument 'nonesuch'"),
+        (make(), {names[0]: make()[0]}, f"multiple values for argument '{names[0]}'"),
+    ] + ([(make()[: required - 1], {}, "missing")] if required else []):
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **kwargs)
+    short = cls(*make()[:required])
+    assert {name: getattr(short, name) for name in defaults} == defaults
