@@ -14,8 +14,8 @@ import warnings
 from functools import lru_cache, reduce
 
 from ._record import Record
-from .bounds import BoundLedger, MorseData, cat_bounds, cup_length, cup_length_formula
-from .bounds import so_n_presentation
+from .bounds import ENUMERATION_LIMIT, BoundLedger, MorseData, cat_bounds, cup_length
+from .bounds import cup_length_formula, so_n_presentation
 from .rings import (
     GeneratorSpec,
     MultiplicationTable,
@@ -251,14 +251,14 @@ def _atomic(name: str) -> SpaceRecord:
         return _point()
     if name == "G2":
         return _g2()
-    if name.startswith("SO") and name[2:].isdigit():
-        return _special_orthogonal(int(name[2:]))
-    if name.startswith("S_") and name[2:].isdigit():
-        return _surface(int(name[2:]))
-    if name.startswith("T") and name[1:].isdigit():
-        return _torus(int(name[1:]))
-    if name.startswith("S") and name[1:].isdigit():
-        return _sphere(int(name[1:]))
+    for prefix, family in (("SO", _special_orthogonal), ("S_", _surface), ("T", _torus),
+                           ("S", _sphere)):
+        if name.startswith(prefix) and name[len(prefix) :].isdecimal():
+            if (n := int(name[len(prefix) :])) > ENUMERATION_LIMIT:  # n terms and more
+                from .spacefile import SpaceFileError  # which imports this module
+                raise SpaceFileError(f"{name}: family parameter {n} is above the limit of "
+                                     f"{ENUMERATION_LIMIT}", kind="too-large")
+            return family(n)
     raise UnknownSpaceError(f"unknown space name {name!r}")
 
 

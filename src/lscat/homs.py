@@ -14,6 +14,9 @@ category-transferring criteria means cat(domain) >= cat(range) holds.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from collections.abc import Mapping
 
 from ._record import Record
@@ -89,24 +92,30 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
 
     The images are read by the target's ``compiled.vector`` and checked
     (known keys, an image per generator, homogeneous of its degree, unit
-    -> unit), then as bitmasks on the rings' compiled forms: a presentation
-    source's relations by square-and-multiply and each monomial's image as
-    one product, a table source's F(x)F(y) = F(xy) on every basis pair.
-    Returns the per-degree matrices read off the images; raises
-    :class:`HomValidationError` listing every problem found."""
+    -> unit, a presentation's relations by square-and-multiply).  Then one
+    loop over the source's tensor factors (an explicit table is its own)
+    checks (a) F(x)F(y) = F(xy) on each factor's positive basis pairs with
+    x given and (b) each basis tensor's image as its rest's times its last
+    factor part's: with a commutative target, F is then a homomorphism.
+    An image not given (a presentation's monomial) is that product, a
+    given one is compared with it.  Returns the per-degree matrices;
+    raises :class:`HomValidationError` listing every problem of the read
+    stage, or else every failing pair of (a) and (b)."""
     problems: list[str] = []
-    source, target = spec.source, spec.target
-    # presentations take images of their generators, tables of every basis
-    # element but the unit, which must map to the unit
+    source, target, src = spec.source, spec.target, spec.source.compiled
+    # presentations take images of their generators, at x in their factor (None
+    # if x = 0); tables of every basis element but the unit, which must map to 1
     if isinstance(source, TruncatedPresentation):
-        generators = [(g.name, g.degree) for g in source.generators]
+        generators = [(g.name, g.degree, src._at[s] if q > 1 else None, q)
+                      for g, q, s in zip(source.generators, source.truncations, src.strides)]
         unknown, noun, known = "generator", "generator", set()
     elif isinstance(source, MultiplicationTable):
-        generators = [(l, d) for l, d in source.basis if l != source.unit_label]
+        position = src.lookups()[1]
+        generators = [(l, d, position[l], None) for l, d in source.basis if l != source.unit_label]
         unknown, noun, known = "basis label", "basis element", {source.unit_label}
     else:
         raise TypeError(f"unsupported source ring {type(source).__name__}")
-    known.update(name for name, _ in generators)
+    known.update(g[0] for g in generators)
     for key in spec.images:
         if key not in known:
             problems.append(f"unknown {unknown} {key!r}")
@@ -115,8 +124,8 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
         unit = basis.element({0: 1})
         if spec.images.get(source.unit_label, unit) != unit:
             problems.append("unit must map to unit")
-    vectors: dict[str, int] = {}  # generator -> image, over the target basis
-    for i, (name, degree) in enumerate(generators):
+    images = {0: 1}  # per source position
+    for name, degree, p, q in generators:
         img, deg, x = spec.images.get(name), None, 0
         if img is None:
             problems.append(f"no image given for {noun} {name!r}")
@@ -133,47 +142,38 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
                 f"degree mismatch: {name!r} has degree {degree}, its image has degree {deg}"
             )
             continue
-        vectors[name] = x
-        if isinstance(source, TruncatedPresentation):
-            p = source.truncations[i]
-            if basis.power(x, degree, p):
-                problems.append(
-                    f"relation {name}^{p} = 0 is not preserved: image power is nonzero"
-                )
+        images[p] = x
+        if q and basis.power(x, degree, q):
+            problems.append(f"relation {name}^{q} = 0 is not preserved: image power is nonzero")
     if problems:
         raise HomValidationError(problems)
 
-    if isinstance(source, TruncatedPresentation):
-        degrees = source.monomial_degrees
-        images = [1] + [0] * (len(degrees) - 1)  # per monomial number
-        stride = len(degrees)
-        for g, q, x in zip(source.generators, source.truncations, vectors.values()):
-            stride //= q
-            # c = (c - stride) * g when g has the last nonzero exponent of c
-            for c in range(stride, len(degrees), stride):
-                if c // stride % q:
-                    images[c] = basis.times(images[c - stride], degrees[c] - g.degree, x, g.degree)
-    else:
-        src = source.compiled  # images per position; the unit's is 1
-        terms, position = src.lookups()
-        at = [position[l] for l, _ in source.basis]  # basis index -> position
-        degrees, images = src.degrees, [vectors.get(l, 1) for l in terms]
-        for i, p in enumerate(at):
-            for j in range(i, source.size):
-                q, lhs = at[j], 0
-                for w in src.product(p, q):
-                    lhs ^= images[w]
-                if lhs != basis.times(images[p], degrees[p], images[q], degrees[q]):
-                    problems.append(
-                        f"multiplicativity fails on ({source.basis[i][0]}, {source.basis[j][0]}): "
-                        f"image of product differs from product of images"
-                    )
-    if problems:
-        raise HomValidationError(problems)
+    degrees, at, order, n = src.degrees, src._at, src._order, len(src.degrees)
+    failed, given = [], set(images)  # failing position pairs; given images
+    for f, s in zip(source.tensor_factors, src.strides):
+        size = len(f.degrees)
+        # (a) the factor's pairs with a given first image (the rest hold by
+        # associativity); (b) codes c = (c - e*s)(e*s), e the last nonzero digit
+        pairs = ((at[p * s], at[q * s], [at[w * s] for w in f.product(p, q)])
+                 for p in range(1, size) if at[p * s] in given for q in range(p, size))
+        tensors = ((at[c - c // s % size * s], at[c // s % size * s], [at[c]])
+                   for c in range(s * size, n, s) if c // s % size)
+        for a, b, terms in itertools.chain(pairs, tensors):
+            product = basis.times(images[a], degrees[a], images[b], degrees[b])
+            if len(terms) == 1 and terms[0] not in images:
+                images[terms[0]] = product
+            elif product != functools.reduce(operator.xor, (images[w] for w in terms), 0):
+                failed.append(sorted((a, b), key=order.__getitem__))
+    if failed:
+        labels = src.lookups()[0]
+        raise HomValidationError([
+            f"multiplicativity fails on ({labels[a]}, {labels[b]}): image of product "
+            "differs from product of images"
+            for a, b in sorted(failed, key=lambda pair: [order[p] for p in pair])])
     matrices: list[list[int]] = [[] for _ in range(source.top_degree + 1)]
-    for x, d in zip(images, degrees):
+    for p, d in enumerate(degrees):
         if d <= source.top_degree:
-            matrices[d].append(x)
+            matrices[d].append(images[p])
     return ValidatedHom(spec, tuple(map(tuple, matrices)))
 
 

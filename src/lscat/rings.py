@@ -253,8 +253,8 @@ class CompiledRing:
     * ``degrees[p]``, ``first[d]``, ``dims[d]`` -- the degree of position
       p, the first position of degree d and its dimension (missing
       degrees are zero);
-    * ``factors``, ``strides``, ``codes`` -- the factors (None for an
-      explicit table), their code strides, and each position's code;
+    * ``factors``, ``strides``, ``codes`` -- the factors (None for an explicit
+      table), and the strides and each position's code over ``tensor_factors``;
     * ``vector(e)``, ``element(v)`` -- the one label edge: an
       :class:`Element` as ``{degree: bitmask}``, and back;
     * ``lookups()`` -- ``(terms, position)``: the element term (exponent
@@ -288,10 +288,10 @@ class CompiledRing:
         self.top = self.degrees[-1] if presentation else ring.top_degree
         self.first = {d: bisect.bisect_left(self.degrees, d) for d in dict.fromkeys(self.degrees)}
         self.dims = {d: bisect.bisect_right(self.degrees, d) - p for d, p in self.first.items()}
-        sizes = [len(f.degrees) for f in self.factors or ()]
+        sizes = [len(f.degrees) for f in self.factors or (self,)]
         self.strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
-        self.codes = self._order if presentation or self.factors is None else [
-            ring._codes[i] for i in self._order]
+        self.codes = range(len(degrees)) if self.factors is None else (  # its own factor
+            self._order if presentation else [ring._codes[i] for i in self._order])
         self._at = sorted(range(len(self.codes)), key=self.codes.__getitem__)  # code -> position
         self._lookups = self._search = None  # built on first use
 
@@ -387,7 +387,7 @@ def _compile_explicit(c: CompiledRing) -> tuple:
     # read off the stored products it takes part in (the unit row gives
     # degree 0)
     t, degrees, first, dims = c.ring, c.degrees, c.first, c.dims
-    rows: dict[int, dict[int, list[int]]] = {c._at[i]: {} for i, (_, d) in enumerate(t.basis) if d}
+    rows: dict[int, dict[int, list[int]]] = {t._codes[i]: {} for i, (_, d) in enumerate(t.basis) if d}
     for (i, j), mask in t._store.items():
         for x, g in ((i, j), (j, i)):
             if g in rows:
@@ -488,7 +488,7 @@ class MultiplicationTable(_Ring):
         self._set_basis(basis, top_degree)
         self.factors: tuple | None = None
         self._load_products(products)
-        self._codes = self.compiled._at  # codes over tensor_factors: its own positions
+        self._codes = sorted(range(self.size), key=self.compiled._order.__getitem__)  # positions
         self._validate_full()
 
     @classmethod

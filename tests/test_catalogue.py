@@ -78,6 +78,9 @@ def test_unknown_name():
         get("T0")
     with pytest.raises(UnknownSpaceError):
         get("SO1")
+    # a digit that int() does not read is not a family parameter
+    with pytest.raises(UnknownSpaceError):
+        get("S\u00b2")
 
 
 def test_records_are_cached():

@@ -5,13 +5,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lscat
 from lscat.bounds import ENUMERATION_LIMIT
 from lscat.catalogue import get
 from lscat.cli import (
@@ -426,6 +431,21 @@ def test_connectivity_beside_a_huge_dim(tmp_path, capsys):
     space.write_text(space.read_text().replace("truncate y 1", "truncate y 2"))
     code, out, err = run(capsys, "show", str(space))
     assert code == EXIT_PARSE and "[inconsistent-connectivity]" in err
+
+
+@pytest.mark.parametrize("name", [f"{family}{10**20}" for family in ("S", "T", "SO", "S_")]
+                         + [f"S2xT{10**20}"])
+def test_huge_catalogue_parameters_stop_at_the_enumeration_limit(name):
+    # a process with a timeout, so that a family that builds first fails
+    # instead of hanging the suite
+    src = str(Path(lscat.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "lscat.cli", "invariants", name],
+                          env=dict(os.environ, PYTHONPATH=src), stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=30)
+    part = name.split("x")[-1]
+    assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
+    assert proc.stderr == (f"lscat: {part}: family parameter {10**20} is above the limit of "
+                           f"{ENUMERATION_LIMIT} [too-large]\n")
 
 
 def test_invariants_stop_at_the_enumeration_limit(tmp_path, capsys):

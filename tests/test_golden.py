@@ -33,10 +33,11 @@ def _map(name: str, domain: str, range_: str, sends: dict[str, str]) -> str:
     return "\n".join(lines + [f"send {k} -> {v}" for k, v in sends.items()]) + "\n"
 
 
-def _identity(space: str) -> str:
+def _identity(space: str, name: str = "identity", **changed: str) -> str:
+    """The identity map of a table space, but for the ``changed`` images."""
     ring = get(space).ring
     labels = [l for l, _ in ring.basis if l != ring.unit_label]
-    return _map("identity", space, space, {l: l for l in labels})
+    return _map(name, space, space, {l: changed.get(l, l) for l in labels})
 
 
 SURFACE = ["a1", "a2", "b1", "b2", "w"]
@@ -72,6 +73,8 @@ REQUESTS = {
     "check-map-S_2-zero": ["check-map", "s2-zero.map"],
     "check-map-S_2-invalid": ["check-map", "s2-invalid.map"],
     "check-map-S_2xT2-identity": ["check-map", "s2xt2-identity.map"],
+    # a factored source lists the failing pairs of its factor-wise check
+    "check-map-S_1xT2-multiplicativity": ["check-map", "s1xt2-multiplicativity.map"],
     "degree1-report-S_2-T2-collapse": [
         "degree1-report", "-m", "S_2", "-n", "T2", "--map", "s2-collapse.map"
     ],
@@ -93,7 +96,11 @@ CASES = [
 
 
 def _write_maps(directory: Path) -> None:
-    for name, text in {**MAPS, "s2xt2-identity.map": _identity("S_2xT2")}.items():
+    generated = {
+        "s2xt2-identity.map": _identity("S_2xT2"),
+        "s1xt2-multiplicativity.map": _identity("S_1xT2", "multiplicativity", b1="a1"),
+    }
+    for name, text in {**MAPS, **generated}.items():
         (directory / name).write_text(text)
 
 
