@@ -27,7 +27,7 @@ from .rings import GeneratorSpec, MultiplicationTable, Ring, TruncatedPresentati
 from .rings import _bits, _Monogenic, check_poincare_duality
 
 # rings of at most this many basis elements get the formulas' cross-checks; an
-# explicit table is searched whatever its size, but above it has no duality verdict
+# explicit table, which has no formula, is searched and ranked whatever its size
 CROSS_CHECK_LIMIT = 4096
 
 # the most terms a command may enumerate, now the Poincare polynomial's 0..top_degree:
@@ -231,23 +231,19 @@ def cup_length(ring: Ring) -> int:
     return check.value
 
 
-def poincare_duality(ring: Ring) -> bool | None:
+def poincare_duality(ring: Ring) -> bool:
     """Mod-2 Poincare duality in the ring's top degree by the cross-check
-    policy, None when unknown.  A factored ring has it iff its factors' top
-    degrees sum to its own and each factor has it (its pairing is their
-    Kronecker product; k[x]/(x^q) has it), and within the limit
-    :func:`check_poincare_duality` must agree.  An explicit table has that alone."""
+    policy.  A factored ring has it iff its factors' top degrees sum to its
+    own and each factor has it (its pairing is their Kronecker product;
+    k[x]/(x^q) has it), and within the limit :func:`check_poincare_duality`
+    must agree.  An explicit table has that alone, whatever its size."""
     if ring.factors is None:
-        return check_poincare_duality(ring) if _cross_checked(ring) else None
-    verdicts = {poincare_duality(f.ring) for f in ring.factors if not isinstance(f, _Monogenic)}
-    verdicts.add(sum(f.top for f in ring.factors) == ring.top_degree)
-    formula = False if False in verdicts else None if None in verdicts else True
-    if not _cross_checked(ring):
-        return formula
-    check = check_poincare_duality(ring)
-    if check != formula:
+        return check_poincare_duality(ring)
+    formula = sum(f.top for f in ring.factors) == ring.top_degree and all(
+        poincare_duality(f.ring) for f in ring.factors if not isinstance(f, _Monogenic))
+    if _cross_checked(ring) and (check := check_poincare_duality(ring)) != formula:
         raise RuntimeError(f"duality cross-check failed: factors {formula}, pairing {check}")
-    return check
+    return formula
 
 
 class LedgerError(ValueError):

@@ -10,7 +10,6 @@ parameter; products are available on demand through names such as
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache, reduce
 
 from ._record import Record
@@ -274,10 +273,7 @@ def _product_record(name: str, parts: list[str]) -> SpaceRecord:
     # x3 before x2 and x2_x3, where S2xS3 as one presentation gives x2, x3, x2*x3
     if not all(isinstance(r, TruncatedPresentation) for r in rings):
         rings = [r if isinstance(r, MultiplicationTable) else expand_to_table(r) for r in rings]
-    with warnings.catch_warnings():
-        # generator renames inside catalogue products are routine
-        warnings.simplefilter("ignore")
-        ring = reduce(tensor_product, rings)
+    ring = reduce(tensor_product, rings)
     dimension = sum(rec.dimension for rec in records)
     morse = None
     if all(rec.morse is not None for rec in records) and all(

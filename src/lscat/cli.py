@@ -22,6 +22,7 @@ from .homs import (
     VIOLATED,
     DimensionMismatch,
     HomValidationError,
+    _same_ring,
     full_report,
     injectivity_outcome,
     thm_main_check,
@@ -333,6 +334,17 @@ def _resolve_space(token: str, loaded: dict[str, SpaceRecord]) -> SpaceRecord:
     return catalogue.get(token) if text is None else parse_space(text)
 
 
+def _load_map(path: str, loaded: dict[str, SpaceRecord]) -> tuple:
+    """A map file's spec, its domain and range records, and its induced
+    homomorphism; a space it names that resolves nowhere is a file error."""
+    spec = parse_map(_read_file(path))
+    try:
+        domain, range_ = _resolve_space(spec.domain, loaded), _resolve_space(spec.range, loaded)
+    except UnknownSpaceError as exc:
+        raise SpaceFileError(str(exc), kind="unknown-space") from exc
+    return spec, domain, range_, resolve_map(spec, domain, range_)
+
+
 def _emit(args, payload: dict, text: list[str]) -> None:
     if args.json:
         import json  # only --json output needs it; keeps it out of start-up
@@ -456,14 +468,7 @@ def cmd_cup_length(args) -> int:
 
 
 def cmd_check_map(args) -> int:
-    loaded = _load_extra_spaces(args.space)
-    spec = parse_map(_read_file(args.mapfile))
-    try:
-        domain = _resolve_space(spec.domain, loaded)
-        range_ = _resolve_space(spec.range, loaded)
-    except UnknownSpaceError as exc:
-        raise SpaceFileError(str(exc), kind="unknown-space") from exc
-    hom = resolve_map(spec, domain, range_)
+    spec, domain, range_, hom = _load_map(args.mapfile, _load_extra_spaces(args.space))
     per_degree, top_ok, top_note, violated = injectivity_outcome(validate_hom(hom))
     payload = {
         "map": spec.name,
@@ -501,15 +506,16 @@ def cmd_degree1_report(args) -> int:
     n_record = _resolve_space(args.range, loaded)
     hom = None
     if args.mapfile:
-        spec = parse_map(_read_file(args.mapfile))
-        map_domain = _resolve_space(spec.domain, loaded)
-        map_range = _resolve_space(spec.range, loaded)
+        _, map_domain, map_range, hom = _load_map(args.mapfile, loaded)
         if (map_domain.name, map_range.name) != (m_record.name, n_record.name):
             raise _UsageError(
                 f"map file connects {map_domain.name} -> {map_range.name}, "
                 f"not {m_record.name} -> {n_record.name}"
             )
-        hom = resolve_map(spec, map_domain, map_range)
+        for role, mine, given in (("domain", map_domain, m_record), ("range", map_range, n_record)):
+            if not _same_ring(mine.ring, given.ring):
+                raise _UsageError(f"map file's {role} {mine.name} has a different ring "
+                                  f"from the given {role}")
     report = full_report(m_record, n_record, hom=hom)
     payload = report.to_dict()
     text = [

@@ -31,7 +31,6 @@ import bisect
 import itertools
 import math
 import operator
-import warnings
 from collections.abc import Mapping, Sequence
 from functools import cache, cached_property, reduce
 
@@ -119,10 +118,9 @@ class TruncatedPresentation(_Ring, Record):
     ``truncations[i] == p_i`` means ``generators[i]**p_i == 0``; a
     truncation of 1 makes the generator itself zero.  ``top_degree`` is
     the formal dimension of the space the ring models; multiplication
-    never truncates at ``top_degree`` (only the power relations act),
-    but construction warns when some normal-form monomial exceeds it,
-    since then the ring cannot be the cohomology of a closed manifold
-    of that dimension.
+    never truncates at ``top_degree`` (only the power relations act), so
+    construction refuses a normal-form monomial above it: the ring of a
+    closed manifold of that dimension has none.
     """
 
     generators: tuple[GeneratorSpec, ...]
@@ -141,11 +139,8 @@ class TruncatedPresentation(_Ring, Record):
         if self.top_degree < 0:
             raise ValueError("top_degree must be nonnegative")
         if self.max_monomial_degree > self.top_degree:
-            warnings.warn(
-                f"presentation has monomials of degree {self.max_monomial_degree} "
-                f"above top_degree {self.top_degree}; not a closed-manifold ring",
-                stacklevel=3,
-            )
+            raise ValueError(f"presentation has monomials of degree {self.max_monomial_degree} "
+                             f"above top_degree {self.top_degree}; not a closed-manifold ring")
 
     # -- structure -----------------------------------------------------
 
@@ -247,9 +242,8 @@ class CompiledRing:
     the mixed-radix number of its factor positions, the first factor
     most significant (a monomial's is its number).
 
-    * ``top`` -- the degree the pairing pairs into: a presentation's
-      highest monomial degree (its only monomial there, every exponent
-      maximal, is the top class), a table's declared top degree;
+    * ``top`` -- the degree the pairing pairs into, the ring's declared
+      top degree (no basis element lies above it);
     * ``degrees[p]``, ``first[d]``, ``dims[d]`` -- the degree of position
       p, the first position of degree d and its dimension (missing
       degrees are zero);
@@ -285,7 +279,7 @@ class CompiledRing:
         # position -> basis index, or monomial number
         self._order = sorted(range(len(degrees)), key=degrees.__getitem__)
         self.degrees = sorted(degrees)
-        self.top = self.degrees[-1] if presentation else ring.top_degree
+        self.top = ring.top_degree
         self.first = {d: bisect.bisect_left(self.degrees, d) for d in dict.fromkeys(self.degrees)}
         self.dims = {d: bisect.bisect_right(self.degrees, d) - p for d, p in self.first.items()}
         sizes = [len(f.degrees) for f in self.factors or (self,)]
@@ -633,11 +627,7 @@ def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
     """Rewrite a presentation as a multiplication table on its monomial basis.
 
     The basis is the presentation's monomials in position order, labelled
-    ``b1^2*b3``.  The table's top degree is the presentation's declared
-    top_degree, raised to the maximal monomial degree when some monomial
-    overflows it, so the table models the same space (duality pairs into
-    the declared dimension) and table products agree with presentation
-    products on every basis pair (no extra truncation happens).  The
+    ``b1^2*b3``, and the top degree is the presentation's.  The
     table is factored over the presentation's monogenic factors, with
     each monomial's code: nothing is materialized, and its compiled form
     numbers it as the presentation's.
@@ -646,20 +636,20 @@ def expand_to_table(p: TruncatedPresentation) -> MultiplicationTable:
     labels = [p.monomial_label(m) for m in f.lookups()[0]]
     if len(set(labels)) != len(labels):
         raise ValueError("generator names produce ambiguous monomial labels")
-    basis = list(zip(labels, f.degrees))
-    top = max(p.top_degree, f.degrees[-1])
-    return MultiplicationTable._from_factors(basis, top, f.factors, f.codes)
+    return MultiplicationTable._from_factors(list(zip(labels, f.degrees)), p.top_degree,
+                                             f.factors, f.codes)
 
 
 def tensor_product(a: Ring, b: Ring) -> Ring:
     """Tensor product over GF(2) of any two rings.
 
     Of two presentations, a presentation: disjoint union of generators
-    (name collisions are renamed with numeric suffixes and reported);
+    (a name met again takes the suffix ``_2``, ``_3``, ...);
     truncations keep their generator; top degrees add.  Otherwise a
     table, a presentation taking part as its :func:`expand_to_table`:
     basis is the pair basis, in order of a's basis then b's, with
-    componentwise products, again with top degrees added.  The table is
+    componentwise products, again with top degrees added (a label met
+    again takes the suffix ``__2``, ``__3``, ...).  The table is
     factored, its factors those of a followed by those of b (an explicit
     table is one factor), so its products and compiled form are built
     from theirs.  Over a field this realizes the Kunneth ring of a
@@ -675,23 +665,9 @@ def _tensor_presentations(
     a: TruncatedPresentation, b: TruncatedPresentation
 ) -> TruncatedPresentation:
     used = {g.name for g in a.generators}
-    gens = list(a.generators)
-    for g in b.generators:
-        name = g.name
-        if name in used:
-            k = 2
-            while f"{name}_{k}" in used:
-                k += 1
-            warnings.warn(
-                f"tensor_product: generator name {name!r} collides; renamed to {name}_{k}",
-                stacklevel=3,
-            )
-            name = f"{name}_{k}"
-        used.add(name)
-        gens.append(GeneratorSpec(name, g.degree))
-    return TruncatedPresentation(
-        tuple(gens), a.truncations + b.truncations, a.top_degree + b.top_degree
-    )
+    gens = a.generators + tuple(GeneratorSpec(_fresh(g.name, used, "_"), g.degree)
+                                for g in b.generators)
+    return TruncatedPresentation(gens, a.truncations + b.truncations, a.top_degree + b.top_degree)
 
 
 def _tensor_tables(a: MultiplicationTable, b: MultiplicationTable) -> MultiplicationTable:
@@ -707,32 +683,37 @@ def _tensor_tables(a: MultiplicationTable, b: MultiplicationTable) -> Multiplica
                 name = la
             else:
                 name = f"{la}_{lb}"
-            if name in used:
-                k = 2
-                while f"{name}__{k}" in used:
-                    k += 1
-                name = f"{name}__{k}"
-            used.add(name)
-            basis.append((name, da + db))
+            basis.append((_fresh(name, used, "__"), da + db))
     codes = [x * b.size + y for x in a._codes for y in b._codes]
     return MultiplicationTable._from_factors(
         basis, a.top_degree + b.top_degree, a.tensor_factors + b.tensor_factors, codes
     )
 
 
+def _fresh(name: str, used: set[str], sep: str) -> str:
+    """``name``, or if used already the first free ``name + sep + k``, k >= 2;
+    marked used."""
+    k, fresh = 2, name
+    while fresh in used:
+        fresh, k = f"{name}{sep}{k}", k + 1
+    used.add(fresh)
+    return fresh
+
+
 def check_poincare_duality(ring: Ring) -> bool:
     """Nondegeneracy of the mod-2 pairing H^d x H^(n-d) -> H^n on the
-    compiled form, n the declared top degree: the cross-check, within the
-    limit, of ``bounds.poincare_duality``'s verdict from the factors.
+    compiled form, n the declared top degree: an explicit table's verdict
+    in ``bounds.poincare_duality``, and within the limit the cross-check
+    of a factored ring's verdict from its factors.
 
-    Requires a unique top class in degree n, so a presentation whose
-    monomials stop below n fails; for each degree d the matrix of the
-    top-class coefficients of products of the degree-d and degree-(n-d)
-    bases must have full rank.
+    Requires a unique top class in degree n, so a ring whose basis stops
+    below n fails; for each degree d the matrix of the top-class
+    coefficients of products of the degree-d and degree-(n-d) bases must
+    have full rank.
     """
     c = ring.compiled
     n = ring.top_degree
-    if c.top != n or c.dims.get(n) != 1:
+    if c.dims.get(n) != 1:
         return False
     for d in range(0, n // 2 + 1):
         left, right = c.dims.get(d, 0), c.dims.get(n - d, 0)

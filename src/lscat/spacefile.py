@@ -49,7 +49,7 @@ class SpaceFileError(ValueError):
     duplicate-generator, bad-exponent, unknown-generator,
     missing-truncation, mixed-ring-kinds, duplicate-basis,
     unknown-label, bad-expression, bad-degree, inconsistent-known-cat,
-    inconsistent-connectivity, missing-field, no-ring-data, non-manifold,
+    inconsistent-connectivity, missing-field, no-ring-data, non-manifold, unknown-space,
     too-large (a request would enumerate more than ``bounds.ENUMERATION_LIMIT`` terms).
     """
 

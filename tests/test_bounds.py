@@ -181,8 +181,10 @@ def test_search_never_exceeds_top_degree():
 def test_kunneth_additivity_spot():
     a = so_n_presentation(3)
     b = so_n_presentation(4)
-    with pytest.warns(UserWarning, match="collides"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         prod = tensor_product(a, b)
+    assert [g.name for g in prod.generators] == ["b1", "b1_2", "b3"]
     assert cup_length_search(expand_to_table(prod)) == 3 + 4
 
 
@@ -242,9 +244,7 @@ def test_factor_values_equal_the_computations_on_the_product(members):
     """Within the cross-check limit, the cup-length, duality and Poincare
     polynomial read off a product's factors equal the ideal-power search,
     the pairing rank and the compiled dims of the product itself."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # generator names collide
-        ring = reduce(tensor_product, members)
+    ring = reduce(tensor_product, members)
     c = ring.compiled
     assert len(c.degrees) <= CROSS_CHECK_LIMIT
     assert cup_length_formula(ring) == bounds._ideal_power_search(c.dims, c.generator_rows)
@@ -263,15 +263,34 @@ def test_duality_above_the_limit_is_the_factors_verdict():
     t16 = TruncatedPresentation(tuple(GeneratorSpec(f"t{i}", 1) for i in range(16)), (2,) * 16, 16)
     assert poincare_duality(t16) is True
     assert "compiled" not in t16.__dict__
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        above = tensor_product(t16, TruncatedPresentation((GeneratorSpec("a", 1),), (2,), 2))
+    above = tensor_product(t16, TruncatedPresentation((GeneratorSpec("a", 1),), (2,), 2))
     assert poincare_duality(above) is False  # its top degree is above its factors'
-    # an explicit factor above the limit has no verdict, and neither has its product
+    # an explicit factor above the limit is ranked, and its product takes its verdict
     big = surface_table(2100)
-    assert poincare_duality(big) is None
-    assert poincare_duality(tensor_product(big, surface_table(1))) is None
+    assert poincare_duality(big) is True
+    assert poincare_duality(tensor_product(big, surface_table(1))) is True
     assert poincare_duality(tensor_product(big, NOT_DUAL)) is False
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_presentations(), small_presentations(), st.integers(1, 2))
+def test_every_ring_gets_a_duality_verdict(p, q, genus):
+    """Presentations within their dimension (top degree at or above the
+    highest monomial's) and their products with each other, whose generator
+    names collide, and with surfaces: with or without the cross-check (a
+    limit of 0 turns it off), the verdict is a bool, the pairing's own, and
+    the compiled form pairs into the declared top degree."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        surface = surface_table(genus)
+        rings = [p, tensor_product(p, q), surface, tensor_product(p, surface),
+                 tensor_product(surface, expand_to_table(q))]
+    for limit in (0, CROSS_CHECK_LIMIT):
+        with mock.patch.object(bounds, "CROSS_CHECK_LIMIT", limit):
+            for ring in rings:
+                verdict = poincare_duality(ring)
+                assert type(verdict) is bool and verdict == check_poincare_duality(ring)
+                assert ring.compiled.top == ring.top_degree
 
 
 def test_a_duality_mismatch_is_an_internal_failure():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+from unittest import mock
+
 import pytest
 
+from lscat import catalogue
 from lscat.bounds import betti_sum, cup_length, cup_length_formula
 from lscat.catalogue import (
     SO_KNOWN_CAT,
@@ -239,8 +243,6 @@ def test_so3_dimension_census():
 
 
 def test_tensor_poincare_multiplicative_on_catalogue_pairs():
-    import warnings
-
     from lscat.rings import tensor_product
 
     def convolve(a, b):
@@ -253,8 +255,46 @@ def test_tensor_poincare_multiplicative_on_catalogue_pairs():
     pairs = [("SO3", "T2"), ("SO4", "S3"), ("T3", "T2"), ("SO5", "S1")]
     for name_a, name_b in pairs:
         a, b = get(name_a).ring, get(name_b).ring
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            prod = tensor_product(a, b)
+        prod = tensor_product(a, b)
         expected = convolve(a.poincare_polynomial(), b.poincare_polynomial())
         assert prod.poincare_polynomial() == expected, (name_a, name_b)
+
+
+# products whose factors share generator names (SO4, SO3: b1; T2, T3: t1, t2)
+# or table labels (S_1, S_1: a1, b1, w)
+COLLIDING_PRODUCTS = ["SO4xSO3", "T2xT3", "S_1xS_1"]
+
+
+def _fresh_rings() -> list:
+    """The rings of every catalogue name and colliding product, built anew."""
+    for cached in vars(catalogue).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    records = [get(name) for name in names() + COLLIDING_PRODUCTS]
+    return [record.ring for record in records if record.ring is not None]
+
+
+def test_no_ring_warns():
+    """A name met again in a product is renamed silently, for presentations
+    and tables alike: building every catalogue ring warns nothing."""
+    def refuse(message, *args, **kwargs):
+        raise AssertionError(f"warned: {message}")
+
+    with warnings.catch_warnings(), mock.patch("warnings.warn", refuse):
+        warnings.simplefilter("error")
+        rings = _fresh_rings()
+    assert len(rings) == len(names()) - 1 + len(COLLIDING_PRODUCTS)  # G2 has no ring
+    assert [g.name for g in get("SO4xSO3").ring.generators] == ["b1", "b3", "b1_2"]
+    assert [g.name for g in get("T2xT3").ring.generators] == ["t1", "t2", "t1_2", "t2_2", "t3"]
+    labels = [l for l, _ in get("S_1xS_1").ring.basis]
+    assert labels[4:6] == ["a1__2", "a1_a1"] and labels[8] == "b1__2" and labels[12] == "w__2"
+
+
+def test_compiled_top_is_the_declared_top():
+    """A presentation stays within its dimension, so its compiled form pairs
+    into its declared top degree, as a table's does; U (a 3-manifold ring
+    with a^2 = 0) has no class there."""
+    u = TruncatedPresentation((GeneratorSpec("a", 1),), (2,), 3)
+    for ring in _fresh_rings() + [u]:
+        assert ring.compiled.top == ring.top_degree
+    assert not check_poincare_duality(u)

@@ -265,6 +265,32 @@ def test_degree1_report_map_must_match_spaces(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_degree1_report_map_must_have_the_given_rings(tmp_path):
+    """A map whose spaces have the names given by -m/-n but other rings is a
+    usage error naming the space, not a traceback."""
+    (tmp_path / "a.space").write_text(
+        "space A\ndim 2\ngenerator a 1\ngenerator b 1\ntruncate a 2\ntruncate b 2\n")
+    (tmp_path / "a2.space").write_text("space A\ndim 2\ngenerator a 2\ntruncate a 2\n")
+    (tmp_path / "m.map").write_text(
+        "map m\ndomain a2.space\nrange a.space\ndegree +1\nsend a -> 0\nsend b -> 0\n")
+    src = str(Path(lscat.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "lscat.cli", "degree1-report", "-m", "a.space", "-n", "a.space",
+         "--map", "m.map"], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == "lscat: error: map file's domain A has a different ring from the given domain\n"
+
+
+@pytest.mark.parametrize("argv", [["check-map"], ["degree1-report", "-m", "S2", "-n", "S2", "--map"]])
+def test_a_map_naming_an_unknown_space_is_a_file_error(tmp_path, capsys, argv):
+    path = tmp_path / "m.map"
+    path.write_text("map m\ndomain Nowhere\nrange S2\ndegree 1\nsend x2 -> 0\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "lscat: unknown space name 'Nowhere' [unknown-space]\n"
+
+
 def test_verify_paper(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == EXIT_OK

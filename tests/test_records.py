@@ -235,7 +235,7 @@ RECORDS = [
             ),
             ([(GeneratorSpec("a", 1),), (0,), 1], ValueError, "for 'a' must be >= 1"),
             ([(), (), -1], ValueError, "top_degree must be nonnegative"),
-            ([(GeneratorSpec("a", 1),), (3,), 1], UserWarning, "above top_degree 1"),
+            ([(GeneratorSpec("a", 1),), (3,), 1], ValueError, "above top_degree 1"),
         ],
         {},
     ),
@@ -345,10 +345,6 @@ def test_record_contract(cls, make, checks, defaults):
     for args, error, message in checks:
         if error is None:
             cls(*args)
-        elif issubclass(error, Warning):
-            with pytest.warns(error, match=message) as warned:
-                cls(*args)
-            assert warned[0].filename == __file__  # the warning points at the caller
         else:
             with pytest.raises(error, match=message):
                 cls(*args)

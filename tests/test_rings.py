@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -211,8 +212,10 @@ def test_poincare_palindromic_for_so_n():
 
 def test_tensor_circle_circle_is_torus():
     t1 = TruncatedPresentation((GeneratorSpec("t1", 1),), (2,), 1)
-    with pytest.warns(UserWarning, match="collides"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         prod = tensor_product(t1, t1)
+    assert [g.name for g in prod.generators] == ["t1", "t1_2"]
     t2 = torus_presentation(2)
     assert [g.degree for g in prod.generators] == [g.degree for g in t2.generators]
     assert prod.truncations == t2.truncations
@@ -234,11 +237,14 @@ def test_tensor_poincare_multiplicativity():
     assert prod.poincare_polynomial() == brute_poincare(prod)
 
 
-def test_tensor_name_collision_renames_and_warns():
+def test_tensor_name_collision_renames_silently():
     t1 = TruncatedPresentation((GeneratorSpec("t1", 1),), (2,), 1)
-    with pytest.warns(UserWarning, match="collides"):
-        prod = tensor_product(t1, t1)
-    assert len({g.name for g in prod.generators}) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prod = tensor_product(tensor_product(t1, t1), t1)
+        table = tensor_product(expand_to_table(t1), expand_to_table(t1))
+    assert [g.name for g in prod.generators] == ["t1", "t1_2", "t1_3"]
+    assert [l for l, _ in table.basis] == ["1", "t1", "t1__2", "t1_t1"]
 
 
 def test_tensor_tables_componentwise():
@@ -443,8 +449,8 @@ def test_table_validation_matches_exhaustive_check():
     assert outcomes.count(True) > 20 and outcomes.count(False) > 20
 
 
-def test_presentation_warns_when_monomials_exceed_top():
-    with pytest.warns(UserWarning, match="above top_degree"):
+def test_presentation_refuses_monomials_above_top():
+    with pytest.raises(ValueError, match="degree 4 above top_degree 3; not a closed-manifold ring"):
         TruncatedPresentation((GeneratorSpec("a", 2),), (3,), 3)
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lscat
 from lscat.bounds import cup_length, cup_length_formula
 from lscat.catalogue import SpaceRecord, get, names, surface_table
 from lscat.homs import check_injectivity, check_top_class, validate_hom
@@ -165,6 +167,16 @@ def test_error_carries_line_number():
         parse_space("space X\ndim 2\ngenerator b1 1\ntruncate b1 0\n")
     assert exc_info.value.line == 4
     assert "line 4" in str(exc_info.value)
+
+
+def test_every_error_kind_is_documented():
+    """Each ``kind="..."`` the package raises is in ``SpaceFileError``'s list."""
+    listed = SpaceFileError.__doc__.split("class:", 1)[1]
+    documented = {item.split()[0] for item in listed.split(",")}
+    raised = {kind for path in Path(lscat.__file__).parent.glob("*.py")
+              for kind in re.findall(r'kind="([^"]*)"', path.read_text(encoding="utf-8"))}
+    assert "unknown-space" in raised and len(raised) > 15
+    assert raised <= documented, raised - documented
 
 
 # -- round-trips ----------------------------------------------------------------

@@ -14,7 +14,10 @@ whose truncations above 2 make products carry, ``show`` of
 ``SO5xS_1``, ``cup-length`` and ``--json invariants`` of every catalogue
 name and sweep product of the decks and of ``S_2xT10``, ``S_4xS_4xS_4``
 and ``S_200``, so that the cup-length search runs on explicit, factored
-and presentation rings, and the command line's help, usage errors and
+and presentation rings, both forms of ``invariants S_2100``, an explicit
+table above the cross-check limit, ``degree1-report`` with a map whose
+spaces have the given names but other rings and with one naming an
+unknown space, and the command line's help, usage errors and
 accepted option forms.  ``--smoke``
 keeps the smoke decks and drops the fixed set.
 
@@ -118,6 +121,15 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     for name in [*decks.CATALOGUE_NAMES, *decks.SWEEP_PRODUCTS, "S_2xT10", "S_4xS_4xS_4", "S_200"]:
         out += [(("cup-length", name), ()), (("--json", "invariants", name), ())]
     out += [(("show", "SO5xS_1"), ()), (("--json", "show", "SO5xS_1"), ())]
+    out += [(("invariants", "S_2100"), ()), (("--json", "invariants", "S_2100"), ())]
+    # a map between spaces named as -m/-n but with other rings, and one naming no space
+    files = (("a.space", "space A\ndim 2\ngenerator a 1\ngenerator b 1\ntruncate a 2\n"
+                         "truncate b 2\n"),
+             ("a2.space", "space A\ndim 2\ngenerator a 2\ntruncate a 2\n"),
+             ("m.map", _map("a2.space", "a.space", [("a", "0"), ("b", "0")])))
+    out.append((("degree1-report", "-m", "a.space", "-n", "a.space", "--map", "m.map"), files))
+    files = (("u.map", _map("Nowhere", "S2", [("x2", "0")])),)
+    out.append((("degree1-report", "-m", "S2", "-n", "S2", "--map", "u.map"), files))
     # the front door: help, usage errors and the accepted option forms
     out += [(argv, ()) for argv in [
         (), ("--help",), ("cup-length", "--help"), ("no-such-command",),
