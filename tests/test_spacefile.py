@@ -31,6 +31,7 @@ from lscat.spacefile import (
     serialize_space,
 )
 
+from file_errors import FILE_ERRORS
 from label_algebra import evaluate
 
 SO5_FILE = """\
@@ -167,6 +168,19 @@ def test_error_carries_line_number():
         parse_space("space X\ndim 2\ngenerator b1 1\ntruncate b1 0\n")
     assert exc_info.value.line == 4
     assert "line 4" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("fmt, text, expected", FILE_ERRORS,
+                         ids=[f"{fmt}-{text}" for fmt, text, _ in FILE_ERRORS])
+def test_file_errors_keep_their_message_kind_and_line(fmt, text, expected):
+    parse = parse_space if fmt == "space" else parse_map
+    if expected is None:
+        parse(text)
+        return
+    with pytest.raises(SpaceFileError) as exc_info:
+        parse(text)
+    error = exc_info.value
+    assert (str(error), error.kind, error.line) == expected
 
 
 def test_every_error_kind_is_documented():
