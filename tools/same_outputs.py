@@ -17,8 +17,10 @@ and ``S_200``, so that the cup-length search runs on explicit, factored
 and presentation rings, both forms of ``invariants S_2100``, an explicit
 table above the cross-check limit, ``degree1-report`` with a map whose
 spaces have the given names but other rings and with one naming an
-unknown space, and the command line's help, usage errors and
-accepted option forms.  ``--smoke``
+unknown space, every malformed file of ``tests/file_errors.py`` (through
+``invariants`` or ``check-map``), so that each file error's message is
+compared, and the command line's help, usage errors and accepted option
+forms.  ``--smoke``
 keeps the smoke decks and drops the fixed set.
 
 Every distinct request runs once per tree as ``python -m lscat.cli ARGV``
@@ -40,8 +42,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import decks  # noqa: E402
+import file_errors  # noqa: E402
 
 WORKERS = 2
 TIMEOUT_S = 120
@@ -130,6 +134,10 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     out.append((("degree1-report", "-m", "a.space", "-n", "a.space", "--map", "m.map"), files))
     files = (("u.map", _map("Nowhere", "S2", [("x2", "0")])),)
     out.append((("degree1-report", "-m", "S2", "-n", "S2", "--map", "u.map"), files))
+    # every file error: its message, kind and line
+    for i, (fmt, text, _) in enumerate(file_errors.FILE_ERRORS):
+        command = "invariants" if fmt == "space" else "check-map"
+        out.append(((command, f"bad{i}.{fmt}"), ((f"bad{i}.{fmt}", text),)))
     # the front door: help, usage errors and the accepted option forms
     out += [(argv, ()) for argv in [
         (), ("--help",), ("cup-length", "--help"), ("no-such-command",),
