@@ -35,10 +35,9 @@ from lscat.rings import (
     GeneratorSpec,
     MultiplicationTable,
     TruncatedPresentation,
-    expand_to_table,
 )
 
-from label_algebra import generator, multiply, unit
+from label_algebra import expansion, generator, multiply, surface, tensor, unit
 from oracles import brute_rank
 
 
@@ -531,8 +530,9 @@ def reference_problems(spec: RingHomSpec) -> list[str]:
 
 # presentations, surfaces and factored tables (products and expansions, one
 # of two explicit factors, one of an explicit and a monogenic factor with
-# q = 4); squares vanish in the tori and surfaces but not in RP^2, SO3 and
-# SO4, so presentation relations both hold and fail
+# q = 4), the tables built through the label reference, which multiplies them
+# as they were built; squares vanish in the tori and surfaces but not in RP^2,
+# SO3 and SO4, so presentation relations both hold and fail
 SMALL_RINGS = [
     get("T2").ring,
     get("T3").ring,
@@ -540,13 +540,13 @@ SMALL_RINGS = [
     get("SO3").ring,
     get("SO4").ring,
     TruncatedPresentation((GeneratorSpec("c", 2),), (3,), 4),
-    get("S_1").ring,
-    get("S_2").ring,
-    get("S_1xT1").ring,
-    expand_to_table(get("T2").ring),
-    expand_to_table(get("SO3").ring),
-    get("S_1xS_1").ring,
-    get("S_1xSO3").ring,
+    surface(1),
+    surface(2),
+    tensor(surface(1), get("T1").ring),
+    expansion(get("T2").ring),
+    expansion(get("SO3").ring),
+    tensor(surface(1), surface(1)),
+    tensor(surface(1), get("SO3").ring),
 ]
 
 

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lscat
@@ -32,7 +32,7 @@ from lscat.spacefile import (
 )
 
 from file_errors import FILE_ERRORS
-from label_algebra import evaluate
+from label_algebra import evaluate, surface, table, tensor
 
 SO5_FILE = """\
 # special orthogonal group SO(5)
@@ -368,17 +368,32 @@ TRUNCATED_FILE = (
     "space P3\ndim 3\nbasis x3 3\nbasis 1 0\nbasis x 1\nbasis x2 2\n"
     "product x x = x2\nproduct x x2 = x3\n"
 )
+TRUNCATED = table([("x3", 3), ("1", 0), ("x", 1), ("x2", 2)], 3,
+                  {("x", "x"): {"x2"}, ("x", "x2"): {"x3"}})
+# the tables built through the reference, which multiplies them as they were
+# built; each is the ring of a file, the catalogue or a tensor product
 EXPRESSION_RINGS = [
     get("SO4").ring,
     get("T3").ring,
     TruncatedPresentation((GeneratorSpec("c", 2), GeneratorSpec("z", 1)), (3, 1), 4),
-    get("S_2").ring,
-    parse_space(TORUS_TABLE_FILE).ring,
-    parse_space(TRUNCATED_FILE).ring,
-    get("S_1xT2").ring,
-    get("SO3xS_1").ring,
-    tensor_product(parse_space(TRUNCATED_FILE).ring, surface_table(1)),
+    surface(2),
+    table([("1", 0), ("a", 1), ("b", 1), ("w", 2)], 2, {("a", "b"): {"w"}}),
+    TRUNCATED,
+    tensor(surface(1), get("T2").ring),
+    tensor(get("SO3").ring, surface(1)),
+    tensor(TRUNCATED, surface(1)),
 ]
+
+
+def test_the_reference_tables_are_the_rings_they_stand_for():
+    assert EXPRESSION_RINGS[3:8] == [
+        get("S_2").ring,
+        parse_space(TORUS_TABLE_FILE).ring,
+        parse_space(TRUNCATED_FILE).ring,
+        get("S_1xT2").ring,
+        get("SO3xS_1").ring,
+    ]
+    assert EXPRESSION_RINGS[8] == tensor_product(parse_space(TRUNCATED_FILE).ring, surface_table(1))
 
 
 def _names(ring) -> list[str]:
@@ -406,6 +421,19 @@ def test_element_from_monomials_agrees_with_the_label_reference(case):
     ring, text = case
     monomials = parse_expression(text)
     assert element_from_monomials(ring, monomials) == evaluate(ring, monomials), text
+
+
+def _every_product(ring) -> str:
+    names = _names(ring)
+    return " + ".join(f"{x}*{y}" for i, x in enumerate(names) for y in names[i:])
+
+
+# and per ring, each product of two of its names once, so that a wrong product
+# of two basis elements of an explicit table changes the sum
+for _ring in EXPRESSION_RINGS:
+    test_element_from_monomials_agrees_with_the_label_reference = example(
+        (_ring, _every_product(_ring))
+    )(test_element_from_monomials_agrees_with_the_label_reference)
 
 
 # -- map files ---------------------------------------------------------------------
