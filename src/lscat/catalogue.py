@@ -43,6 +43,26 @@ class UnknownSpaceError(ValueError):
     """Requested catalogue name does not resolve."""
 
 
+class SpaceFileError(ValueError):
+    """Parse or validation failure in a space/map file; a ``SpaceRecord``
+    that contradicts itself and a family parameter above the limit raise
+    it too.
+
+    ``kind`` is a stable machine-readable class: syntax, missing-dim,
+    duplicate-generator, bad-exponent, unknown-generator,
+    missing-truncation, mixed-ring-kinds, duplicate-basis,
+    unknown-label, bad-expression, bad-degree, inconsistent-known-cat,
+    inconsistent-connectivity, missing-field, no-ring-data, non-manifold, unknown-space,
+    too-large (a request would enumerate more than ``bounds.ENUMERATION_LIMIT`` terms).
+    """
+
+    def __init__(self, message: str, line: int | None = None, kind: str = "syntax"):
+        self.line = line
+        self.kind = kind
+        prefix = f"line {line}: " if line is not None else ""
+        super().__init__(prefix + message)
+
+
 class SpaceRecord(Record):
     """Catalogue entry for one closed manifold.
 
@@ -70,21 +90,27 @@ class SpaceRecord(Record):
                 f"{self.name}: ring top degree {self.ring.top_degree} "
                 f"!= dimension {self.dimension}"
             )
-        problem = _connectivity_problem(self.ring, self.connectivity)
-        if problem is not None:
-            raise ValueError(f"{self.name}: {problem}")
+        c = self.connectivity
+        if self.ring is not None and c >= 1:
+            # a c-connected space has H^i = 0 for 0 < i <= c; the lowest
+            # positive degree of a tensor product is its factors' lowest
+            low = min((d for f in self.ring.tensor_factors for d in f.dims if d), default=c + 1)
+            if low <= c:
+                raise SpaceFileError(f"connectivity {c} needs H^i = 0 for 0 < i <= {c}, but the "
+                                     f"ring has a class in degree {low}",
+                                     kind="inconsistent-connectivity")
         if self.known_cat is not None:
             value = self.known_cat[0]
             if not 0 <= value <= self.dimension:
-                raise ValueError(f"{self.name}: known cat {value} outside [0, dim]")
+                raise SpaceFileError(f"{self.name}: known cat {value} outside [0, dim]",
+                                     kind="inconsistent-known-cat")
             # no search of a factored ring: commands that print a cup-length cross-check it
             cl = 0 if self.ring is None else cup_length_formula(self.ring)
             if cl is None:  # an explicit table
                 cl = cup_length(self.ring)
             if cl > value:
-                raise ValueError(
-                    f"{self.name}: known cat {value} below the cup-length bound"
-                )
+                raise SpaceFileError(f"{self.name}: known cat {value} below the cup-length bound",
+                                     kind="inconsistent-known-cat")
 
     @property
     def simply_connected(self) -> bool:
@@ -102,21 +128,6 @@ class SpaceRecord(Record):
             known_cat_citation=citation,
             morse=self.morse,
         )
-
-
-def _connectivity_problem(ring: Ring | None, connectivity: int) -> str | None:
-    """Why a ring refutes c-connectivity, if it does: a c-connected space
-    has H^i = 0 for 0 < i <= c."""
-    if ring is None or connectivity < 1:
-        return None
-    # the lowest positive degree of a tensor product is its factors' lowest
-    low = min((d for f in ring.tensor_factors for d in f.dims if d), default=None)
-    if low is None or low > connectivity:
-        return None
-    return (
-        f"connectivity {connectivity} needs H^i = 0 for 0 < i <= {connectivity}, "
-        f"but the ring has a class in degree {low}"
-    )
 
 
 def surface_table(g: int) -> MultiplicationTable:
@@ -254,7 +265,6 @@ def _atomic(name: str) -> SpaceRecord:
                            ("S", _sphere)):
         if name.startswith(prefix) and name[len(prefix) :].isdecimal():
             if (n := int(name[len(prefix) :])) > ENUMERATION_LIMIT:  # n terms and more
-                from .spacefile import SpaceFileError  # which imports this module
                 raise SpaceFileError(f"{name}: family parameter {n} is above the limit of "
                                      f"{ENUMERATION_LIMIT}", kind="too-large")
             return family(n)

@@ -144,14 +144,6 @@ class TruncatedPresentation(_Ring, Record):
 
     # -- structure -----------------------------------------------------
 
-    @property
-    def ngens(self) -> int:
-        return len(self.generators)
-
-    @cached_property
-    def generator_index(self) -> dict[str, int]:
-        return {g.name: i for i, g in enumerate(self.generators)}
-
     @cached_property
     def max_monomial_degree(self) -> int:
         return sum((p - 1) * g.degree for g, p in zip(self.generators, self.truncations))

@@ -8,11 +8,11 @@ Space files (UTF-8, ``#`` starts a comment, tokens whitespace-separated)::
     stably-parallelizable BOOL      # optional, default false
     orientable BOOL                 # optional, default true
     known-cat K "CITATION"          # optional
-    generator NAME DEGREE           # repeatable; truncated presentation
+    generator NAME DEGREE           # once per NAME; truncated presentation
     truncate NAME EXPONENT          # required once per generator
     # or, mutually exclusive with generator/truncate:
-    basis LABEL DEGREE              # repeatable; unit = unique degree-0 label
-    product LABEL LABEL = EXPR      # omitted products default to 0
+    basis LABEL DEGREE              # once per LABEL; unit = unique degree-0 label
+    product LABEL LABEL = EXPR      # once per LABEL pair; omitted products are 0
 
 Map files::
 
@@ -20,7 +20,13 @@ Map files::
     domain SPACE                    # M, the source manifold of f
     range SPACE                     # N, the target manifold of f
     degree +1 | -1
-    send GEN -> EXPR                # images of N's generators in M's ring
+    send GEN -> EXPR                # once per GEN: images of N's generators in M's ring
+
+A file starts with its header line (``space`` or ``map``).  One table
+per format gives each keyword its arguments and its repeat rule: a line
+keyed above may appear once per key, and every other line once, so a
+second ``dim`` line is an error (``line N: duplicate dim line``), as is
+a second ``product a b`` line.
 
 Expressions are sums of monomials separated by ``+``; a monomial is
 ``0``, ``1``, or factors ``ID`` / ``ID^INT`` joined by ``*``, where ``ID``
@@ -32,39 +38,88 @@ identity on normalized files.
 from __future__ import annotations
 
 from ._record import Record
-from .catalogue import SpaceRecord, _connectivity_problem
+from .catalogue import SpaceFileError, SpaceRecord
 from .homs import RingHomSpec
 from .rings import Element, GeneratorSpec, MultiplicationTable, Ring, TruncatedPresentation
 
-# pattern strings; the three parse functions import re and compile them
-# on first use, so a request that reads no space or map file loads neither
+# pattern strings; the readers import re and compile them on first use, so a
+# request that reads no space or map file loads neither
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*$"
 _FACTOR = r"([A-Za-z_][A-Za-z0-9_]*(?:\^[0-9]+_[A-Za-z0-9_]*)*)(?:\^([0-9]+))?$"
+_ONE, _TWO = r"(\S+)$", r"(\S+)\s+(\S+)$"
 
 
-class SpaceFileError(ValueError):
-    """Parse or validation failure in a space/map file.
-
-    ``kind`` is a stable machine-readable class: syntax, missing-dim,
-    duplicate-generator, bad-exponent, unknown-generator,
-    missing-truncation, mixed-ring-kinds, duplicate-basis,
-    unknown-label, bad-expression, bad-degree, inconsistent-known-cat,
-    inconsistent-connectivity, missing-field, no-ring-data, non-manifold, unknown-space,
-    too-large (a request would enumerate more than ``bounds.ENUMERATION_LIMIT`` terms).
-    """
-
-    def __init__(self, message: str, line: int | None = None, kind: str = "syntax"):
-        self.line = line
-        self.kind = kind
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
+def _keyword(usage: str, pattern: str, ring: str | None = None, key: int = 0,
+             repeat: str = "duplicate {0} line", kind: str = "syntax") -> tuple:
+    """A row of a format's keyword table.  ``usage`` names the arguments and
+    ``pattern`` matches them, one group each; a ring line names its ``ring``
+    kind.  A line may appear once, or, with ``key`` > 0, once per value of its
+    first ``key`` arguments; a repeat raises ``repeat`` (formatted with the
+    keyword and those arguments) of ``kind``."""
+    return usage, pattern, ring, key, repeat, kind
 
 
-def _lines(text: str):
+# the first keyword of a table is its format's header
+_SPACE_KEYWORDS = {
+    "space": _keyword("NAME", _ONE),
+    "dim": _keyword("N", _ONE),
+    "connectivity": _keyword("C", _ONE),
+    "stably-parallelizable": _keyword("BOOL", _ONE),
+    "orientable": _keyword("BOOL", _ONE),
+    "known-cat": _keyword('K "CITATION"', r'(\S+)\s+"([^"]*)"$'),
+    "generator": _keyword("NAME DEGREE", _TWO, "presentation", 1, "duplicate generator {1!r}",
+                          kind="duplicate-generator"),
+    "truncate": _keyword("NAME EXPONENT", _TWO, "presentation", 1, "duplicate truncate for {1!r}"),
+    "basis": _keyword("LABEL DEGREE", _TWO, "table", 1, "duplicate basis label {1!r}",
+                      kind="duplicate-basis"),
+    "product": _keyword("LABEL LABEL = EXPR", r"(\S+)\s+(\S+)\s*=\s*(.+)$", "table", 2,
+                        "duplicate product {1}*{2}"),
+}
+_MAP_KEYWORDS = {
+    "map": _keyword("NAME", _ONE),
+    "domain": _keyword("SPACE", _ONE),
+    "range": _keyword("SPACE", _ONE),
+    "degree": _keyword("+1|-1", _ONE),
+    "send": _keyword("GEN -> EXPR", r"(\S+)\s*->\s*(.+)$", key=1, repeat="duplicate send for {1!r}"),
+}
+
+
+def _read(text: str, keywords: dict):
+    """Yield ``(line number, keyword, arguments)`` for each line of a file of
+    the format ``keywords`` describes, after the checks every line passes:
+    the header comes first, the keyword is known, lines of the two ring
+    kinds do not mix, the arguments match and the line is no repeat."""
+    import re
+
+    header = next(iter(keywords))
+    seen: set[tuple] = set()
+    rings: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+        if not line:
+            continue
+        keyword = line.split()[0]
+        if not seen and keyword != header:
+            raise SpaceFileError(f"file must start with a {header} line", lineno)
+        if keyword not in keywords:
+            raise SpaceFileError(f"unknown keyword {keyword!r}", lineno)
+        usage, pattern, ring, key, repeat, kind = keywords[keyword]
+        if ring:
+            rings.add(ring)
+            if len(rings) > 1:
+                raise SpaceFileError(
+                    "generator/truncate lines cannot be mixed with basis/product lines",
+                    lineno,
+                    kind="mixed-ring-kinds",
+                )
+        m = re.match(pattern, line[len(keyword) :].strip())
+        if not m:
+            raise SpaceFileError(f"usage: {keyword} {usage}", lineno)
+        this = (keyword, *m.groups()[:key])
+        if this in seen:
+            raise SpaceFileError(repeat.format(*this), lineno, kind=kind)
+        seen.add(this)
+        yield lineno, keyword, m.groups()
 
 
 def _int(token: str, lineno: int, what: str) -> int:
@@ -124,177 +179,92 @@ def element_from_monomials(
     ring: Ring, monomials: list[dict[str, int]], lineno: int | None = None
 ) -> Element:
     """Evaluate parsed monomials to an element of ``ring``, on its compiled
-    form.
+    form: each monomial is the product of its factors' powers.
 
-    Presentations map identifiers to generators, and a monomial off
-    normal form is 0; tables treat each identifier as a basis label
-    (``1`` is the unit) and evaluate products and powers through the
-    table.
+    An identifier names a presentation's generator, at its position (None
+    when it is truncated at 1, so zero), or a table's basis label.
     """
     c = ring.compiled
-    position = c.lookups()[1]
+    if isinstance(ring, TruncatedPresentation):
+        # generator i is the monomial numbered by its stride (mixed radix)
+        position = {g.name: c._at[s] if q > 1 else None
+                    for g, q, s in zip(ring.generators, ring.truncations, c.strides)}
+        what, kind = "generator", "unknown-generator"
+    else:
+        position = c.lookups()[1]
+        what, kind = "basis label", "unknown-label"
     acc: dict[int, int] = {}  # degree -> bitmask
     for mono in monomials:
         d, x = 0, 1  # the unit
-        if isinstance(ring, TruncatedPresentation):
-            exps = [0] * ring.ngens
-            for name, exp in mono.items():
-                idx = ring.generator_index.get(name)
-                if idx is None:
-                    raise SpaceFileError(
-                        f"unknown generator {name!r}", lineno, kind="unknown-generator"
-                    )
-                exps[idx] += exp
-            p = position.get(tuple(exps))  # None off normal form
-            if p is None:
-                continue
-            d, x = c.degrees[p], 1 << p - c.first[c.degrees[p]]
-        else:
-            for name, exp in mono.items():
-                p = position.get(ring.unit_label if name == "1" else name)
-                if p is None:
-                    raise SpaceFileError(
-                        f"unknown basis label {name!r}", lineno, kind="unknown-label"
-                    )
-                e = c.degrees[p]
-                x, d = c.times(x, d, c.power(1 << p - c.first[e], e, exp), e * exp), d + e * exp
+        for name, exp in mono.items():
+            if name not in position:
+                raise SpaceFileError(f"unknown {what} {name!r}", lineno, kind=kind)
+            p = position[name]  # its vector y, of degree e; zero for None
+            e = 0 if p is None else c.degrees[p]
+            y = 0 if p is None else 1 << p - c.first[e]
+            x, d = c.times(x, d, c.power(y, e, exp), e * exp), d + e * exp
         if x:
             acc[d] = acc.get(d, 0) ^ x
     return c.element(acc)
-
-
-_KNOWN_CAT = r'(\S+)\s+"([^"]*)"$'
 
 
 def parse_space(text: str) -> SpaceRecord:
     """Parse a space file into a validated record."""
     import re
 
-    name: str | None = None
-    dim: int | None = None
-    connectivity = 0
-    stably_parallelizable = False
-    orientable = True
-    known_cat: tuple[int, str] | None = None
-    generators: list[GeneratorSpec] = []
-    truncations: dict[str, tuple[int, int]] = {}  # name -> (exponent, line)
+    values: dict[str, object] = {}  # the single-valued lines' values
+    generators: dict[str, int] = {}  # name -> degree
+    truncations: dict[str, int] = {}
     basis: list[tuple[str, int]] = []
-    product_lines: list[tuple[int, str, str, str]] = []
-    kind: str | None = None  # "presentation" | "table"
-
-    def want_kind(k: str, lineno: int) -> None:
-        nonlocal kind
-        if kind is None:
-            kind = k
-        elif kind != k:
-            raise SpaceFileError(
-                "generator/truncate lines cannot be mixed with basis/product lines",
-                lineno,
-                kind="mixed-ring-kinds",
-            )
-
-    for lineno, line in _lines(text):
-        tokens = line.split()
-        keyword = tokens[0]
-        if keyword == "space":
-            if len(tokens) != 2:
-                raise SpaceFileError("usage: space NAME", lineno)
-            if name is not None:
-                raise SpaceFileError("duplicate space line", lineno)
-            name = tokens[1]
-        elif name is None:
-            raise SpaceFileError("file must start with a space line", lineno)
-        elif keyword == "dim":
-            if len(tokens) != 2:
-                raise SpaceFileError("usage: dim N", lineno)
-            dim = _int(tokens[1], lineno, "dim")
-            if dim < 0:
-                raise SpaceFileError("dim must be nonnegative", lineno)
-        elif keyword == "connectivity":
-            if len(tokens) != 2:
-                raise SpaceFileError("usage: connectivity C", lineno)
-            connectivity = _int(tokens[1], lineno, "connectivity")
-            if connectivity < 0:
-                raise SpaceFileError("connectivity must be nonnegative", lineno)
-        elif keyword == "stably-parallelizable":
-            if len(tokens) != 2:
-                raise SpaceFileError("usage: stably-parallelizable BOOL", lineno)
-            stably_parallelizable = _bool(tokens[1], lineno)
-        elif keyword == "orientable":
-            if len(tokens) != 2:
-                raise SpaceFileError("usage: orientable BOOL", lineno)
-            orientable = _bool(tokens[1], lineno)
+    products: list[tuple[int, str, str, str]] = []
+    for lineno, keyword, args in _read(text, _SPACE_KEYWORDS):
+        if keyword in ("dim", "connectivity"):
+            value = values[keyword] = _int(args[0], lineno, keyword)
+            if value < 0:
+                raise SpaceFileError(f"{keyword} must be nonnegative", lineno)
+        elif keyword in ("stably-parallelizable", "orientable"):
+            values[keyword] = _bool(args[0], lineno)
         elif keyword == "known-cat":
-            m = re.match(_KNOWN_CAT, line[len("known-cat") :].strip())
-            if not m:
-                raise SpaceFileError('usage: known-cat K "CITATION"', lineno)
-            known_cat = (_int(m.group(1), lineno, "known-cat"), m.group(2))
+            values[keyword] = (_int(args[0], lineno, "known-cat"), args[1])
         elif keyword == "generator":
-            want_kind("presentation", lineno)
-            if len(tokens) != 3:
-                raise SpaceFileError("usage: generator NAME DEGREE", lineno)
-            gname = tokens[1]
-            if not re.match(_IDENT, gname):
-                raise SpaceFileError(f"bad generator name {gname!r}", lineno)
-            if any(g.name == gname for g in generators):
-                raise SpaceFileError(
-                    f"duplicate generator {gname!r}", lineno, kind="duplicate-generator"
-                )
-            degree = _int(tokens[2], lineno, "degree")
+            if not re.match(_IDENT, args[0]):
+                raise SpaceFileError(f"bad generator name {args[0]!r}", lineno)
+            degree = generators[args[0]] = _int(args[1], lineno, "degree")
             if degree < 1:
                 raise SpaceFileError("generator degree must be >= 1", lineno, kind="bad-degree")
-            generators.append(GeneratorSpec(gname, degree))
         elif keyword == "truncate":
-            want_kind("presentation", lineno)
-            if len(tokens) != 3:
-                raise SpaceFileError("usage: truncate NAME EXPONENT", lineno)
-            gname = tokens[1]
-            if not any(g.name == gname for g in generators):
+            if args[0] not in generators:
                 raise SpaceFileError(
-                    f"truncate references unknown generator {gname!r}",
+                    f"truncate references unknown generator {args[0]!r}",
                     lineno,
                     kind="unknown-generator",
                 )
-            if gname in truncations:
-                raise SpaceFileError(f"duplicate truncate for {gname!r}", lineno)
-            exponent = _int(tokens[2], lineno, "exponent")
+            exponent = truncations[args[0]] = _int(args[1], lineno, "exponent")
             if exponent < 1:
                 raise SpaceFileError("exponent must be >= 1", lineno, kind="bad-exponent")
-            truncations[gname] = (exponent, lineno)
         elif keyword == "basis":
-            want_kind("table", lineno)
-            if len(tokens) != 3:
-                raise SpaceFileError("usage: basis LABEL DEGREE", lineno)
-            label = tokens[1]
-            if label != "1" and not re.match(_IDENT, label):
-                raise SpaceFileError(f"bad basis label {label!r}", lineno)
-            if any(l == label for l, _ in basis):
-                raise SpaceFileError(
-                    f"duplicate basis label {label!r}", lineno, kind="duplicate-basis"
-                )
-            degree = _int(tokens[2], lineno, "degree")
+            if args[0] != "1" and not re.match(_IDENT, args[0]):
+                raise SpaceFileError(f"bad basis label {args[0]!r}", lineno)
+            degree = _int(args[1], lineno, "degree")
             if degree < 0:
                 raise SpaceFileError("basis degree must be >= 0", lineno, kind="bad-degree")
-            basis.append((label, degree))
+            basis.append((args[0], degree))
         elif keyword == "product":
-            want_kind("table", lineno)
-            m = re.match(r"product\s+(\S+)\s+(\S+)\s*=\s*(.+)$", line)
-            if not m:
-                raise SpaceFileError("usage: product LABEL LABEL = EXPR", lineno)
-            product_lines.append((lineno, m.group(1), m.group(2), m.group(3)))
-        else:
-            raise SpaceFileError(f"unknown keyword {keyword!r}", lineno)
+            products.append((lineno, *args))
+        else:  # space
+            values[keyword] = args[0]
 
-    if name is None:
+    if "space" not in values:
         raise SpaceFileError("missing space line")
-    if dim is None:
+    if "dim" not in values:
         raise SpaceFileError("dim missing", kind="missing-dim")
+    dim = values["dim"]
 
     ring: Ring | None
-    if kind == "table":
+    if basis or products:
         labels = {l for l, _ in basis}
-        products: dict[tuple[str, str], frozenset] = {}
-        for lineno, la, lb, rhs in product_lines:
+        table: dict[tuple[str, str], frozenset] = {}
+        for lineno, la, lb, rhs in products:
             for l in (la, lb):
                 if l not in labels:
                     raise SpaceFileError(
@@ -316,19 +286,19 @@ def parse_space(text: str) -> SpaceRecord:
                         kind="unknown-label",
                     )
                 terms ^= {label}
-            products[(la, lb)] = frozenset(terms)
+            table[(la, lb)] = frozenset(terms)
         try:
-            ring = MultiplicationTable(basis, dim, products)
+            ring = MultiplicationTable(basis, dim, table)
         except ValueError as exc:
             raise SpaceFileError(str(exc)) from exc
     elif generators or dim == 0:
         for g in generators:
-            if g.name not in truncations:
+            if g not in truncations:
                 raise SpaceFileError(
-                    f"generator {g.name!r} has no truncate line", kind="missing-truncation"
+                    f"generator {g!r} has no truncate line", kind="missing-truncation"
                 )
-        exponents = tuple(truncations[g.name][0] for g in generators)
-        reach = sum((p - 1) * g.degree for g, p in zip(generators, exponents))
+        exponents = tuple(truncations[g] for g in generators)
+        reach = sum((p - 1) * d for d, p in zip(generators.values(), exponents))
         if reach > dim:
             raise SpaceFileError(
                 f"monomials reach degree {reach} above dim {dim}; "
@@ -336,7 +306,9 @@ def parse_space(text: str) -> SpaceRecord:
                 kind="non-manifold",
             )
         try:
-            ring = TruncatedPresentation(tuple(generators), exponents, dim)
+            ring = TruncatedPresentation(
+                tuple(GeneratorSpec(*g) for g in generators.items()), exponents, dim
+            )
         except ValueError as exc:
             raise SpaceFileError(str(exc)) from exc
     else:
@@ -344,21 +316,15 @@ def parse_space(text: str) -> SpaceRecord:
         # flags only (a closed manifold never has trivial total cohomology)
         ring = None
 
-    problem = _connectivity_problem(ring, connectivity)
-    if problem is not None:
-        raise SpaceFileError(problem, kind="inconsistent-connectivity")
-    try:
-        return SpaceRecord(
-            name=name,
-            dimension=dim,
-            connectivity=connectivity,
-            orientable=orientable,
-            stably_parallelizable=stably_parallelizable,
-            ring=ring,
-            known_cat=known_cat,
-        )
-    except ValueError as exc:
-        raise SpaceFileError(str(exc), kind="inconsistent-known-cat") from exc
+    return SpaceRecord(
+        name=values["space"],
+        dimension=dim,
+        connectivity=values.get("connectivity", 0),
+        orientable=values.get("orientable", True),
+        stably_parallelizable=values.get("stably-parallelizable", False),
+        ring=ring,
+        known_cat=values.get("known-cat"),
+    )
 
 
 def serialize_space(record: SpaceRecord) -> str:
@@ -413,65 +379,28 @@ class MapFileSpec(Record):
 
 
 def parse_map(text: str) -> MapFileSpec:
-    import re
-
-    name: str | None = None
-    domain: str | None = None
-    range_: str | None = None
-    degree: int | None = None
+    values: dict[str, object] = {}  # the single-valued lines' values
     sends: list[tuple[str, str]] = []
-    seen: set[str] = set()
-
-    for lineno, line in _lines(text):
-        tokens = line.split()
-        keyword = tokens[0]
-        if keyword == "map":
-            if len(tokens) != 2:
-                raise SpaceFileError("usage: map NAME", lineno)
-            if name is not None:
-                raise SpaceFileError("duplicate map line", lineno)
-            name = tokens[1]
-        elif name is None:
-            raise SpaceFileError("file must start with a map line", lineno)
-        elif keyword == "domain":
-            if len(tokens) != 2:
-                raise SpaceFileError("usage: domain SPACE", lineno)
-            domain = tokens[1]
-        elif keyword == "range":
-            if len(tokens) != 2:
-                raise SpaceFileError("usage: range SPACE", lineno)
-            range_ = tokens[1]
-        elif keyword == "degree":
-            if len(tokens) != 2:
-                raise SpaceFileError("usage: degree +1|-1", lineno)
-            token = tokens[1]
-            if token in ("1", "+1"):
-                degree = 1
-            elif token == "-1":
-                degree = -1
-            else:
+    for lineno, keyword, args in _read(text, _MAP_KEYWORDS):
+        if keyword == "degree":
+            if args[0] not in ("1", "+1", "-1"):
                 raise SpaceFileError(
-                    f"degree must be +1 or -1, got {token!r}", lineno, kind="bad-degree"
+                    f"degree must be +1 or -1, got {args[0]!r}", lineno, kind="bad-degree"
                 )
+            values[keyword] = int(args[0])
         elif keyword == "send":
-            m = re.match(r"send\s+(\S+)\s*->\s*(.+)$", line)
-            if not m:
-                raise SpaceFileError("usage: send GEN -> EXPR", lineno)
-            gen = m.group(1)
-            if gen in seen:
-                raise SpaceFileError(f"duplicate send for {gen!r}", lineno)
-            seen.add(gen)
-            parse_expression(m.group(2), lineno)  # syntax check now
-            sends.append((gen, m.group(2).strip()))
-        else:
-            raise SpaceFileError(f"unknown keyword {keyword!r}", lineno)
+            parse_expression(args[1], lineno)  # syntax check now
+            sends.append((args[0], args[1].strip()))
+        else:  # map, domain, range
+            values[keyword] = args[0]
 
-    if name is None:
+    if "map" not in values:
         raise SpaceFileError("missing map line")
-    for field_name, value in (("domain", domain), ("range", range_), ("degree", degree)):
-        if value is None:
+    for field_name in ("domain", "range", "degree"):
+        if field_name not in values:
             raise SpaceFileError(f"{field_name} missing", kind="missing-field")
-    return MapFileSpec(name, domain, range_, degree, tuple(sends))
+    return MapFileSpec(values["map"], values["domain"], values["range"], values["degree"],
+                       tuple(sends))
 
 
 def resolve_map(

@@ -3,10 +3,10 @@
 A row is ``(format, text, expected)``: ``format`` is ``"space"`` or
 ``"map"``, and ``expected`` is ``(message, kind, line)`` of the
 ``SpaceFileError`` the parser raises (``line`` None for an error of the
-whole file), or None for a file that parses.  The rows cover every
-keyword with too few and too many arguments, a line before the header,
-an unknown keyword, a missing header or field, a wrong-arity ring line
-after a line of the other ring kind, and every line given twice.
+whole file).  The rows cover every keyword with too few and too many
+arguments, a line before the header, an unknown keyword, a missing
+header or field, a wrong-arity ring line after a line of the other ring
+kind, and every line given twice.
 
 ``tests/test_spacefile.py`` asserts each row, and ``tools/same_outputs.py``
 runs each file through the command line, so the error of every file is
@@ -45,35 +45,37 @@ KEYWORDS = {
 HEADER = {"space": "space X\n", "map": "map f\n"}
 
 # each keyword's line given twice, after what it needs, with the error the
-# second line raises (None: the file parses)
+# second line raises
 REPEATS = {
     "space": [
         ("", "space", ("line 2: duplicate space line", "syntax", 2)),
-        ("space X\n", "dim", None),
-        (SPACE, "connectivity", None),
-        (SPACE, "stably-parallelizable", None),
-        (SPACE, "orientable", None),
-        (SPACE, "known-cat", None),
+        ("space X\n", "dim", ("line 3: duplicate dim line", "syntax", 3)),
+        (SPACE, "connectivity", ("line 4: duplicate connectivity line", "syntax", 4)),
+        (SPACE, "stably-parallelizable",
+         ("line 4: duplicate stably-parallelizable line", "syntax", 4)),
+        (SPACE, "orientable", ("line 4: duplicate orientable line", "syntax", 4)),
+        (SPACE, "known-cat", ("line 4: duplicate known-cat line", "syntax", 4)),
         (SPACE, "generator", ("line 4: duplicate generator 'a'", "duplicate-generator", 4)),
         (SPACE + "generator a 1\n", "truncate", ("line 5: duplicate truncate for 'a'", "syntax", 5)),
         (SPACE, "basis", ("line 4: duplicate basis label 'a'", "duplicate-basis", 4)),
-        (SPACE + "basis 1 0\nbasis a 1\nbasis w 2\n", "product", None),
+        (SPACE + "basis 1 0\nbasis a 1\nbasis w 2\n", "product",
+         ("line 7: duplicate product a*a", "syntax", 7)),
     ],
     "map": [
         ("", "map", ("line 2: duplicate map line", "syntax", 2)),
-        ("map f\n", "domain", None),
-        ("map f\ndomain T2\n", "range", None),
-        ("map f\ndomain T2\nrange T2\n", "degree", None),
+        ("map f\n", "domain", ("line 3: duplicate domain line", "syntax", 3)),
+        ("map f\ndomain T2\n", "range", ("line 4: duplicate range line", "syntax", 4)),
+        ("map f\ndomain T2\nrange T2\n", "degree", ("line 5: duplicate degree line", "syntax", 5)),
         (MAP, "send", ("line 6: duplicate send for 't1'", "syntax", 6)),
     ],
 }
-# what a file needs after the repeated lines to parse
-REPEAT_TAILS = {"dim": "", "domain": "range T2\ndegree +1\n", "range": "degree +1\n"}
+# what a file needs after the repeated lines to be whole
+REPEAT_TAILS = {"domain": "range T2\ndegree +1\n", "range": "degree +1\n"}
 
 MIXED = "generator/truncate lines cannot be mixed with basis/product lines"
 
 
-def _rows() -> list[tuple[str, str, tuple | None]]:
+def _rows() -> list[tuple[str, str, tuple]]:
     rows = []
     for fmt, keywords in KEYWORDS.items():
         header = HEADER[fmt]
@@ -98,6 +100,10 @@ def _rows() -> list[tuple[str, str, tuple | None]]:
     for text, field in (("map f\n", "domain"), ("map f\ndomain T2\n", "range"),
                         ("map f\ndomain T2\nrange T2\n", "degree")):
         rows.append(("map", text, (f"{field} missing", "missing-field", None)))
+    # a second product of the same pair, which once replaced the first
+    square = SPACE + "basis 1 0\nbasis a 1\nbasis w 2\nproduct a a = w\n"
+    rows.append(("space", square + "product a a = 0\n",
+                 ("line 7: duplicate product a*a", "syntax", 7)))
     # a ring line of the wrong arity after a line of the other ring kind
     for first, keyword in (("basis 1 0", "generator"), ("basis 1 0", "truncate"),
                            ("generator a 1", "basis"), ("generator a 1", "product")):

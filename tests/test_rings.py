@@ -503,7 +503,7 @@ def reference_expansion(p: TruncatedPresentation) -> Reference:
         return frozenset({label(s)}) if all(e < h for e, h in zip(s, p.truncations)) else frozenset()
 
     generators = [
-        label(tuple(int(j == i) for j in range(p.ngens)))
+        label(tuple(int(j == i) for j in range(len(p.generators))))
         for i, h in enumerate(p.truncations)
         if h >= 2
     ]

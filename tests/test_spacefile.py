@@ -173,12 +173,8 @@ def test_error_carries_line_number():
 @pytest.mark.parametrize("fmt, text, expected", FILE_ERRORS,
                          ids=[f"{fmt}-{text}" for fmt, text, _ in FILE_ERRORS])
 def test_file_errors_keep_their_message_kind_and_line(fmt, text, expected):
-    parse = parse_space if fmt == "space" else parse_map
-    if expected is None:
-        parse(text)
-        return
     with pytest.raises(SpaceFileError) as exc_info:
-        parse(text)
+        (parse_space if fmt == "space" else parse_map)(text)
     error = exc_info.value
     assert (str(error), error.kind, error.line) == expected
 
