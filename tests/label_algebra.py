@@ -3,7 +3,7 @@ basis labels, multiplied term by term, with no integer forms.
 
 lscat keeps only one label edge (``CompiledRing.vector`` and ``element``)
 and computes on positions; the tests check it against these definitions,
-which read nothing lscat computes.  A presentation adds exponent tuples
+whose products read nothing lscat computes.  A presentation adds exponent tuples
 and drops a sum past a truncation.  A table multiplies as it was built,
 so the tests build the tables they check through this module: an
 explicit one by :func:`table` reads the product entries it was given, a
