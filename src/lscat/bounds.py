@@ -308,39 +308,6 @@ class BoundLedger(Record):
         if self.crit_star.lower < self.crit.lower:
             raise LedgerError("crit_star.lower must be >= crit.lower")
 
-    def tighten_cat_lower(self, value: int, provenance: str) -> "BoundLedger":
-        """Raise cat's lower bound (monotone; never lowers) and re-chain."""
-        if value <= self.cat.lower:
-            return self
-        if self.cat.upper is not None and value > self.cat.upper:
-            raise LedgerError(
-                f"cannot raise cat lower bound to {value}: upper bound is {self.cat.upper}"
-            )
-        cat = Interval(value, self.cat.upper, provenance, self.cat.upper_provenance)
-        ballcat = self.ballcat
-        if ballcat.lower < value:
-            ballcat = Interval(
-                value, ballcat.upper, f"{provenance} (cat <= ballcat)", ballcat.upper_provenance
-            )
-        crit = self.crit
-        if crit.lower < ballcat.lower + 1:
-            crit = Interval(ballcat.lower + 1, crit.upper, "ballcat + 1", crit.upper_provenance)
-        crit_star = self.crit_star
-        if crit_star.lower < crit.lower:
-            crit_star = Interval(
-                crit.lower, crit_star.upper, "at least crit", crit_star.upper_provenance
-            )
-        return BoundLedger(
-            self.dimension,
-            self.cup_length,
-            cat,
-            self.toomer_e,
-            ballcat,
-            crit,
-            crit_star,
-            self.betti_total,
-        )
-
 
 def cat_bounds(
     ring: Ring,

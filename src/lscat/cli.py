@@ -334,15 +334,27 @@ def _resolve_space(token: str, loaded: dict[str, SpaceRecord]) -> SpaceRecord:
     return catalogue.get(token) if text is None else parse_space(text)
 
 
+def _manifold(record: SpaceRecord) -> SpaceRecord:
+    """The record, unless its ring lacks the mod-2 Poincare duality of every
+    closed manifold: the criteria hold for closed manifolds only.  A record
+    without a ring (flags only) passes."""
+    if record.ring is not None and not poincare_duality(record.ring):
+        raise SpaceFileError(f"{record.name}: no mod-2 Poincare duality in dimension "
+                             f"{record.dimension}; not the cohomology ring of a closed manifold",
+                             kind="non-manifold")
+    return record
+
+
 def _load_map(path: str, loaded: dict[str, SpaceRecord]) -> tuple:
     """A map file's spec, its domain and range records, and its induced
-    homomorphism; a space it names that resolves nowhere is a file error."""
+    homomorphism; a space it names that resolves nowhere, or to no closed
+    manifold, is a file error."""
     spec = parse_map(_read_file(path))
     try:
         domain, range_ = _resolve_space(spec.domain, loaded), _resolve_space(spec.range, loaded)
     except UnknownSpaceError as exc:
         raise SpaceFileError(str(exc), kind="unknown-space") from exc
-    return spec, domain, range_, resolve_map(spec, domain, range_)
+    return spec, _manifold(domain), _manifold(range_), resolve_map(spec, domain, range_)
 
 
 def _emit(args, payload: dict, text: list[str]) -> None:
@@ -502,8 +514,8 @@ def cmd_check_map(args) -> int:
 
 def cmd_degree1_report(args) -> int:
     loaded = _load_extra_spaces(args.space)
-    m_record = _resolve_space(args.domain, loaded)
-    n_record = _resolve_space(args.range, loaded)
+    m_record = _manifold(_resolve_space(args.domain, loaded))
+    n_record = _manifold(_resolve_space(args.range, loaded))
     hom = None
     if args.mapfile:
         _, map_domain, map_range, hom = _load_map(args.mapfile, loaded)

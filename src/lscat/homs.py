@@ -244,52 +244,31 @@ def check_cl_monotone(m_ring: Ring, n_ring: Ring) -> CriterionVerdict:
 
 def cor_cat_transfer(
     m_ledger: BoundLedger | None, n_ledger: BoundLedger | None
-) -> tuple[CriterionVerdict, BoundLedger | None]:
+) -> CriterionVerdict:
     """When cl(N) = cat(N), a degree +-1 map forces cat(M) >= cat(N).
 
-    Returns the verdict together with M's ledger, tightened when the
-    criterion certifies (tightening is monotone: lower bounds only rise).
+    The conclusion is the verdict's; M's ledger keeps its own bounds.
     """
     if n_ledger is None:
-        return (
-            CriterionVerdict(
-                "cor_cat_transfer", NOT_APPLICABLE, "no ring data for the range", ()
-            ),
-            m_ledger,
-        )
+        return CriterionVerdict("cor_cat_transfer", NOT_APPLICABLE, "no ring data for the range")
     if n_ledger.cat.is_exact() and n_ledger.cat.lower == n_ledger.cup_length:
         cat_n = n_ledger.cat.lower
-        if (
-            m_ledger is not None
-            and m_ledger.cat.upper is not None
-            and m_ledger.cat.upper < cat_n
-        ):
+        if m_ledger is not None and m_ledger.cat.upper is not None and m_ledger.cat.upper < cat_n:
             # the forced conclusion cat(domain) >= cat(range) contradicts the
             # domain's known upper bound: no degree +-1 map can exist
-            return (
-                CriterionVerdict(
-                    "cor_cat_transfer",
-                    VIOLATED,
-                    f"category obstruction: cat(domain) <= {m_ledger.cat.upper} "
-                    f"< {cat_n} = cat(range) = cl(range); a degree +-1 map "
-                    f"would force cat(domain) >= {cat_n}",
-                    ("category transfer when cup-length is sharp",),
-                ),
-                m_ledger,
-            )
-        new_ledger = m_ledger
-        if m_ledger is not None:
-            new_ledger = m_ledger.tighten_cat_lower(
-                cat_n, "category transfer: range has cl = cat"
-            )
-        return (
-            CriterionVerdict(
+            return CriterionVerdict(
                 "cor_cat_transfer",
-                CERTIFIED,
-                f"cl(range) = cat(range) = {cat_n}, so cat(domain) >= {cat_n}",
+                VIOLATED,
+                f"category obstruction: cat(domain) <= {m_ledger.cat.upper} "
+                f"< {cat_n} = cat(range) = cl(range); a degree +-1 map "
+                f"would force cat(domain) >= {cat_n}",
                 ("category transfer when cup-length is sharp",),
-            ),
-            new_ledger,
+            )
+        return CriterionVerdict(
+            "cor_cat_transfer",
+            CERTIFIED,
+            f"cl(range) = cat(range) = {cat_n}, so cat(domain) >= {cat_n}",
+            ("category transfer when cup-length is sharp",),
         )
     if n_ledger.cat.is_exact():
         reason = (
@@ -298,7 +277,7 @@ def cor_cat_transfer(
         )
     else:
         reason = "cat(range) is not pinned to its cup-length"
-    return CriterionVerdict("cor_cat_transfer", INCONCLUSIVE, reason, ()), m_ledger
+    return CriterionVerdict("cor_cat_transfer", INCONCLUSIVE, reason, ())
 
 
 def thm_main_check(
@@ -554,8 +533,7 @@ def full_report(
             CriterionVerdict("prop_cl_monotone", NOT_APPLICABLE, f"no ring data for {missing}")
         )
 
-    transfer_verdict, m_ledger = cor_cat_transfer(m_ledger, n_ledger)
-    verdicts.append(transfer_verdict)
+    verdicts.append(cor_cat_transfer(m_ledger, n_ledger))
 
     verdicts.append(thm_main_check(m_record, n_record, n_ledger))
 

@@ -444,6 +444,15 @@ def _compile_factored(c: CompiledRing) -> tuple:
     return tuple(rows), pairing
 
 
+class TableEntryError(ValueError):
+    """A product entry of an explicit table breaks a ring law; ``entry`` is
+    its key, so that a file reader can name the entry's line."""
+
+    def __init__(self, message: str, entry: tuple[str, str]):
+        super().__init__(message)
+        self.entry = entry
+
+
 class MultiplicationTable(_Ring):
     """Finite graded GF(2) algebra given by a basis and structure constants.
 
@@ -508,33 +517,32 @@ class MultiplicationTable(_Ring):
         """Store each nonzero product once, under its position-ordered pair
         (commutativity), as a bitmask over the basis of the degree sum."""
         c = self.compiled
-        position, degrees, first = c.lookups()[1], c.degrees, c.first
+        (labels, position), degrees, first = c.lookups(), c.degrees, c.first
         given: dict[tuple[int, int], int] = {}
-        for (la, lb), val in products.items():
+        for entry, val in products.items():
+            la, lb = entry
             if la not in position or lb not in position:
-                raise ValueError(f"product entry references unknown label: {(la, lb)}")
+                raise TableEntryError(f"product entry references unknown label: {entry}", entry)
             terms = frozenset(val.terms if isinstance(val, Element) else val)
             p, q = sorted((position[la], position[lb]))
             d = degrees[p] + degrees[q]
             if terms and d > self.top_degree:
-                raise ValueError(f"product {la}*{lb} exceeds top degree but is nonzero")
+                raise TableEntryError(f"product {la}*{lb} exceeds top degree but is nonzero", entry)
             for t in terms:
                 if t not in position:
-                    raise ValueError(f"product {la}*{lb} references unknown label {t!r}")
+                    raise TableEntryError(
+                        f"product {la}*{lb} references unknown label {t!r}", entry)
                 if degrees[position[t]] != d:
-                    raise ValueError(
+                    raise TableEntryError(
                         f"product {la}*{lb} not degree-additive: {t!r} has degree "
-                        f"{degrees[position[t]]}, expected {d}"
-                    )
+                        f"{degrees[position[t]]}, expected {d}", entry)
             mask = sum(1 << position[t] - first[d] for t in terms)
+            if p == 0 and mask != 1 << q - first[d]:  # the unit is position 0
+                raise TableEntryError(f"unit law violated at {labels[q]!r}", entry)
             if given.setdefault((p, q), mask) != mask:
-                raise ValueError(f"conflicting entries for product {la}*{lb}")
-        # unit row is forced, not data; the unit is position 0
-        for l, _ in self.basis:
-            p = position[l]
-            one = 1 << p - first[degrees[p]]
-            if given.setdefault((0, p), one) != one:
-                raise ValueError(f"unit law violated at {l!r}")
+                raise TableEntryError(f"conflicting entries for product {la}*{lb}", entry)
+        for p in range(self.size):  # the unit row is forced, not data
+            given.setdefault((0, p), 1 << p - first[degrees[p]])
         self._store = {key: mask for key, mask in given.items() if mask}
 
     def _validate_full(self) -> None:
@@ -707,7 +715,7 @@ def check_poincare_duality(ring: Ring) -> bool:
     n = ring.top_degree
     if c.dims.get(n) != 1:
         return False
-    for d in range(0, n // 2 + 1):
+    for d in {min(e, n - e) for e in c.dims}:  # each d <= n/2 with H^d or H^(n-d) nonzero
         left, right = c.dims.get(d, 0), c.dims.get(n - d, 0)
         if left != right or left and len(XorBasis(c.pairing(d))) != left:
             return False

@@ -12,7 +12,7 @@ Space files (UTF-8, ``#`` starts a comment, tokens whitespace-separated)::
     truncate NAME EXPONENT          # required once per generator
     # or, mutually exclusive with generator/truncate:
     basis LABEL DEGREE              # once per LABEL; unit = unique degree-0 label
-    product LABEL LABEL = EXPR      # once per LABEL pair; omitted products are 0
+    product LABEL LABEL = EXPR      # once per LABEL pair, either order; omitted products are 0
 
 Map files::
 
@@ -26,7 +26,8 @@ A file starts with its header line (``space`` or ``map``).  One table
 per format gives each keyword its arguments and its repeat rule: a line
 keyed above may appear once per key, and every other line once, so a
 second ``dim`` line is an error (``line N: duplicate dim line``), as is
-a second ``product a b`` line.
+a ``product b a`` line after ``product a b``.  A product line that breaks
+a ring law names its line too.
 
 Expressions are sums of monomials separated by ``+``; a monomial is
 ``0``, ``1``, or factors ``ID`` / ``ID^INT`` joined by ``*``, where ``ID``
@@ -40,7 +41,8 @@ from __future__ import annotations
 from ._record import Record
 from .catalogue import SpaceFileError, SpaceRecord
 from .homs import RingHomSpec
-from .rings import Element, GeneratorSpec, MultiplicationTable, Ring, TruncatedPresentation
+from .rings import Element, GeneratorSpec, MultiplicationTable, Ring, TableEntryError
+from .rings import TruncatedPresentation
 
 # pattern strings; the readers import re and compile them on first use, so a
 # request that reads no space or map file loads neither
@@ -53,9 +55,9 @@ def _keyword(usage: str, pattern: str, ring: str | None = None, key: int = 0,
              repeat: str = "duplicate {0} line", kind: str = "syntax") -> tuple:
     """A row of a format's keyword table.  ``usage`` names the arguments and
     ``pattern`` matches them, one group each; a ring line names its ``ring``
-    kind.  A line may appear once, or, with ``key`` > 0, once per value of its
+    kind.  A line may appear once, or, with ``key`` > 0, once per set of its
     first ``key`` arguments; a repeat raises ``repeat`` (formatted with the
-    keyword and those arguments) of ``kind``."""
+    keyword and the arguments) of ``kind``."""
     return usage, pattern, ring, key, repeat, kind
 
 
@@ -115,9 +117,9 @@ def _read(text: str, keywords: dict):
         m = re.match(pattern, line[len(keyword) :].strip())
         if not m:
             raise SpaceFileError(f"usage: {keyword} {usage}", lineno)
-        this = (keyword, *m.groups()[:key])
+        this = (keyword, frozenset(m.groups()[:key]))  # a product's pair in either order
         if this in seen:
-            raise SpaceFileError(repeat.format(*this), lineno, kind=kind)
+            raise SpaceFileError(repeat.format(keyword, *m.groups()), lineno, kind=kind)
         seen.add(this)
         yield lineno, keyword, m.groups()
 
@@ -289,6 +291,9 @@ def parse_space(text: str) -> SpaceRecord:
             table[(la, lb)] = frozenset(terms)
         try:
             ring = MultiplicationTable(basis, dim, table)
+        except TableEntryError as exc:
+            lines = {(la, lb): lineno for lineno, la, lb, _ in products}
+            raise SpaceFileError(str(exc), lines[exc.entry]) from exc
         except ValueError as exc:
             raise SpaceFileError(str(exc)) from exc
     elif generators or dim == 0:

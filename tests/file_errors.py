@@ -6,7 +6,8 @@ A row is ``(format, text, expected)``: ``format`` is ``"space"`` or
 whole file).  The rows cover every keyword with too few and too many
 arguments, a line before the header, an unknown keyword, a missing
 header or field, a wrong-arity ring line after a line of the other ring
-kind, and every line given twice.
+kind, every line given twice (a ``product`` pair in either order), and a
+``product`` line that breaks a ring law while the table is built.
 
 ``tests/test_spacefile.py`` asserts each row, and ``tools/same_outputs.py``
 runs each file through the command line, so the error of every file is
@@ -104,6 +105,17 @@ def _rows() -> list[tuple[str, str, tuple]]:
     square = SPACE + "basis 1 0\nbasis a 1\nbasis w 2\nproduct a a = w\n"
     rows.append(("space", square + "product a a = 0\n",
                  ("line 7: duplicate product a*a", "syntax", 7)))
+    # the cup product commutes, so b*a repeats a*b, with its value or another
+    pair = SPACE + "basis 1 0\nbasis a 1\nbasis b 1\nbasis w 2\nproduct a b = w\n"
+    for value in ("w", "0"):
+        rows.append(("space", pair + f"product b a = {value}\n",
+                     ("line 8: duplicate product b*a", "syntax", 8)))
+    # a product line that breaks a ring law while the table is built
+    laws = {"product a a = a": "product a*a not degree-additive: 'a' has degree 1, expected 2",
+            "product a w = w": "product a*w exceeds top degree but is nonzero",
+            "product a 1 = b": "unit law violated at 'a'"}
+    for line, message in laws.items():
+        rows.append(("space", pair + f"{line}\n", (f"line 8: {message}", "syntax", 8)))
     # a ring line of the wrong arity after a line of the other ring kind
     for first, keyword in (("basis 1 0", "generator"), ("basis 1 0", "truncate"),
                            ("generator a 1", "basis"), ("generator a 1", "product")):

@@ -392,70 +392,6 @@ def test_cat_bounds_uses_betti_sum():
     assert ledger.crit.lower == 3
 
 
-def test_tighten_cat_lower_monotone():
-    ledger = cat_bounds(so_n_presentation(5), 10)
-    assert ledger.cat.lower == 8
-    same = ledger.tighten_cat_lower(5, "weaker bound")
-    assert same is ledger
-    tighter = ledger.tighten_cat_lower(9, "test")
-    assert tighter.cat.lower == 9
-    assert tighter.ballcat.lower == 9
-    assert tighter.crit.lower == 10
-    assert tighter.crit_star.lower == 10
-    with pytest.raises(LedgerError):
-        ledger.tighten_cat_lower(11, "impossible")
-
-
-INTERVALS = ("cat", "toomer_e", "ballcat", "crit", "crit_star")
-
-
-@st.composite
-def ledgers(draw) -> BoundLedger:
-    """Ledgers of small presentations, some with a cited cat and some with
-    a Betti sum above crit, so that every branch of the re-chaining runs."""
-    gens = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), max_size=4))
-    specs = tuple(GeneratorSpec(f"g{i}", d) for i, (d, _) in enumerate(gens))
-    heights = tuple(h for _, h in gens)
-    dim = sum((h - 1) * d for d, h in gens)
-    ring = TruncatedPresentation(specs, heights, dim)
-    cl = cup_length_formula(ring)
-    known = draw(st.one_of(st.none(), st.integers(cl, dim)))
-    morse = None
-    if draw(st.booleans()):
-        ranks = tuple(ring.poincare_polynomial())
-        morse = MorseData(ranks, (0,) * len(ranks), False, dim)
-    return cat_bounds(ring, dim, known_cat=known, morse=morse)
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(ledgers(), st.integers(-1, 14))
-def test_tighten_cat_lower_keeps_the_chain_and_only_raises(ledger, value):
-    if ledger.cat.upper is not None and value > ledger.cat.upper:
-        with pytest.raises(LedgerError):
-            ledger.tighten_cat_lower(value, "drawn")
-        return
-    tighter = ledger.tighten_cat_lower(value, "drawn")
-    tighter.validate()
-    if value <= ledger.cat.lower:
-        assert tighter is ledger
-        return
-    assert tighter.cat.lower == value
-    assert tighter.cat.lower_provenance == "drawn"
-    for name in INTERVALS:
-        old, new = getattr(ledger, name), getattr(tighter, name)
-        assert new.lower >= old.lower, name
-        assert (new.upper, new.upper_provenance) == (old.upper, old.upper_provenance), name
-        if new.lower == old.lower:
-            assert new == old, name
-    assert tighter.toomer_e == ledger.toomer_e
-    assert (tighter.dimension, tighter.cup_length, tighter.betti_total) == (
-        ledger.dimension,
-        ledger.cup_length,
-        ledger.betti_total,
-    )
-    assert tighter.tighten_cat_lower(value, "again") is tighter
-
-
 def test_ledger_chain_violations_rejected():
     iv = Interval(0, 5)
     with pytest.raises(LedgerError):

@@ -377,6 +377,47 @@ def test_duality_fails_without_a_class_in_the_declared_dimension(tmp_path, capsy
     assert json.loads(out)["poincare_duality"] is False
 
 
+U_REFUSED = ("lscat: U: no mod-2 Poincare duality in dimension 3; not the cohomology ring "
+             "of a closed manifold [non-manifold]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["degree1-report", "-m", "T3", "-n", "u.space"],
+    ["degree1-report", "-m", "u.space", "-n", "T3"],
+    ["check-map", "u.map"],
+    ["degree1-report", "-m", "T3", "-n", "T3", "--map", "u.map"],
+])
+def test_a_space_without_duality_reaches_no_criterion(tmp_path, capsys, monkeypatch, argv):
+    # U has no class in degree 3, so it is no closed manifold and no report
+    # or map check may read it; a report once printed "overall: certified"
+    (tmp_path / "u.space").write_text("space U\ndim 3\ngenerator a 1\ntruncate a 2\n")
+    (tmp_path / "u.map").write_text("map f\ndomain T3\nrange u.space\ndegree +1\nsend a -> t1\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (EXIT_PARSE, "", U_REFUSED)
+
+
+def test_the_duality_check_reads_only_the_degrees_a_ring_has(tmp_path, capsys):
+    n = 10**20
+    space = tmp_path / "x.space"
+    space.write_text(f"space X\ndim {n}\ngenerator x {n}\ntruncate x 2\n")
+    code, out, err = run(capsys, "degree1-report", "-m", str(space), "-n", str(space))
+    assert (code, err) == (EXIT_INCONCLUSIVE, "")
+    assert "prop_cl_monotone: certified" in out
+
+
+def test_a_report_prints_the_spaces_own_ledgers(capsys):
+    # cl(S2xS2) = 2 < 4 = cl(T4) = cat(T4), so no degree-one map exists; the
+    # ledgers are those invariants prints: cat(S2xS2) in [2, 4], not = 4
+    code, out, _ = run(capsys, "--json", "degree1-report", "-m", "S2xS2", "-n", "T4")
+    report = json.loads(out)
+    assert (code, report["overall"]) == (EXIT_VIOLATED, "violated")
+    by_id = {v["criterion_id"]: v["status"] for v in report["verdicts"]}
+    assert (by_id["prop_cl_monotone"], by_id["cor_cat_transfer"]) == ("violated", "certified")
+    for key, name in (("domain_ledger", "S2xS2"), ("range_ledger", "T4")):
+        assert report[key] == json.loads(run(capsys, "--json", "invariants", name)[1])["ledger"]
+    assert report["domain_ledger"]["cat"]["lower"] == 2
+
+
 def test_missing_map_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "check-map", str(tmp_path / "nope.map"))
     assert code == EXIT_USAGE

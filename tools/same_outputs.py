@@ -17,7 +17,10 @@ and ``S_200``, so that the cup-length search runs on explicit, factored
 and presentation rings, both forms of ``invariants S_2100``, an explicit
 table above the cross-check limit, ``degree1-report`` with a map whose
 spaces have the given names but other rings and with one naming an
-unknown space, every malformed file of ``tests/file_errors.py`` (through
+unknown space, both forms of ``degree1-report -m S2xS2 -n T4`` (whose
+range has cl = cat above the domain's cup-length), a space without
+mod-2 Poincare duality (``u.space``) as the range of a report and of a
+``check-map``, every malformed file of ``tests/file_errors.py`` (through
 ``invariants`` or ``check-map``), so that each file error's message is
 compared, and the command line's help, usage errors and accepted option
 forms.  ``--smoke``
@@ -134,6 +137,13 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     out.append((("degree1-report", "-m", "a.space", "-n", "a.space", "--map", "m.map"), files))
     files = (("u.map", _map("Nowhere", "S2", [("x2", "0")])),)
     out.append((("degree1-report", "-m", "S2", "-n", "S2", "--map", "u.map"), files))
+    # a report whose ledgers are the spaces' own though cl(S2xS2) < cl(T4) = cat(T4)
+    out += [(json + ("degree1-report", "-m", "S2xS2", "-n", "T4"), ()) for json in ((), ("--json",))]
+    # U, which has no class in its dimension 3, as a report's range and a map's
+    files = (("u.space", "space U\ndim 3\ngenerator a 1\ntruncate a 2\n"),
+             ("t3u.map", _map("T3", "u.space", [("a", "t1")])))
+    out.append((("degree1-report", "-m", "T3", "-n", "u.space"), files))
+    out.append((("check-map", "t3u.map"), files))
     # every file error: its message, kind and line
     for i, (fmt, text, _) in enumerate(file_errors.FILE_ERRORS):
         command = "invariants" if fmt == "space" else "check-map"
