@@ -5,6 +5,8 @@ cup-lengths add and which has Poincare duality iff each factor does
 (Kunneth): that is the formula.  The definitional search (largest m with
 a nonzero m-th power of the positive-degree ideal) and the pairing rank
 cross-check it within ``CROSS_CHECK_LIMIT``; an explicit table has those alone.
+One rule (``_by_rule``) applies this to every invariant, and one memo holds
+each ring's invariants, each computed once per ring when first read.
 
 The ledger chains every bound the toolkit knows:
 
@@ -73,13 +75,19 @@ def morse_lower_bound(d: MorseData) -> tuple[int, bool]:
     return total, exact
 
 
-def cup_length_formula(ring: Ring) -> int | None:
-    """Cup-length of a factored ring, the sum over its factors: q - 1 for
-    k[x]/(x^q), an explicit table's own for its factor.  None for an explicit table."""
-    if ring.factors is None:
-        return None
+def cup_length_formula(ring: Ring) -> int:
+    """Cup-length of a ring, the sum over its tensor factors: q - 1 for
+    k[x]/(x^q), an explicit table's own (searched) for its factor; an
+    explicit table is its own single factor.  No cross-check runs."""
     return sum(f.truncation - 1 if isinstance(f, _Monogenic) else cup_length_check(f.ring).value
-               for f in ring.factors)
+               for f in ring.tensor_factors)
+
+
+def _duality_of_factors(ring: Ring) -> bool:
+    """Duality of a factored ring: its factors' top degrees sum to its own and
+    each factor has it (its pairing is their Kronecker product; k[x]/(x^q) has it)."""
+    return sum(f.top for f in ring.factors) == ring.top_degree and all(
+        poincare_duality(f.ring) for f in ring.factors if not isinstance(f, _Monogenic))
 
 
 def so_n_presentation(n: int) -> TruncatedPresentation:
@@ -193,31 +201,40 @@ def _cross_checked(ring: Ring) -> bool:
 
 
 # one entry per ring, keyed by its factors, which compare by value (two parses of
-# one file share it), or by an explicit table's id, kept in use by the entry
-_CUP_LENGTHS: dict[object, tuple[Ring, CupLength]] = {}
+# one file share it), and its top degree, on which duality depends, or by an
+# explicit table's id, kept in use by the entry: the ring and its invariants by name
+_INVARIANTS: dict[object, tuple[Ring, dict[str, object]]] = {}
+
+
+def _by_rule(ring: Ring, name: str, formula, computation, settle):
+    """The ring's invariant ``name`` by the cross-check rule, computed once per
+    ring, when first read: a factored ring's ``formula(ring)``, read off its
+    factors, which within ``CROSS_CHECK_LIMIT`` ``computation(ring)`` on its
+    compiled form cross-checks, or an explicit table's computation, whatever
+    its size.  Kept and returned is ``settle(value, formula, computation,
+    agree)``, with None for what did not run."""
+    key = id(ring) if ring.factors is None else (ring.factors, ring.top_degree)
+    memo = _INVARIANTS.setdefault(key, (ring, {}))[1]
+    if name not in memo:
+        f = None if ring.factors is None else formula(ring)
+        c = computation(ring) if f is None or _cross_checked(ring) else None
+        memo[name] = settle(c if f is None else f, f, c, None if f is None or c is None else f == c)
+    return memo[name]
+
+
+def _search(ring: Ring) -> int:
+    # an explicit table through cup_length_search, which takes tables only
+    if ring.factors is None:
+        return cup_length_search(ring)
+    c = ring.compiled
+    return _ideal_power_search(c.dims, c.generator_rows)
 
 
 def cup_length_check(ring: Ring) -> CupLength:
-    """Cup-length of a ring by the cross-check policy, computed once per ring.
-
-    A factored ring takes the sum over its factors, which within the limit
-    the ideal-power search must match; an explicit table is searched.
-    """
-    key = id(ring) if ring.factors is None else ring.factors
-    entry = _CUP_LENGTHS.get(key)
-    if entry is None:
-        formula = cup_length_formula(ring)
-        if formula is None:
-            search = cup_length_search(ring)
-        elif _cross_checked(ring):
-            c = ring.compiled
-            search = _ideal_power_search(c.dims, c.generator_rows)
-        else:
-            search = None
-        agree = None if formula is None or search is None else search == formula
-        value = search if formula is None else formula
-        entry = _CUP_LENGTHS[key] = (ring, CupLength(value, formula, search, agree))
-    return entry[1]
+    """Cup-length of a ring by the cross-check rule: the sum over a factored
+    ring's factors, which within the limit the ideal-power search must match,
+    or an explicit table's search."""
+    return _by_rule(ring, "cup_length", cup_length_formula, _search, CupLength)
 
 
 def cup_length(ring: Ring) -> int:
@@ -233,17 +250,13 @@ def cup_length(ring: Ring) -> int:
 
 def poincare_duality(ring: Ring) -> bool:
     """Mod-2 Poincare duality in the ring's top degree by the cross-check
-    policy.  A factored ring has it iff its factors' top degrees sum to its
-    own and each factor has it (its pairing is their Kronecker product;
-    k[x]/(x^q) has it), and within the limit :func:`check_poincare_duality`
-    must agree.  An explicit table has that alone, whatever its size."""
-    if ring.factors is None:
-        return check_poincare_duality(ring)
-    formula = sum(f.top for f in ring.factors) == ring.top_degree and all(
-        poincare_duality(f.ring) for f in ring.factors if not isinstance(f, _Monogenic))
-    if _cross_checked(ring) and (check := check_poincare_duality(ring)) != formula:
-        raise RuntimeError(f"duality cross-check failed: factors {formula}, pairing {check}")
-    return formula
+    rule: a factored ring's verdict from its factors, which within the limit
+    :func:`check_poincare_duality` must match, or an explicit table's."""
+    value, formula, pairing, agree = _by_rule(ring, "duality", _duality_of_factors,
+                                              check_poincare_duality, lambda *got: got)
+    if agree is False:
+        raise RuntimeError(f"duality cross-check failed: factors {formula}, pairing {pairing}")
+    return value
 
 
 class LedgerError(ValueError):

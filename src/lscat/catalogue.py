@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from ._record import Record
-from .bounds import ENUMERATION_LIMIT, BoundLedger, MorseData, cat_bounds, cup_length
+from .bounds import ENUMERATION_LIMIT, BoundLedger, MorseData, cat_bounds
 from .bounds import cup_length_formula, so_n_presentation
 from .rings import (
     GeneratorSpec,
@@ -106,8 +106,6 @@ class SpaceRecord(Record):
                                      kind="inconsistent-known-cat")
             # no search of a factored ring: commands that print a cup-length cross-check it
             cl = 0 if self.ring is None else cup_length_formula(self.ring)
-            if cl is None:  # an explicit table
-                cl = cup_length(self.ring)
             if cl > value:
                 raise SpaceFileError(f"{self.name}: known cat {value} below the cup-length bound",
                                      kind="inconsistent-known-cat")

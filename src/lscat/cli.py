@@ -320,18 +320,19 @@ def _read_file(token: str, optional: bool = False) -> str | None:
 
 
 def _load_extra_spaces(paths: list[str]) -> dict[str, SpaceRecord]:
-    loaded = {}
-    for path in paths:
-        record = parse_space(_read_file(path))
-        loaded[record.name] = record
-    return loaded
+    """The ``--space`` files' records by name; a name given again takes the last."""
+    return {record.name: record for record in (parse_space(_read_file(p)) for p in paths)}
 
 
 def _resolve_space(token: str, loaded: dict[str, SpaceRecord]) -> SpaceRecord:
-    if token in loaded:
-        return loaded[token]
-    text = _read_file(token, optional=True)
-    return catalogue.get(token) if text is None else parse_space(text)
+    """The record a token names: an extra space's, a file's, parsed once per
+    request and kept in ``loaded``, or else the catalogue's."""
+    if token not in loaded:
+        text = _read_file(token, optional=True)
+        if text is None:
+            return catalogue.get(token)
+        loaded[token] = parse_space(text)
+    return loaded[token]
 
 
 def _manifold(record: SpaceRecord) -> SpaceRecord:
@@ -345,16 +346,26 @@ def _manifold(record: SpaceRecord) -> SpaceRecord:
     return record
 
 
+def _enumerable(record: SpaceRecord) -> SpaceRecord:
+    """The record, unless its ring has more degrees 0..dim than a command may
+    enumerate: a Poincare polynomial has a term, and a map a matrix, per degree."""
+    if record.ring is not None and (size := record.ring.top_degree + 1) > ENUMERATION_LIMIT:
+        raise SpaceFileError(f"{record.name}: the Poincare polynomial would have {size} terms, "
+                             f"above the limit of {ENUMERATION_LIMIT}", kind="too-large")
+    return record
+
+
 def _load_map(path: str, loaded: dict[str, SpaceRecord]) -> tuple:
     """A map file's spec, its domain and range records, and its induced
-    homomorphism; a space it names that resolves nowhere, or to no closed
-    manifold, is a file error."""
+    homomorphism; a space it names that resolves nowhere, to no closed
+    manifold or to one of too many degrees, is a file error."""
     spec = parse_map(_read_file(path))
     try:
         domain, range_ = _resolve_space(spec.domain, loaded), _resolve_space(spec.range, loaded)
     except UnknownSpaceError as exc:
         raise SpaceFileError(str(exc), kind="unknown-space") from exc
-    return spec, _manifold(domain), _manifold(range_), resolve_map(spec, domain, range_)
+    domain, range_ = _enumerable(_manifold(domain)), _enumerable(_manifold(range_))
+    return spec, domain, range_, resolve_map(spec, domain, range_)
 
 
 def _emit(args, payload: dict, text: list[str]) -> None:
@@ -404,7 +415,7 @@ def _record_dict(record: SpaceRecord) -> dict:
 
 
 def cmd_invariants(args) -> int:
-    record = _resolve_space(args.space, {})
+    record = _enumerable(_resolve_space(args.space, {}))
     payload: dict = {
         "space": record.name,
         "dimension": record.dimension,
@@ -414,47 +425,26 @@ def cmd_invariants(args) -> int:
         "known_cat": list(record.known_cat) if record.known_cat else None,
         "notes": list(record.notes),
     }
-    text = [
-        f"space {record.name}: dim {record.dimension}, connectivity "
-        f"{record.connectivity}"
-    ]
+    text = [f"space {record.name}: dim {record.dimension}, connectivity {record.connectivity}"]
     if record.ring is None:
-        payload.update(
-            {"poincare_polynomial": None, "cup_length": None, "poincare_duality": None, "ledger": None}
-        )
+        payload.update(dict.fromkeys(("poincare_polynomial", "cup_length", "poincare_duality",
+                                      "ledger")))
         text.append("no ring data stored; ring invariants not applicable")
     else:
         ring = record.ring
-        size = ring.top_degree + 1  # the Poincare polynomial's terms, one per degree
-        if size > ENUMERATION_LIMIT:
-            raise SpaceFileError(
-                f"{record.name}: the Poincare polynomial would have {size} terms, "
-                f"above the limit of {ENUMERATION_LIMIT}", kind="too-large")
         poly = ring.poincare_polynomial()
         cl = cup_length_check(ring).to_dict()
         duality = poincare_duality(ring)
         ledger = record.ledger()
-        payload.update(
-            {
-                "poincare_polynomial": poly,
-                "cup_length": cl,
-                "poincare_duality": duality,
-                "ledger": ledger.to_dict(),
-            }
-        )
+        payload.update({"poincare_polynomial": poly, "cup_length": cl, "poincare_duality": duality,
+                        "ledger": ledger.to_dict()})
         text.append("poincare polynomial: " + " ".join(str(c) for c in poly))
-        if cl["formula"] is not None and cl["search"] is not None:
-            status = "agree" if cl["agree"] else "MISMATCH"
-            text.append(f"cup-length: {cl['formula']} (formula) = {cl['search']} (search) [{status}]")
-        elif cl["formula"] is not None:
-            text.append(f"cup-length: {cl['formula']} (formula)")
-        else:
-            text.append(f"cup-length: {cl['search']} (search)")
+        # the values that ran; two agree, as the ledger raised otherwise
+        ran = [f"{cl[way]} ({way})" for way in ("formula", "search") if cl[way] is not None]
+        text.append("cup-length: " + " = ".join(ran) + " [agree]" * (len(ran) == 2))
         text.append(f"poincare duality: {duality}")
-        text.append(
-            f"cat {ledger.cat}; e* {ledger.toomer_e}; ballcat {ledger.ballcat}; "
-            f"crit {ledger.crit}; crit* {ledger.crit_star}"
-        )
+        text.append(f"cat {ledger.cat}; e* {ledger.toomer_e}; ballcat {ledger.ballcat}; "
+                    f"crit {ledger.crit}; crit* {ledger.crit_star}")
     if record.known_cat:
         text.append(f'known cat: {record.known_cat[0]} -- "{record.known_cat[1]}"')
     for note in record.notes:
@@ -469,13 +459,11 @@ def cmd_cup_length(args) -> int:
         print(f"lscat: error: {record.name} has no ring data", file=sys.stderr)
         return EXIT_USAGE
     check = cup_length_check(record.ring)
-    cl = check.to_dict()
-    payload = {"space": record.name, "cup_length": cl}
     text = [f"cup-length of {record.name}: {check.value}"]
-    if cl["agree"] is not None:
-        text.append(f"formula {cl['formula']} / search {cl['search']}: "
-                    + ("agree" if cl["agree"] else "MISMATCH"))
-    _emit(args, payload, text)
+    if check.agree is not None:
+        text.append(f"formula {check.formula} / search {check.search}: "
+                    + ("agree" if check.agree else "MISMATCH"))
+    _emit(args, {"space": record.name, "cup_length": check.to_dict()}, text)
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from ._record import Record
 from .bounds import BoundLedger, MorseData, cup_length, morse_lower_bound
 from .catalogue import SpaceRecord
 from .gf2 import rank
-from .rings import Element, MultiplicationTable, Ring, TruncatedPresentation
+from .rings import Element, Ring, TruncatedPresentation
 
 CERTIFIED = "certified"
 VIOLATED = "violated"
@@ -101,29 +101,22 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     given one is compared with it.  Returns the per-degree matrices;
     raises :class:`HomValidationError` listing every problem of the read
     stage, or else every failing pair of (a) and (b)."""
-    problems: list[str] = []
-    source, target, src = spec.source, spec.target, spec.source.compiled
+    source, src, basis = spec.source, spec.source.compiled, spec.target.compiled
+    known = src.names()
     # presentations take images of their generators, at x in their factor (None
     # if x = 0); tables of every basis element but the unit, which must map to 1
     if isinstance(source, TruncatedPresentation):
-        generators = [(g.name, g.degree, src._at[s] if q > 1 else None, q)
-                      for g, q, s in zip(source.generators, source.truncations, src.strides)]
-        unknown, noun, known = "generator", "generator", set()
-    elif isinstance(source, MultiplicationTable):
-        position = src.lookups()[1]
-        generators = [(l, d, position[l], None) for l, d in source.basis if l != source.unit_label]
-        unknown, noun, known = "basis label", "basis element", {source.unit_label}
+        generators = [(g.name, g.degree, known[g.name], q)
+                      for g, q in zip(source.generators, source.truncations)]
+        problems = [f"unknown generator {key!r}" for key in spec.images if key not in known]
+        noun = "generator"
     else:
-        raise TypeError(f"unsupported source ring {type(source).__name__}")
-    known.update(g[0] for g in generators)
-    for key in spec.images:
-        if key not in known:
-            problems.append(f"unknown {unknown} {key!r}")
-    basis = target.compiled
-    if isinstance(source, MultiplicationTable):
+        generators = [(l, d, known[l], None) for l, d in source.basis if l != source.unit_label]
+        problems = [f"unknown basis label {key!r}" for key in spec.images if key not in known]
         unit = basis.element({0: 1})
         if spec.images.get(source.unit_label, unit) != unit:
             problems.append("unit must map to unit")
+        noun = "basis element"
     images = {0: 1}  # per source position
     for name, degree, p, q in generators:
         img, deg, x = spec.images.get(name), None, 0

@@ -245,6 +245,8 @@ class CompiledRing:
       :class:`Element` as ``{degree: bitmask}``, and back;
     * ``lookups()`` -- ``(terms, position)``: the element term (exponent
       tuple or basis label) at each position, and back;
+    * ``names()`` -- the position of each name a file expression or a map
+      uses: a presentation's generators, a table's basis labels;
     * ``product(p, q)``, ``times``, ``power`` -- products of positions and
       of vectors; a tensor product multiplies in each factor;
     * ``generator_rows`` -- per ideal generator, its degree and, per
@@ -290,6 +292,15 @@ class CompiledRing:
             terms = [terms[c] for c in self._order]
             self._lookups = terms, {u: p for p, u in enumerate(terms)}
         return self._lookups
+
+    def names(self) -> dict[str, int | None]:
+        """A presentation's generator names at their positions (None for one
+        truncated at 1, which is zero), or a table's basis labels at theirs."""
+        if isinstance(self.ring, TruncatedPresentation):
+            # generator i is the monomial numbered by its stride (mixed radix)
+            return {g.name: self._at[s] if q > 1 else None
+                    for g, q, s in zip(self.ring.generators, self.ring.truncations, self.strides)}
+        return self.lookups()[1]
 
     def vector(self, e: Element) -> dict[int, int]:
         """``e`` as ``{degree: bitmask}``; raises ValueError for a term not

@@ -187,14 +187,9 @@ def element_from_monomials(
     when it is truncated at 1, so zero), or a table's basis label.
     """
     c = ring.compiled
-    if isinstance(ring, TruncatedPresentation):
-        # generator i is the monomial numbered by its stride (mixed radix)
-        position = {g.name: c._at[s] if q > 1 else None
-                    for g, q, s in zip(ring.generators, ring.truncations, c.strides)}
-        what, kind = "generator", "unknown-generator"
-    else:
-        position = c.lookups()[1]
-        what, kind = "basis label", "unknown-label"
+    position = c.names()
+    what, kind = (("generator", "unknown-generator") if isinstance(ring, TruncatedPresentation)
+                  else ("basis label", "unknown-label"))
     acc: dict[int, int] = {}  # degree -> bitmask
     for mono in monomials:
         d, x = 0, 1  # the unit

@@ -250,7 +250,7 @@ def test_factor_values_equal_the_computations_on_the_product(members):
     assert cup_length_formula(ring) == bounds._ideal_power_search(c.dims, c.generator_rows)
     # the factors' verdict alone: every factored ring taken as above the limit
     with mock.patch.object(bounds, "_cross_checked", lambda r: r.factors is None), \
-            mock.patch.object(bounds, "_CUP_LENGTHS", {}):
+            mock.patch.object(bounds, "_INVARIANTS", {}):
         assert poincare_duality(ring) == check_poincare_duality(ring)
     assert ring.poincare_polynomial() == [c.dims.get(d, 0) for d in range(ring.top_degree + 1)]
     # and the policy itself: formula and cross-check agree
@@ -265,6 +265,9 @@ def test_duality_above_the_limit_is_the_factors_verdict():
     assert "compiled" not in t16.__dict__
     above = tensor_product(t16, TruncatedPresentation((GeneratorSpec("a", 1),), (2,), 2))
     assert poincare_duality(above) is False  # its top degree is above its factors'
+    # the same factors with another top degree: a ring of its own in the memo
+    t17 = TruncatedPresentation(tuple(GeneratorSpec(f"t{i}", 1) for i in range(17)), (2,) * 17, 17)
+    assert t17.factors == above.factors and poincare_duality(t17) is True
     # an explicit factor above the limit is ranked, and its product takes its verdict
     big = surface_table(2100)
     assert poincare_duality(big) is True
@@ -285,8 +288,9 @@ def test_every_ring_gets_a_duality_verdict(p, q, genus):
         surface = surface_table(genus)
         rings = [p, tensor_product(p, q), surface, tensor_product(p, surface),
                  tensor_product(surface, expand_to_table(q))]
-    for limit in (0, CROSS_CHECK_LIMIT):
-        with mock.patch.object(bounds, "CROSS_CHECK_LIMIT", limit):
+    for limit in (0, CROSS_CHECK_LIMIT):  # each with an empty memo, so that both paths run
+        with mock.patch.object(bounds, "CROSS_CHECK_LIMIT", limit), \
+                mock.patch.object(bounds, "_INVARIANTS", {}):
             for ring in rings:
                 verdict = poincare_duality(ring)
                 assert type(verdict) is bool and verdict == check_poincare_duality(ring)
@@ -295,7 +299,8 @@ def test_every_ring_gets_a_duality_verdict(p, q, genus):
 
 def test_a_duality_mismatch_is_an_internal_failure():
     s2 = expand_to_table(TruncatedPresentation((GeneratorSpec("x", 2),), (2,), 2))
-    with mock.patch.object(bounds, "check_poincare_duality", lambda ring: False):
+    with mock.patch.object(bounds, "check_poincare_duality", lambda ring: False), \
+            mock.patch.object(bounds, "_INVARIANTS", {}):
         with pytest.raises(RuntimeError, match="duality cross-check failed"):
             poincare_duality(s2)
 

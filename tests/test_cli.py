@@ -535,6 +535,22 @@ def test_invariants_stop_at_the_enumeration_limit(tmp_path, capsys):
     assert code == EXIT_OK and len(poly) == ENUMERATION_LIMIT and poly[0] == poly[-1] == 1
 
 
+@pytest.mark.parametrize("n", [10**7, 10**19])
+def test_maps_stop_at_the_enumeration_limit(tmp_path, capsys, n):
+    """A map has a matrix per degree up to dim: the identity of a two-class
+    dual ring of a huge dim is refused before it is validated, by check-map
+    and by a report given the map."""
+    space, identity = tmp_path / "d.space", tmp_path / "id.map"
+    space.write_text(f"space D\ndim {n}\ngenerator x {n}\ntruncate x 2\n")
+    identity.write_text(f"map id\ndomain {space}\nrange {space}\ndegree 1\nsend x -> x\n")
+    error = (f"lscat: D: the Poincare polynomial would have {n + 1} terms, above the "
+             f"limit of {ENUMERATION_LIMIT} [too-large]\n")
+    for argv in (["check-map", identity], ["degree1-report", "-m", space, "-n", space, "--map", identity]):
+        start = time.perf_counter()
+        assert run(capsys, *map(str, argv)) == (EXIT_PARSE, "", error)
+        assert time.perf_counter() - start < 1.0
+
+
 # -- map-file edge messages, byte for byte -------------------------------------------
 
 

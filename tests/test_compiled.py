@@ -303,9 +303,9 @@ def test_search_stops_a_degree_once_it_is_full():
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """Empty cup-length memo; returns the list of kernel runs made, each
+    """Empty invariants memo; returns the list of kernel runs made, each
     as its arguments (the searched ring's dims and generator rows)."""
-    monkeypatch.setattr(bounds, "_CUP_LENGTHS", {})
+    monkeypatch.setattr(bounds, "_INVARIANTS", {})
     runs = []
     kernel = bounds._ideal_power_search
 
@@ -321,6 +321,22 @@ def test_degree1_report_searches_once(kernel_runs, capsys):
     assert main(["degree1-report", "-m", "T10", "-n", "T10"]) == EXIT_OK
     capsys.readouterr()
     assert len(kernel_runs) == 1
+
+
+def test_duality_is_ranked_once_per_ring(monkeypatch, capsys):
+    """Both sides of a report on one ring share its duality verdict, and a
+    cup-length ranks no pairing."""
+    monkeypatch.setattr(bounds, "_INVARIANTS", {})
+    ranked = []
+    rank = bounds.check_poincare_duality
+    monkeypatch.setattr(bounds, "check_poincare_duality", lambda ring: ranked.append(ring) or rank(ring))
+    assert main(["degree1-report", "-m", "T10", "-n", "T10"]) == EXIT_OK
+    assert ranked == [get("T10").ring]
+    ranked.clear()
+    monkeypatch.setattr(bounds, "_INVARIANTS", {})
+    assert main(["cup-length", "T10"]) == EXIT_OK
+    capsys.readouterr()
+    assert ranked == []
 
 
 def test_two_parses_share_one_cup_length(kernel_runs):
@@ -420,9 +436,16 @@ def test_each_ring_is_numbered_once(monkeypatch, tmp_path, capsys):
     assert main(["check-map", str(identity)]) == EXIT_OK
     assert main(["check-map", str(t4)]) == EXIT_OK
     assert main(["degree1-report", "-m", "T4", "-n", "T4", "--map", str(t4)]) == EXIT_OK
+    # a file named by -m, -n and the map's domain and range is parsed once
+    space = tmp_path / "f.space"
+    space.write_text("space F\ndim 3\ngenerator a 1\ngenerator b 2\ntruncate a 2\ntruncate b 2\n")
+    f_map = tmp_path / "f.map"
+    f_map.write_text(f"map identity\ndomain {space}\nrange {space}\ndegree 1\n"
+                     "send a -> a\nsend b -> b\n")
+    assert main(["degree1-report", "-m", str(space), "-n", str(space), "--map", str(f_map)]) == EXIT_OK
     capsys.readouterr()
     counts = Counter(map(id, numbered))
-    # the product, its two factors (the surface table and T2) and T4
+    # the product, its two factors (the surface table and T2), T4 and F
     assert {id(ring), id(get("T4").ring)} <= set(counts)
-    assert len(counts) == 4
+    assert len(counts) == 5
     assert set(counts.values()) == {1}

@@ -20,14 +20,19 @@ spaces have the given names but other rings and with one naming an
 unknown space, both forms of ``degree1-report -m S2xS2 -n T4`` (whose
 range has cl = cat above the domain's cup-length), a space without
 mod-2 Poincare duality (``u.space``) as the range of a report and of a
-``check-map``, every malformed file of ``tests/file_errors.py`` (through
+``check-map``, a report with a map whose spaces are the report's own
+file, named in all four places, the identity ``check-map`` of a
+two-class space of dim 10,000,000, more degrees than a command may
+enumerate, every malformed file of ``tests/file_errors.py`` (through
 ``invariants`` or ``check-map``), so that each file error's message is
 compared, and the command line's help, usage errors and accepted option
 forms.  ``--smoke``
 keeps the smoke decks and drops the fixed set.
 
 Every distinct request runs once per tree as ``python -m lscat.cli ARGV``
-in a fresh directory holding its files.  The tool lists each request
+in a fresh directory holding its files, with at most ``MEMORY_CAP`` bytes
+of address space, so that a tree which enumerates too much fails with a
+``MemoryError`` instead of taking the machine's memory.  The tool lists each request
 whose exit code, stdout or stderr differ (with the trees' source paths
 masked), and exits 1 if there is any, 0 otherwise.
 """
@@ -37,6 +42,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -52,6 +58,7 @@ import file_errors  # noqa: E402
 
 WORKERS = 2
 TIMEOUT_S = 120
+MEMORY_CAP = 1 << 30
 
 
 def _map(domain: str, range_: str, sends: list[tuple[str, str]]) -> str:
@@ -144,6 +151,15 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
              ("t3u.map", _map("T3", "u.space", [("a", "t1")])))
     out.append((("degree1-report", "-m", "T3", "-n", "u.space"), files))
     out.append((("check-map", "t3u.map"), files))
+    # one file as the report's domain and range and as its map's: parsed once
+    files = (("f.space", "space F\ndim 3\ngenerator a 1\ngenerator b 2\ntruncate a 2\n"
+                         "truncate b 2\n"),
+             ("f.map", _map("f.space", "f.space", [("a", "a"), ("b", "b")])))
+    out.append((("degree1-report", "-m", "f.space", "-n", "f.space", "--map", "f.map"), files))
+    # a dim of more degrees than a command may enumerate, in a map
+    files = (("d.space", "space D\ndim 10000000\ngenerator x 10000000\ntruncate x 2\n"),
+             ("d.map", _map("d.space", "d.space", [("x", "x")])))
+    out.append((("check-map", "d.map"), files))
     # every file error: its message, kind and line
     for i, (fmt, text, _) in enumerate(file_errors.FILE_ERRORS):
         command = "invariants" if fmt == "space" else "check-map"
@@ -173,6 +189,10 @@ def requests(
     return list(seen)
 
 
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def run(tree: Path, argv: tuple[str, ...], files: tuple[tuple[str, str], ...]) -> tuple[int, str, str]:
     src = str(tree.resolve() / "src")
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
@@ -182,7 +202,7 @@ def run(tree: Path, argv: tuple[str, ...], files: tuple[tuple[str, str], ...]) -
         try:
             proc = subprocess.run([sys.executable, "-m", "lscat.cli", *argv], cwd=work, env=env,
                                   stdin=subprocess.DEVNULL, capture_output=True, text=True,
-                                  timeout=TIMEOUT_S)
+                                  timeout=TIMEOUT_S, preexec_fn=_cap_memory)
         except subprocess.TimeoutExpired:
             return -1, "", f"timed out after {TIMEOUT_S} s"
     return proc.returncode, proc.stdout.replace(src, "<src>"), proc.stderr.replace(src, "<src>")
