@@ -20,7 +20,6 @@ from .rings import (
     MultiplicationTable,
     Ring,
     TruncatedPresentation,
-    _convolve,
     expand_to_table,
     tensor_product,
 )
@@ -53,7 +52,8 @@ class SpaceFileError(ValueError):
     missing-truncation, mixed-ring-kinds, duplicate-basis,
     unknown-label, bad-expression, bad-degree, inconsistent-known-cat,
     inconsistent-connectivity, missing-field, no-ring-data, non-manifold, unknown-space,
-    too-large (a request would enumerate more than ``bounds.ENUMERATION_LIMIT`` terms).
+    too-large (a request would enumerate more than ``bounds.ENUMERATION_LIMIT`` terms,
+    or print an integer of more digits than Python turns into a string).
     """
 
     def __init__(self, message: str, line: int | None = None, kind: str = "syntax"):
@@ -144,6 +144,13 @@ def surface_table(g: int) -> MultiplicationTable:
     return MultiplicationTable(basis, 2, products)
 
 
+def _morse(ring: Ring, simply_connected: bool) -> MorseData:
+    """Morse data of a torsion-free space (a point, sphere, torus, surface
+    or product of them): its integral ranks are its ring's mod-2 Betti numbers."""
+    ranks = tuple(ring.poincare_polynomial())
+    return MorseData(ranks, (0,) * len(ranks), simply_connected, ring.top_degree)
+
+
 @lru_cache(maxsize=None)
 def _point() -> SpaceRecord:
     ring = TruncatedPresentation((), (), 0)
@@ -154,7 +161,7 @@ def _point() -> SpaceRecord:
         orientable=True,
         stably_parallelizable=True,
         ring=ring,
-        morse=MorseData((1,), (0,), True, 0),
+        morse=_morse(ring, True),
         known_cat=(0, "a point is contractible"),
     )
 
@@ -164,7 +171,6 @@ def _sphere(n: int) -> SpaceRecord:
     if n < 1:
         raise UnknownSpaceError("spheres S n need n >= 1")
     ring = TruncatedPresentation((GeneratorSpec(f"x{n}", n),), (2,), n)
-    ranks = tuple(1 if d in (0, n) else 0 for d in range(n + 1))
     return SpaceRecord(
         name=f"S{n}",
         dimension=n,
@@ -172,7 +178,7 @@ def _sphere(n: int) -> SpaceRecord:
         orientable=True,
         stably_parallelizable=True,
         ring=ring,
-        morse=MorseData(ranks, (0,) * (n + 1), n >= 2, n),
+        morse=_morse(ring, n >= 2),
         known_cat=(1, SPHERE_CAT_CITATION),
     )
 
@@ -183,11 +189,6 @@ def _torus(k: int) -> SpaceRecord:
         raise UnknownSpaceError("tori T k need k >= 1")
     gens = tuple(GeneratorSpec(f"t{i}", 1) for i in range(1, k + 1))
     ring = TruncatedPresentation(gens, (2,) * k, k)
-    ranks = [0] * (k + 1)
-    c = 1
-    for d in range(k + 1):
-        ranks[d] = c
-        c = c * (k - d) // (d + 1)
     return SpaceRecord(
         name=f"T{k}",
         dimension=k,
@@ -195,7 +196,7 @@ def _torus(k: int) -> SpaceRecord:
         orientable=True,
         stably_parallelizable=True,
         ring=ring,
-        morse=MorseData(tuple(ranks), (0,) * (k + 1), False, k),
+        morse=_morse(ring, False),
         known_cat=(k, TORUS_CAT_CITATION),
     )
 
@@ -232,8 +233,8 @@ def _surface(g: int) -> SpaceRecord:
         connectivity=1 if g == 0 else 0,
         orientable=True,
         stably_parallelizable=True,
-        ring=surface_table(g),
-        morse=MorseData((1, 2 * g, 1), (0, 0, 0), g == 0, 2),
+        ring=(ring := surface_table(g)),
+        morse=_morse(ring, g == 0),
         known_cat=known,
         genus=g,
         notes=(SURFACE_CRIT_STAR_NOTE,) if g >= 1 else (),
@@ -273,37 +274,22 @@ def _product_record(name: str, parts: list[str]) -> SpaceRecord:
     records = [_atomic(p) for p in parts]
     for rec in records:
         if rec.ring is None:
-            raise UnknownSpaceError(
-                f"cannot form product {name!r}: {rec.name} has no ring data"
-            )
+            raise UnknownSpaceError(f"cannot form product {name!r}: {rec.name} has no ring data")
     rings = [rec.ring for rec in records]
     # a product with a table is one from its first factor on: S2xS3xS_1 lists
     # x3 before x2 and x2_x3, where S2xS3 as one presentation gives x2, x3, x2*x3
     if not all(isinstance(r, TruncatedPresentation) for r in rings):
         rings = [r if isinstance(r, MultiplicationTable) else expand_to_table(r) for r in rings]
     ring = reduce(tensor_product, rings)
-    dimension = sum(rec.dimension for rec in records)
-    morse = None
-    if all(rec.morse is not None for rec in records) and all(
-        not any(rec.morse.torsion_ranks) for rec in records
-    ):
-        ranks = [1]
-        for rec in records:
-            ranks = _convolve(ranks, dict(enumerate(rec.morse.ranks)))
-        morse = MorseData(
-            tuple(ranks),
-            (0,) * (dimension + 1),
-            all(rec.simply_connected for rec in records),
-            dimension,
-        )
     return SpaceRecord(
         name=name,
-        dimension=dimension,
+        dimension=sum(rec.dimension for rec in records),
         connectivity=min(rec.connectivity for rec in records),
         orientable=all(rec.orientable for rec in records),
         stably_parallelizable=all(rec.stably_parallelizable for rec in records),
         ring=ring,
-        morse=morse,
+        morse=_morse(ring, all(rec.simply_connected for rec in records))
+        if all(rec.morse is not None for rec in records) else None,
     )
 
 

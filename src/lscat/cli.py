@@ -23,8 +23,10 @@ from .homs import (
     DimensionMismatch,
     HomValidationError,
     _same_ring,
+    check_dimensions,
+    check_injectivity,
+    check_top_class,
     full_report,
-    injectivity_outcome,
     thm_main_check,
     torus_stabilization_k,
     validate_hom,
@@ -355,6 +357,19 @@ def _enumerable(record: SpaceRecord) -> SpaceRecord:
     return record
 
 
+def _printable(record: SpaceRecord) -> SpaceRecord:
+    """The record, unless its basis count, which bounds every integer ``invariants``
+    and ``degree1-report`` print of it, has more digits than Python prints."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before Python 3.10.7
+    count = 0 if record.ring is None else record.ring.basis_count
+    if limit and count.bit_length() > 3 * limit and count >= 10 ** limit:  # 8^limit < 10^limit
+        e = int(math.log10(count))  # the digit count is e + 1, unless rounding moved e by one
+        digits = e + (count >= 10 ** e) + (count >= 10 ** (e + 1))
+        raise SpaceFileError(f"{record.name}: its basis count has {digits} digits, above the "
+                             f"limit of {limit} digits for printing an integer", kind="too-large")
+    return record
+
+
 def _load_map(path: str, loaded: dict[str, SpaceRecord]) -> tuple:
     """A map file's spec, its domain and range records, and its induced
     homomorphism; a space it names that resolves nowhere, to no closed
@@ -415,7 +430,7 @@ def _record_dict(record: SpaceRecord) -> dict:
 
 
 def cmd_invariants(args) -> int:
-    record = _enumerable(_resolve_space(args.space, {}))
+    record = _printable(_enumerable(_resolve_space(args.space, {})))
     payload: dict = {
         "space": record.name,
         "dimension": record.dimension,
@@ -469,7 +484,11 @@ def cmd_cup_length(args) -> int:
 
 def cmd_check_map(args) -> int:
     spec, domain, range_, hom = _load_map(args.mapfile, _load_extra_spaces(args.space))
-    per_degree, top_ok, top_note, violated = injectivity_outcome(validate_hom(hom))
+    vh = validate_hom(hom)  # a map's own errors first, then the pair's dimensions
+    check_dimensions(domain, range_)
+    per_degree, injective = check_injectivity(vh)
+    top_ok = check_top_class(vh)
+    violated = not injective or not top_ok
     payload = {
         "map": spec.name,
         "domain": domain.name,
@@ -477,7 +496,7 @@ def cmd_check_map(args) -> int:
         "asserted_degree": spec.degree,
         "valid_ring_homomorphism": True,
         "injective_per_degree": {str(d): ok for d, ok in per_degree.items()},
-        "injective_overall": all(per_degree.values()),
+        "injective_overall": injective,
         "top_class_preserved": top_ok,
     }
     text = [
@@ -486,15 +505,9 @@ def cmd_check_map(args) -> int:
     ]
     for d in sorted(per_degree):
         text.append(f"  degree {d}: {'injective' if per_degree[d] else 'NOT injective'}")
-    if top_ok is None:
-        text.append(f"top class: not applicable ({top_note})")
-    else:
-        text.append(f"top class preserved: {top_ok}")
-    text.append(
-        "verdict: violated (no such degree +-1 map exists)"
-        if violated
-        else "verdict: consistent with a degree +-1 map"
-    )
+    text.append(f"top class preserved: {top_ok}")
+    text.append("verdict: violated (no such degree +-1 map exists)" if violated
+                else "verdict: consistent with a degree +-1 map")
     payload["verdict"] = "violated" if violated else "consistent"
     _emit(args, payload, text)
     return EXIT_VIOLATED if violated else EXIT_OK
@@ -502,8 +515,8 @@ def cmd_check_map(args) -> int:
 
 def cmd_degree1_report(args) -> int:
     loaded = _load_extra_spaces(args.space)
-    m_record = _manifold(_resolve_space(args.domain, loaded))
-    n_record = _manifold(_resolve_space(args.range, loaded))
+    m_record = _manifold(_printable(_resolve_space(args.domain, loaded)))
+    n_record = _manifold(_printable(_resolve_space(args.range, loaded)))
     hom = None
     if args.mapfile:
         _, map_domain, map_range, hom = _load_map(args.mapfile, loaded)

@@ -197,22 +197,12 @@ def check_top_class(vh: ValidatedHom) -> bool:
     return vh.matrices[top] == (1,)
 
 
-def injectivity_outcome(vh: ValidatedHom) -> tuple[dict[int, bool], bool | None, str, bool]:
-    """The mod-2 consequences of degree +-1 for one validated hom.
-
-    Returns ``(per_degree, top_ok, top_note, violated)``: the injectivity
-    of each degree, whether the top class hits the top class (None when
-    the check does not apply, ``top_note`` then saying why), and whether
-    a degree +-1 map is ruled out, which holds iff some degree has a
-    kernel or the top class misses.
-    """
-    per_degree, injective = check_injectivity(vh)
-    try:
-        top_ok: bool | None = check_top_class(vh)
-        top_note = ""
-    except (DimensionMismatch, ValueError) as exc:
-        top_ok, top_note = None, str(exc)
-    return per_degree, top_ok, top_note, not injective or top_ok is False
+def check_dimensions(m_record: SpaceRecord, n_record: SpaceRecord) -> None:
+    """Raise DimensionMismatch unless domain and range have one dimension:
+    a degree exists only between closed manifolds of one dimension."""
+    if m_record.dimension != n_record.dimension:
+        raise DimensionMismatch(f"dim(domain) = {m_record.dimension} != {n_record.dimension} = "
+                                "dim(range); the degree-one comparison requires equal dimensions")
 
 
 def check_cl_monotone(m_ring: Ring, n_ring: Ring) -> CriterionVerdict:
@@ -497,11 +487,7 @@ def full_report(
     cat(domain) >= cat(range); otherwise "inconclusive".  The verdict
     order is fixed and the report is deterministic.
     """
-    if m_record.dimension != n_record.dimension:
-        raise DimensionMismatch(
-            f"dim(domain) = {m_record.dimension} != {n_record.dimension} = dim(range); "
-            "the degree-one comparison requires equal dimensions"
-        )
+    check_dimensions(m_record, n_record)
     if hom is not None and not (
         _same_ring(hom.source, n_record.ring) and _same_ring(hom.target, m_record.ring)
     ):
@@ -565,27 +551,21 @@ def full_report(
 
 def _hom_verdict(hom: RingHomSpec) -> CriterionVerdict:
     vh = validate_hom(hom)
-    per_degree, top_ok, _, violated = injectivity_outcome(vh)
+    per_degree, injective = check_injectivity(vh)
+    top_ok = check_top_class(vh)
     citations = ("degree-one maps induce injective cohomology homomorphisms",)
-    if violated:
-        problems = []
+    if not injective or not top_ok:
         failing = sorted(d for d, ok in per_degree.items() if not ok)
-        if failing:
-            problems.append(
-                f"induced map has a kernel in degrees {failing}; a degree +-1 map "
-                "induces a monomorphism on cohomology"
-            )
-        if top_ok is False:
-            problems.append(
-                "top class of the range does not hit the top class of the domain; "
-                "incompatible with degree +-1"
-            )
+        problems = [f"induced map has a kernel in degrees {failing}; a degree +-1 map "
+                    "induces a monomorphism on cohomology"] if failing else []
+        if not top_ok:
+            problems.append("top class of the range does not hit the top class of the domain; "
+                            "incompatible with degree +-1")
         return CriterionVerdict("lemma_injectivity", VIOLATED, "; ".join(problems), citations)
-    top_note = "top class preserved" if top_ok else "top class check not applicable"
     n = len(vh.matrices) - 1
     return CriterionVerdict(
         "lemma_injectivity",
         CERTIFIED,
-        f"induced homomorphism injective in every degree 0..{n}; {top_note}",
+        f"induced homomorphism injective in every degree 0..{n}; top class preserved",
         citations,
     )

@@ -31,6 +31,7 @@ import bisect
 import itertools
 import math
 import operator
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from functools import cache, cached_property, reduce
 
@@ -87,13 +88,17 @@ class _Ring:
         is its own single factor, its compiled form."""
         return (self.compiled,) if self.factors is None else self.factors
 
+    @cached_property
+    def basis_count(self) -> int:
+        """The number of basis elements: the product of the factors' sizes."""
+        return math.prod(len(f.degrees) ** m for f, m in Counter(self.tensor_factors).items())
+
     def poincare_polynomial(self) -> list[int]:
-        """Basis counts per degree, 0..top_degree: the factors' series multiplied."""
-        poly = [1]
-        for f in self.tensor_factors:
-            poly = _convolve(poly, f.dims)
-        poly = poly[: self.top_degree + 1]
-        return poly + [0] * (self.top_degree + 1 - len(poly))
+        """Basis counts per degree, 0..top_degree: the factors' series
+        multiplied, each distinct factor's raised to its multiplicity at once."""
+        powers = [_power(f.dims, m) for f, m in Counter(self.tensor_factors).items()]
+        poly = reduce(_convolve, powers) if powers else {0: 1}
+        return [poly.get(d, 0) for d in range(self.top_degree + 1)]
 
     def basis_in_degree(self, d: int) -> list[Term]:
         """The basis of degree d: a presentation's normal-form monomials,
@@ -179,14 +184,30 @@ class TruncatedPresentation(_Ring, Record):
         return "*".join(parts) if parts else "1"
 
 
-def _convolve(a: list[int], b: Mapping[int, int]) -> list[int]:
-    # b maps degrees to nonzero counts: a generator's factor has one per power
-    out = [0] * (len(a) + max(b))
-    for i, x in enumerate(a):
-        if x:
-            for j, y in b.items():
-                out[i + j] += x * y
+def _convolve(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The product of two series given as ``{degree: count}``."""
+    out: dict[int, int] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
     return out
+
+
+def _power(p: Mapping[int, int], m: int) -> Mapping[int, int]:
+    """The series p, p[0] = 1, to the m-th power, by J. C. P. Miller's
+    recurrence n a_n = sum over k > 0 of ((m+1)k - n) p_k a_(n-k): each
+    a_n is one division by n, exact over the integers since a_0 = 1."""
+    if m == 1:
+        return p
+    terms = [(k, c) for k, c in p.items() if k]
+    a = [1]
+    for n in range(1, m * max(p) + 1):
+        s = 0
+        for k, c in terms:
+            if k <= n and (x := a[n - k]):  # one big-integer product; 0 + x would copy x
+                s = s + ((m + 1) * k - n) * c * x if s else ((m + 1) * k - n) * c * x
+        a.append(s // n)
+    return {n: x for n, x in enumerate(a) if x}
 
 
 class _Monogenic(Record):

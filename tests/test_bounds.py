@@ -9,7 +9,7 @@ from functools import reduce
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lscat import bounds
@@ -257,6 +257,41 @@ def test_factor_values_equal_the_computations_on_the_product(members):
     check = cup_length_check(ring)
     assert (check.formula, check.agree) == (check.search, True)
     assert poincare_duality(ring) == check_poincare_duality(ring)
+
+
+@st.composite
+def repeated_factor_rings(draw):
+    """A tensor product of up to three distinct factors, each taken up to
+    four times: a generator k[x]/(x^q) (q = 1 among them) or one explicit
+    table object, so that equal factors meet again; presentations are
+    expanded to a factored table beside a table, or when drawn so."""
+    members, tables = [], [surface_table(1), surface_table(2), NOT_DUAL, U_LIKE]
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 4))
+        kind = draw(st.one_of(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                              st.sampled_from(tables)))
+        if isinstance(kind, tuple):
+            (d, q), n = kind, len(members)
+            gens = tuple(GeneratorSpec(f"x{n}_{i}", d) for i in range(m))
+            members.append(TruncatedPresentation(gens, (q,) * m, m * (q - 1) * d))
+        else:
+            members += [kind] * m
+    if draw(st.booleans()):
+        members = [expand_to_table(r) if isinstance(r, TruncatedPresentation) else r
+                   for r in members]
+    ring = reduce(tensor_product, members)
+    assume(ring.basis_count <= CROSS_CHECK_LIMIT)
+    return ring
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(repeated_factor_rings())
+def test_series_equals_the_compiled_counts_with_repeated_factors(ring):
+    """The Poincare polynomial, each distinct factor's series raised to its
+    multiplicity, equals the per-degree counts of the compiled basis."""
+    c = ring.compiled
+    assert ring.basis_count == len(c.degrees)
+    assert ring.poincare_polynomial() == [c.dims.get(d, 0) for d in range(ring.top_degree + 1)]
 
 
 def test_duality_above_the_limit_is_the_factors_verdict():

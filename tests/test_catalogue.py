@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import time
 import warnings
 from unittest import mock
 
@@ -224,6 +226,63 @@ def test_ledger_for_so6():
     assert ledger.cup_length == 9
     assert (ledger.cat.lower, ledger.cat.upper) == (9, 9)
     assert (ledger.toomer_e.lower, ledger.toomer_e.upper) == (9, 9)
+
+
+def _closed_form_ranks(name: str) -> tuple[int, ...]:
+    """Betti numbers of a point, sphere, torus or surface, from closed
+    forms; of a product of them, the convolution of its factors'."""
+    parts = name.split("x")
+    if len(parts) > 1:
+        ranks = [1]
+        for other in map(_closed_form_ranks, parts):
+            out = [0] * (len(ranks) + len(other) - 1)
+            for i, x in enumerate(ranks):
+                for j, y in enumerate(other):
+                    out[i + j] += x * y
+            ranks = out
+        return tuple(ranks)
+    if name == "point":
+        return (1,)
+    if name.startswith("S_"):
+        return (1, 2 * int(name[2:]), 1)
+    k = int(name[1:])
+    if name.startswith("T"):
+        return tuple(math.comb(k, d) for d in range(k + 1))
+    return (1,) + (0,) * (k - 1) + (1,)
+
+
+@pytest.mark.parametrize("name", ["point", *(f"T{k}" for k in range(1, 65)),
+                                  *(f"S{n}" for n in range(1, 12)), *(f"S_{g}" for g in range(6)),
+                                  "S1xS1", "S2xS4", "T3xS3", "S_1xS_2", "S_2xT2", "S_4xT3",
+                                  "T4xS_2", "pointxS_1xS3", "S_2xS_2xT2"])
+def test_morse_ranks_are_the_closed_forms(name):
+    """The ranks read off each ring equal C(k, d) for T^k, 1 in degrees 0
+    and n for S^n, (1, 2g, 1) for S_g and (1,) for the point, and their
+    convolution for products; no torsion."""
+    morse = get(name).morse
+    assert morse.ranks == _closed_form_ranks(name)
+    assert morse.torsion_ranks == (0,) * len(morse.ranks)
+
+
+def test_morse_data_only_for_torsion_free_families():
+    assert get("SO3").morse is None and get("SO3xT2").morse is None and get("G2").morse is None
+    # simply connected: a point and S^n, n >= 2, and S_0; a product of them
+    # only when every factor's record is (a point's connectivity is 0)
+    flags = {name: get(name).morse.simply_connected
+             for name in ("point", "S1", "S2", "T1", "S_0", "S_1", "S2xS3", "S2xT1", "pointxS2")}
+    assert flags == {"point": True, "S1": False, "S2": True, "T1": False, "S_0": True,
+                     "S_1": False, "S2xS3": True, "S2xT1": False, "pointxS2": False}
+
+
+def test_torus_series_takes_linearly_many_steps():
+    """T^k's series is one factor's raised to the k-th power: T4000 in
+    well under 2 s, where one convolution per factor was cubic in k."""
+    k = 4000
+    ring = TruncatedPresentation(tuple(GeneratorSpec(f"t{i}", 1) for i in range(k)), (2,) * k, k)
+    start = time.perf_counter()
+    poly = ring.poincare_polynomial()
+    assert time.perf_counter() - start < 2.0
+    assert poly == [math.comb(k, d) for d in range(k + 1)]
 
 
 def test_catalogue_poincare_polynomials_palindromic():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +29,12 @@ from lscat.cli import (
     EXIT_VIOLATED,
     _HelpRequested,
     _is_negative_number,
+    _printable,
     _UsageError,
     main,
     parse_args,
 )
-from lscat.spacefile import parse_space
+from lscat.spacefile import SpaceFileError, parse_space
 from oracles import ReferenceUsageError, reference_cli_parser
 
 COLLAPSE_MAP = """\
@@ -176,6 +178,18 @@ def test_check_map_invalid_hom_is_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "check-map", str(path))
     assert code == EXIT_PARSE
     assert "degree mismatch" in err
+
+
+def test_check_map_between_dimensions_is_a_usage_error(tmp_path, capsys):
+    """A degree exists only between manifolds of one dimension: check-map
+    refuses T3 -> T2 as degree1-report given the same map does."""
+    path = tmp_path / "t3t2.map"
+    path.write_text("map f\ndomain T3\nrange T2\ndegree +1\nsend t1 -> t1\nsend t2 -> t2\n")
+    error = ("lscat: error: dim(domain) = 3 != 2 = dim(range); the degree-one comparison "
+             "requires equal dimensions\n")
+    for argv in (["check-map", path], ["--json", "check-map", path],
+                 ["degree1-report", "-m", "T3", "-n", "T2", "--map", path]):
+        assert run(capsys, *map(str, argv)) == (EXIT_USAGE, "", error)
 
 
 def test_check_map_with_space_files(tmp_path, capsys):
@@ -533,6 +547,37 @@ def test_invariants_stop_at_the_enumeration_limit(tmp_path, capsys):
     code, out, _ = run(capsys, "--json", "invariants", str(space))
     poly = json.loads(out)["poincare_polynomial"]
     assert code == EXIT_OK and len(poly) == ENUMERATION_LIMIT and poly[0] == poly[-1] == 1
+
+
+@pytest.mark.parametrize("argv", [["invariants", "T15000"], ["--json", "invariants", "T15000"],
+                                  ["degree1-report", "-m", "T15000", "-n", "T15000"],
+                                  ["--json", "degree1-report", "-m", "T15000", "-n", "T15000"]])
+def test_numbers_python_cannot_print_are_refused(capsys, argv):
+    """2^15000, T15000's basis count and Betti sum, has 4,516 digits, more
+    than Python turns into a string (4,300 by default): refused up front."""
+    limit = sys.get_int_max_str_digits()
+    error = (f"lscat: T15000: its basis count has 4516 digits, above the limit of {limit} "
+             "digits for printing an integer [too-large]\n")
+    assert run(capsys, *argv) == (EXIT_PARSE, "", error)
+
+
+def test_the_digit_count_next_to_a_power_of_ten(tmp_path, capsys):
+    """The digit count is exact where a float logarithm is not: log10 of
+    10^4301 - 1 rounds to 4301.0."""
+    assert sys.get_int_max_str_digits() == 4300  # the interpreter's default
+    # 4,300 generators truncated at 10: the count is 10^4300
+    space = tmp_path / "ten.space"
+    space.write_text("space Ten\ndim 38700\n" + "".join(
+        f"generator x{i} 1\ntruncate x{i} 10\n" for i in range(4300)))
+    code, out, err = run(capsys, "invariants", str(space))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("lscat: Ten: its basis count has 4301 digits, above the limit of 4300 ")
+    # counts no ring of a sane size reaches, on a stand-in record
+    for count, digits in ((10**4301 - 1, 4301), (10**4301, 4302)):
+        with pytest.raises(SpaceFileError, match=f"its basis count has {digits} digits"):
+            _printable(SimpleNamespace(name="X", ring=SimpleNamespace(basis_count=count)))
+    record = SimpleNamespace(name="X", ring=SimpleNamespace(basis_count=10**4300 - 1))
+    assert _printable(record) is record
 
 
 @pytest.mark.parametrize("n", [10**7, 10**19])

@@ -10,12 +10,17 @@ workload (or those named) and every seed from A to B, and a fixed set of request
 decks do not reach: the edge messages of map parsing, identity maps on
 large presentations and product tables, invalid maps with problem lists
 for each kind of source ring, identity maps on ``SO9`` and ``SO5xS_1``,
-whose truncations above 2 make products carry, ``show`` of
+whose truncations above 2 make products carry, the map ``T3 -> T2``
+between spaces of different dimensions (each map through ``check-map``
+and ``degree1-report --map``), ``show`` of
 ``SO5xS_1``, ``cup-length`` and ``--json invariants`` of every catalogue
 name and sweep product of the decks and of ``S_2xT10``, ``S_4xS_4xS_4``
 and ``S_200``, so that the cup-length search runs on explicit, factored
 and presentation rings, both forms of ``invariants S_2100``, an explicit
-table above the cross-check limit, ``degree1-report`` with a map whose
+table above the cross-check limit, and of ``invariants T3000``, whose
+Poincare series is a high power of one factor's, both forms of
+``degree1-report -m T15000 -n T15000``, whose basis count has more
+digits than Python prints, ``degree1-report`` with a map whose
 spaces have the given names but other rings and with one naming an
 unknown space, both forms of ``degree1-report -m S2xS2 -n T4`` (whose
 range has cl = cat above the domain's cup-length), a space without
@@ -126,6 +131,8 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     so5, s1 = _monomial_labels([("b1", 8), ("b3", 2)]), _surface_labels(1)
     images = ["*".join(f for f in (m.replace("b1", "b1__2"), y) if f != "1") for m in so5 for y in s1]
     maps["so5xs_1-identity"] = ("SO5xS_1", "SO5xS_1", list(zip(_product_labels(so5, s1), images))[1:])
+    # spaces of different dimensions, between which no map has a degree
+    maps["t3-t2"] = ("T3", "T2", [("t1", "t1"), ("t2", "t2")])
     out = []
     for name, (domain, range_, sends) in maps.items():
         files = ((f"{name}.map", _map(domain, range_, sends)),)
@@ -135,7 +142,10 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     for name in [*decks.CATALOGUE_NAMES, *decks.SWEEP_PRODUCTS, "S_2xT10", "S_4xS_4xS_4", "S_200"]:
         out += [(("cup-length", name), ()), (("--json", "invariants", name), ())]
     out += [(("show", "SO5xS_1"), ()), (("--json", "show", "SO5xS_1"), ())]
-    out += [(("invariants", "S_2100"), ()), (("--json", "invariants", "S_2100"), ())]
+    for json in ((), ("--json",)):
+        out += [(json + ("invariants", "S_2100"), ()), (json + ("invariants", "T3000"), ()),
+                # a basis count of more digits than Python prints
+                (json + ("degree1-report", "-m", "T15000", "-n", "T15000"), ())]
     # a map between spaces named as -m/-n but with other rings, and one naming no space
     files = (("a.space", "space A\ndim 2\ngenerator a 1\ngenerator b 1\ntruncate a 2\n"
                          "truncate b 2\n"),
