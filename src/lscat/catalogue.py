@@ -4,13 +4,14 @@ Every numerical fact that is not recomputed here (category values in
 particular) carries its literature citation as a string, so reports can
 print provenance.  Parametric families (special orthogonal groups,
 tori, spheres, orientable surfaces) are generated lazily and cached by
-parameter; products are available on demand through names such as
-``S3xS3``.
+name in :func:`get`; products are available on demand through names
+such as ``S3xS3``.  A record stores what the space is; its Morse data is
+read off the ring when first asked for.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 from ._record import Record
 from .bounds import ENUMERATION_LIMIT, BoundLedger, MorseData, cat_bounds
@@ -79,7 +80,7 @@ class SpaceRecord(Record):
     orientable: bool
     stably_parallelizable: bool
     ring: Ring | None
-    morse: MorseData | None = None
+    torsion_free: bool = False
     known_cat: tuple[int, str] | None = None
     genus: int | None = None
     notes: tuple[str, ...] = ()
@@ -94,7 +95,7 @@ class SpaceRecord(Record):
         if self.ring is not None and c >= 1:
             # a c-connected space has H^i = 0 for 0 < i <= c; the lowest
             # positive degree of a tensor product is its factors' lowest
-            low = min((d for f in self.ring.tensor_factors for d in f.dims if d), default=c + 1)
+            low = min((d for f in self.ring.tensor_factors for d in f.degrees[1:2]), default=c + 1)
             if low <= c:
                 raise SpaceFileError(f"connectivity {c} needs H^i = 0 for 0 < i <= {c}, but the "
                                      f"ring has a class in degree {low}",
@@ -113,6 +114,17 @@ class SpaceRecord(Record):
     @property
     def simply_connected(self) -> bool:
         return self.connectivity >= 1
+
+    @cached_property
+    def morse(self) -> MorseData | None:
+        """Morse data of a torsion-free space (a point, sphere, torus, surface
+        or product of them), read off the ring when first asked for: its
+        integral ranks are the ring's mod-2 Betti numbers; None otherwise."""
+        if not self.torsion_free or self.ring is None:
+            return None
+        ranks = tuple(self.ring.poincare_polynomial())
+        return MorseData(ranks, (0,) * len(ranks), self.simply_connected or self.dimension == 0,
+                         self.dimension)
 
     def ledger(self) -> BoundLedger | None:
         """Bound ledger for this record; None when no ring data is stored."""
@@ -144,64 +156,50 @@ def surface_table(g: int) -> MultiplicationTable:
     return MultiplicationTable(basis, 2, products)
 
 
-def _morse(ring: Ring, simply_connected: bool) -> MorseData:
-    """Morse data of a torsion-free space (a point, sphere, torus, surface
-    or product of them): its integral ranks are its ring's mod-2 Betti numbers."""
-    ranks = tuple(ring.poincare_polynomial())
-    return MorseData(ranks, (0,) * len(ranks), simply_connected, ring.top_degree)
-
-
-@lru_cache(maxsize=None)
 def _point() -> SpaceRecord:
-    ring = TruncatedPresentation((), (), 0)
     return SpaceRecord(
         name="point",
         dimension=0,
         connectivity=0,
         orientable=True,
         stably_parallelizable=True,
-        ring=ring,
-        morse=_morse(ring, True),
+        ring=TruncatedPresentation((), (), 0),
+        torsion_free=True,
         known_cat=(0, "a point is contractible"),
     )
 
 
-@lru_cache(maxsize=None)
 def _sphere(n: int) -> SpaceRecord:
     if n < 1:
         raise UnknownSpaceError("spheres S n need n >= 1")
-    ring = TruncatedPresentation((GeneratorSpec(f"x{n}", n),), (2,), n)
     return SpaceRecord(
         name=f"S{n}",
         dimension=n,
         connectivity=n - 1,
         orientable=True,
         stably_parallelizable=True,
-        ring=ring,
-        morse=_morse(ring, n >= 2),
+        ring=TruncatedPresentation((GeneratorSpec(f"x{n}", n),), (2,), n),
+        torsion_free=True,
         known_cat=(1, SPHERE_CAT_CITATION),
     )
 
 
-@lru_cache(maxsize=None)
 def _torus(k: int) -> SpaceRecord:
     if k < 1:
         raise UnknownSpaceError("tori T k need k >= 1")
     gens = tuple(GeneratorSpec(f"t{i}", 1) for i in range(1, k + 1))
-    ring = TruncatedPresentation(gens, (2,) * k, k)
     return SpaceRecord(
         name=f"T{k}",
         dimension=k,
         connectivity=0,
         orientable=True,
         stably_parallelizable=True,
-        ring=ring,
-        morse=_morse(ring, False),
+        ring=TruncatedPresentation(gens, (2,) * k, k),
+        torsion_free=True,
         known_cat=(k, TORUS_CAT_CITATION),
     )
 
 
-@lru_cache(maxsize=None)
 def _special_orthogonal(n: int) -> SpaceRecord:
     if n < 2:
         raise UnknownSpaceError("SO n needs n >= 2")
@@ -217,7 +215,6 @@ def _special_orthogonal(n: int) -> SpaceRecord:
     )
 
 
-@lru_cache(maxsize=None)
 def _surface(g: int) -> SpaceRecord:
     if g < 0:
         raise UnknownSpaceError("surfaces S_g need g >= 0")
@@ -233,15 +230,14 @@ def _surface(g: int) -> SpaceRecord:
         connectivity=1 if g == 0 else 0,
         orientable=True,
         stably_parallelizable=True,
-        ring=(ring := surface_table(g)),
-        morse=_morse(ring, g == 0),
+        ring=surface_table(g),
+        torsion_free=True,
         known_cat=known,
         genus=g,
         notes=(SURFACE_CRIT_STAR_NOTE,) if g >= 1 else (),
     )
 
 
-@lru_cache(maxsize=None)
 def _g2() -> SpaceRecord:
     return SpaceRecord(
         name="G2",
@@ -271,7 +267,8 @@ def _atomic(name: str) -> SpaceRecord:
 
 
 def _product_record(name: str, parts: list[str]) -> SpaceRecord:
-    records = [_atomic(p) for p in parts]
+    # parts share get's records; one with spaces around it is no name (get would strip it)
+    records = [get(p) if p == p.strip() else _atomic(p) for p in parts]
     for rec in records:
         if rec.ring is None:
             raise UnknownSpaceError(f"cannot form product {name!r}: {rec.name} has no ring data")
@@ -280,22 +277,21 @@ def _product_record(name: str, parts: list[str]) -> SpaceRecord:
     # x3 before x2 and x2_x3, where S2xS3 as one presentation gives x2, x3, x2*x3
     if not all(isinstance(r, TruncatedPresentation) for r in rings):
         rings = [r if isinstance(r, MultiplicationTable) else expand_to_table(r) for r in rings]
-    ring = reduce(tensor_product, rings)
     return SpaceRecord(
         name=name,
         dimension=sum(rec.dimension for rec in records),
         connectivity=min(rec.connectivity for rec in records),
         orientable=all(rec.orientable for rec in records),
         stably_parallelizable=all(rec.stably_parallelizable for rec in records),
-        ring=ring,
-        morse=_morse(ring, all(rec.simply_connected for rec in records))
-        if all(rec.morse is not None for rec in records) else None,
+        ring=reduce(tensor_product, rings),
+        torsion_free=all(rec.torsion_free for rec in records),
     )
 
 
 @lru_cache(maxsize=None)
 def get(name: str) -> SpaceRecord:
-    """Resolve a catalogue name; products via 'x', e.g. ``S3xS3``."""
+    """Resolve a catalogue name; products via 'x', e.g. ``S3xS3``.  The one
+    record cache: a product's parts are its records."""
     name = name.strip()
     parts = name.split("x")
     if len(parts) > 1 and all(parts):

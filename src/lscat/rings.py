@@ -33,7 +33,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 
 from ._record import Record
 from .gf2 import XorBasis
@@ -93,12 +93,17 @@ class _Ring:
         """The number of basis elements: the product of the factors' sizes."""
         return math.prod(len(f.degrees) ** m for f, m in Counter(self.tensor_factors).items())
 
-    def poincare_polynomial(self) -> list[int]:
-        """Basis counts per degree, 0..top_degree: the factors' series
-        multiplied, each distinct factor's raised to its multiplicity at once."""
+    @cached_property
+    def _series(self) -> tuple[int, ...]:
         powers = [_power(f.dims, m) for f, m in Counter(self.tensor_factors).items()]
         poly = reduce(_convolve, powers) if powers else {0: 1}
-        return [poly.get(d, 0) for d in range(self.top_degree + 1)]
+        return tuple(poly.get(d, 0) for d in range(self.top_degree + 1))
+
+    def poincare_polynomial(self) -> list[int]:
+        """Basis counts per degree, 0..top_degree: the factors' series
+        multiplied, each distinct factor's raised to its multiplicity at once.
+        Computed once per ring; each call returns a fresh list."""
+        return list(self._series)
 
     def basis_in_degree(self, d: int) -> list[Term]:
         """The basis of degree d: a presentation's normal-form monomials,
@@ -172,7 +177,7 @@ class TruncatedPresentation(_Ring, Record):
     @cached_property
     def factors(self) -> tuple[_Monogenic, ...]:
         """The tensor factors k[x]/(x^q), one per generator."""
-        return tuple(_monogenic(g.degree, q) for g, q in zip(self.generators, self.truncations))
+        return tuple(_Monogenic(g.degree, q) for g, q in zip(self.generators, self.truncations))
 
     def monomial_label(self, exps: Sequence[int]) -> str:
         parts = []
@@ -213,29 +218,26 @@ def _power(p: Mapping[int, int], m: int) -> Mapping[int, int]:
 class _Monogenic(Record):
     """k[x]/(x^q), x of degree g: a presentation's factor per generator.
     Position e is x^e, alone in degree e*g, so products, rows (x^e x is
-    x^(e+1)) and pairing (x^e x^(q-1-e) is the top class) are closed forms."""
+    x^(e+1)) and pairing (x^e x^(q-1-e) is the top class) are closed forms.
+    The record is (g, q); its tables are built when first read, so a huge q
+    costs nothing until a command enumerates the factor."""
 
     degree: int
     truncation: int
 
-    def __init__(self, degree: int, truncation: int) -> None:
-        q, g = truncation, degree
-        rows = ((g, dict.fromkeys(range(0, (q - 1) * g, g), (1,))),) if q > 1 else ()
-        degrees = range(0, q * g, g)
-        self.__dict__.update(degree=g, truncation=q, degrees=degrees, top=(q - 1) * g,
-                             first={e * g: e for e in range(q)}, dims=dict.fromkeys(degrees, 1),
-                             generator_rows=rows)
-
     ring = property(lambda self: self)  # what factors compare by, as a compiled form's ring
+    degrees = cached_property(lambda self: range(0, self.truncation * self.degree, self.degree))
+    top = cached_property(lambda self: (self.truncation - 1) * self.degree)
+    first = cached_property(lambda self: {d: e for e, d in enumerate(self.degrees)})
+    dims = cached_property(lambda self: dict.fromkeys(self.degrees, 1))
+    generator_rows = cached_property(lambda self: (
+        ((self.degree, dict.fromkeys(self.degrees[:-1], (1,))),) if self.truncation > 1 else ()))
 
     def product(self, p: int, r: int) -> list[int]:
         return [p + r] if p + r < self.truncation else []
 
     def pairing(self, e: int) -> tuple[int, ...]:
         return (1,)
-
-
-_monogenic = cache(_Monogenic)  # a value: one object per (degree, truncation) serves every ring
 
 
 class CompiledRing:

@@ -272,13 +272,13 @@ RECORDS = [
     ),
     (
         SpaceRecord,
-        lambda: ["T2", 2, 0, True, True, _t2(), None, (2, "standard"), None, ("note",)],
+        lambda: ["T2", 2, 0, True, True, _t2(), False, (2, "standard"), None, ("note",)],
         [
             (["T2", 3, 0, True, True, _t2()], ValueError, "ring top degree 2 != dimension 3"),
             (["T2", 2, 0, True, True, _t2(), None, (3, "")], ValueError, "outside \\[0, dim\\]"),
             (["T2", 2, 0, True, True, _t2(), None, (1, "")], ValueError, "below the cup-length"),
         ],
-        {"morse": None, "known_cat": None, "genus": None, "notes": ()},
+        {"torsion_free": False, "known_cat": None, "genus": None, "notes": ()},
     ),
     (
         CriterionVerdict,
