@@ -52,7 +52,10 @@ class SpaceFileError(ValueError):
     duplicate-generator, bad-exponent, unknown-generator,
     missing-truncation, mixed-ring-kinds, duplicate-basis,
     unknown-label, bad-expression, bad-degree, inconsistent-known-cat,
-    inconsistent-connectivity, missing-field, no-ring-data, non-manifold, unknown-space,
+    inconsistent-connectivity, inconsistent-stably-parallelizable (a class
+    of half the dimension with a nonzero square, which Wu's formula rules
+    out on a stably parallelizable manifold), missing-field, no-ring-data,
+    non-manifold, unknown-space,
     too-large (a request would enumerate more than ``bounds.ENUMERATION_LIMIT`` terms,
     or print an integer of more digits than Python turns into a string).
     """
@@ -110,6 +113,14 @@ class SpaceRecord(Record):
             if cl > value:
                 raise SpaceFileError(f"{self.name}: known cat {value} below the cup-length bound",
                                      kind="inconsistent-known-cat")
+        n = self.dimension
+        if self.stably_parallelizable and n > 0 and self.ring is not None \
+                and self.ring.has_middle_square():
+            # Wu: x^2 = Sq^k x = v_k x on H^k of a closed 2k-manifold, and v_k = 0 once w = 1
+            raise SpaceFileError(f"{self.name}: flagged stably parallelizable, but a class of "
+                                 f"degree {n // 2} has a nonzero square, which Wu's formula rules "
+                                 f"out (x^2 = v_{n // 2} x = 0) on a stably parallelizable "
+                                 f"{n}-manifold", kind="inconsistent-stably-parallelizable")
 
     @property
     def simply_connected(self) -> bool:

@@ -372,15 +372,17 @@ def _printable(record: SpaceRecord) -> SpaceRecord:
 
 def _load_map(path: str, loaded: dict[str, SpaceRecord]) -> tuple:
     """A map file's spec, its domain and range records, and its induced
-    homomorphism; a space it names that resolves nowhere, to no closed
-    manifold or to one of too many degrees, is a file error."""
+    homomorphism, validated: a space it names that resolves nowhere, to no
+    closed manifold or to one of too many degrees, and images that define
+    no ring homomorphism are file errors, raised before any check of the
+    pair (names, rings, dimensions)."""
     spec = parse_map(_read_file(path))
     try:
         domain, range_ = _resolve_space(spec.domain, loaded), _resolve_space(spec.range, loaded)
     except UnknownSpaceError as exc:
         raise SpaceFileError(str(exc), kind="unknown-space") from exc
     domain, range_ = _enumerable(_manifold(domain)), _enumerable(_manifold(range_))
-    return spec, domain, range_, resolve_map(spec, domain, range_)
+    return spec, domain, range_, validate_hom(resolve_map(spec, domain, range_))
 
 
 def _emit(args, payload: dict, text: list[str]) -> None:
@@ -483,8 +485,7 @@ def cmd_cup_length(args) -> int:
 
 
 def cmd_check_map(args) -> int:
-    spec, domain, range_, hom = _load_map(args.mapfile, _load_extra_spaces(args.space))
-    vh = validate_hom(hom)  # a map's own errors first, then the pair's dimensions
+    spec, domain, range_, vh = _load_map(args.mapfile, _load_extra_spaces(args.space))
     check_dimensions(domain, range_)
     per_degree, injective = check_injectivity(vh)
     top_ok = check_top_class(vh)

@@ -478,9 +478,11 @@ class Report(Record):
 def full_report(
     m_record: SpaceRecord,
     n_record: SpaceRecord,
-    hom: RingHomSpec | None = None,
+    hom: ValidatedHom | None = None,
 ) -> Report:
-    """Run every applicable criterion for maps M -> N of degree +-1.
+    """Run every applicable criterion for maps M -> N of degree +-1; a
+    homomorphism comes validated (:func:`validate_hom`), so a broken map
+    is reported before the pair's dimensions.
 
     Overall status: "violated" when any necessary condition provably
     fails; otherwise "certified" when some criterion establishes
@@ -489,7 +491,7 @@ def full_report(
     """
     check_dimensions(m_record, n_record)
     if hom is not None and not (
-        _same_ring(hom.source, n_record.ring) and _same_ring(hom.target, m_record.ring)
+        _same_ring(hom.spec.source, n_record.ring) and _same_ring(hom.spec.target, m_record.ring)
     ):
         raise ValueError(
             "the homomorphism's rings do not match the given records "
@@ -549,8 +551,7 @@ def full_report(
     )
 
 
-def _hom_verdict(hom: RingHomSpec) -> CriterionVerdict:
-    vh = validate_hom(hom)
+def _hom_verdict(vh: ValidatedHom) -> CriterionVerdict:
     per_degree, injective = check_injectivity(vh)
     top_ok = check_top_class(vh)
     citations = ("degree-one maps induce injective cohomology homomorphisms",)

@@ -105,6 +105,16 @@ class _Ring:
         Computed once per ring; each call returns a fresh list."""
         return list(self._series)
 
+    def has_middle_square(self) -> bool:
+        """Whether some class of degree top/2 has a nonzero square, read off
+        the factors.  Squaring is additive mod 2 and squares a basis tensor
+        factor by factor, so one does iff the factors' tops sum to the
+        ring's and each factor has a basis element of half its top with a
+        nonzero square."""
+        factors = self.tensor_factors
+        return all(map(_has_middle_square, factors)) and sum(
+            f.top for f in factors) == self.top_degree
+
     def basis_in_degree(self, d: int) -> list[Term]:
         """The basis of degree d: a presentation's normal-form monomials,
         lexicographic on exponents, or a table's labels, in basis order."""
@@ -238,6 +248,17 @@ class _Monogenic(Record):
 
     def pairing(self, e: int) -> tuple[int, ...]:
         return (1,)
+
+
+def _has_middle_square(f) -> bool:
+    # x^e of k[x]/(x^q) squares to the top class iff 2e = q - 1; a table's
+    # basis element of half its top, by its stored square
+    if isinstance(f, _Monogenic):
+        return f.truncation % 2 == 1
+    half, odd = divmod(f.top, 2)
+    start = f.first.get(half)
+    return not odd and start is not None and any(
+        f.product(p, p) for p in range(start, start + f.dims[half]))
 
 
 class CompiledRing:

@@ -13,6 +13,7 @@ from lscat import catalogue
 from lscat.bounds import betti_sum, cup_length, cup_length_formula
 from lscat.catalogue import (
     SO_KNOWN_CAT,
+    SpaceFileError,
     SpaceRecord,
     UnknownSpaceError,
     get,
@@ -26,6 +27,7 @@ from lscat.rings import (
     check_poincare_duality,
     expand_to_table,
 )
+from lscat.spacefile import parse_space
 
 
 def test_get_so7():
@@ -357,3 +359,35 @@ def test_compiled_top_is_the_declared_top():
     for ring in _fresh_rings() + [u]:
         assert ring.compiled.top == ring.top_degree
     assert not check_poincare_duality(u)
+
+
+def test_every_catalogue_record_passes_the_stably_parallelizable_check():
+    """Every record is flagged stably parallelizable, and none of positive
+    dimension has a class of half its dimension with a nonzero square."""
+    products = ["S2xS2", "S3xS3", "S2xS4", "S_1xS_1", "S_2xT2", "SO3xS3", "SO4xT2", "T3xS_1"]
+    for name in names() + products:
+        record = get(name)
+        assert record.stably_parallelizable, name
+        assert record.ring is None or record.dimension == 0 or not record.ring.has_middle_square()
+
+
+@pytest.mark.parametrize("text, refused", [
+    ("space CP2\ndim 4\nconnectivity 1\ngenerator x 2\ntruncate x 3\n", True),
+    ("space HP2\ndim 8\nconnectivity 3\ngenerator y 4\ntruncate y 3\n", True),
+    ("space CP2xS2\ndim 6\ngenerator x 2\ngenerator y 2\ntruncate x 3\ntruncate y 2\n", False),
+    ("space Q\ndim 2\nbasis 1 0\nbasis a 1\nbasis b 1\nbasis w 2\nproduct a b = w\n"
+     "product b b = w\n", True),
+    ("space T\ndim 2\nbasis 1 0\nbasis a 1\nbasis b 1\nbasis w 2\nproduct a b = w\n", False),
+])
+def test_a_stably_parallelizable_flag_needs_zero_middle_squares(text, refused):
+    """Wu's formula: on a closed 2k-manifold x^2 = v_k x for x of degree k,
+    and v_k = 0 on a stably parallelizable one.  The same rings unflagged
+    are accepted."""
+    assert parse_space(text).stably_parallelizable is False
+    flagged = text + "stably-parallelizable true\n"
+    if refused:
+        with pytest.raises(SpaceFileError) as error:
+            parse_space(flagged)
+        assert error.value.kind == "inconsistent-stably-parallelizable"
+    else:
+        assert parse_space(flagged).stably_parallelizable is True

@@ -596,6 +596,97 @@ def test_maps_stop_at_the_enumeration_limit(tmp_path, capsys, n):
         assert time.perf_counter() - start < 1.0
 
 
+BIG = "space Big\ndim 99999999999\ngenerator a 1\ntruncate a 100000000000\n"
+BIG_IDENTITY = "map id\ndomain big.space\nrange big.space\ndegree 1\nsend a -> a\n"
+ADDRESS_SPACE_CAP = 1500 << 20
+
+
+def capped(argv: list[str], cwd, timeout: float = 30) -> subprocess.CompletedProcess:
+    """``python ARGV`` with this checkout's lscat under an address-space cap,
+    so that a request which builds a ring-sized table fails with a
+    MemoryError instead of taking the machine's memory."""
+    import resource
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+    src = str(Path(lscat.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["cup-length", "big.space"], EXIT_OK, "cup-length of Big: 99999999999\n"),
+    (["degree1-report", "-m", "big.space", "-n", "big.space"], EXIT_OK, "overall: certified\n"),
+    (["check-map", "big.map"], EXIT_PARSE, ""),
+    (["invariants", "big.space"], EXIT_PARSE, ""),
+])
+def test_a_huge_truncation_builds_no_table(tmp_path, argv, code, out):
+    """k[a]/(a^q), q = 10^11: a factor stores its degree and truncation, and
+    builds its tables only when a command enumerates it, so the formulas
+    answer at once and enumerating commands refuse it as too large."""
+    (tmp_path / "big.space").write_text(BIG)
+    (tmp_path / "big.map").write_text(BIG_IDENTITY)
+    start = time.perf_counter()
+    proc = capped(["-m", "lscat.cli", *argv], tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == code and out in proc.stdout
+    assert proc.stderr == ("" if code == EXIT_OK else
+                           "lscat: Big: the Poincare polynomial would have 100000000000 terms, "
+                           f"above the limit of {ENUMERATION_LIMIT} [too-large]\n")
+
+
+def test_a_large_torus_record_holds_no_morse_data(tmp_path):
+    """T100000's record is its ring and flags: its Morse ranks, 100,001
+    binomials, are computed when a command first reads them."""
+    probe = ("import time, tracemalloc\n"
+             "from lscat import catalogue\n"
+             "start = time.perf_counter()\n"
+             "record = catalogue.get('T100000')\n"
+             "print(time.perf_counter() - start, 'morse' in record.__dict__)\n"
+             "catalogue.get.cache_clear()\n"
+             "tracemalloc.start()\n"
+             "catalogue.get('T100000')\n"
+             "print(tracemalloc.get_traced_memory()[1])\n")
+    proc = capped(["-c", probe], tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    timing, peak = proc.stdout.splitlines()
+    seconds, built = timing.split()
+    assert float(seconds) < 1.5 and built == "False"
+    assert int(peak) < 100 << 20
+
+
+def test_a_broken_map_is_reported_before_the_dimensions(tmp_path, capsys):
+    """Both map commands validate the map first, in one place: a degree
+    mismatch of SO4 -> SO3 is the file's error (exit 65) for check-map and
+    for degree1-report --map, not the pair's different dimensions."""
+    path = tmp_path / "bad.map"
+    path.write_text("map bad\ndomain SO4\nrange SO3\ndegree +1\nsend b1 -> b3\n")
+    error = ("lscat: invalid homomorphism:\n"
+             "  - degree mismatch: 'b1' has degree 1, its image has degree 3\n")
+    for argv in (["check-map", path], ["degree1-report", "-m", "SO4", "-n", "SO3", "--map", path]):
+        assert run(capsys, *map(str, argv)) == (EXIT_PARSE, "", error)
+
+
+HP2 = "space HP2\ndim 8\nconnectivity 3\nstably-parallelizable true\ngenerator y 4\ntruncate y 3\n"
+
+
+@pytest.mark.parametrize("argv", [["invariants", "hp2.space"],
+                                  ["degree1-report", "-m", "T8", "-n", "hp2.space"]])
+def test_a_stably_parallelizable_flag_that_squaring_refutes_is_a_file_error(
+        tmp_path, monkeypatch, capsys, argv):
+    """y^2 is nonzero in H^8 of the quaternionic plane, and on a stably
+    parallelizable 8-manifold Wu's formula makes every square of a degree-4
+    class zero: the flag is refused, so no report certifies from it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "hp2.space").write_text(HP2)
+    error = ("lscat: HP2: flagged stably parallelizable, but a class of degree 4 has a nonzero "
+             "square, which Wu's formula rules out (x^2 = v_4 x = 0) on a stably "
+             "parallelizable 8-manifold [inconsistent-stably-parallelizable]\n")
+    assert run(capsys, *argv) == (EXIT_PARSE, "", error)
+
+
 # -- map-file edge messages, byte for byte -------------------------------------------
 
 

@@ -157,7 +157,7 @@ def test_ring_matching_checks_identity_first(monkeypatch):
     identity = RingHomSpec(
         s2, s2, {l: Element.of(l) for l, _ in s2.basis if l != s2.unit_label}, 1
     )
-    assert full_report(get("S_2"), get("S_2"), hom=identity).overall == CERTIFIED
+    assert full_report(get("S_2"), get("S_2"), hom=validate_hom(identity)).overall == CERTIFIED
 
 
 # -- criteria ---------------------------------------------------------------------
@@ -346,7 +346,7 @@ def test_full_report_violated_sphere_to_torus():
 
 
 def test_full_report_collapse_certified():
-    report = full_report(get("S_2"), get("T2"), hom=collapse_hom())
+    report = full_report(get("S_2"), get("T2"), hom=validate_hom(collapse_hom()))
     assert report.overall == CERTIFIED
     by_id = {v.criterion_id: v for v in report.verdicts}
     assert by_id["low_dim"].status == CERTIFIED
@@ -364,7 +364,7 @@ def test_full_report_g2_certified_via_thm_main():
 
 
 def test_full_report_identity_so5():
-    report = full_report(get("SO5"), get("SO5"), hom=identity_hom(get("SO5").ring))
+    report = full_report(get("SO5"), get("SO5"), hom=validate_hom(identity_hom(get("SO5").ring)))
     assert report.overall == CERTIFIED
     by_id = {v.criterion_id: v for v in report.verdicts}
     assert by_id["cor_cat_transfer"].status == CERTIFIED
@@ -375,7 +375,7 @@ def test_full_report_injectivity_failure_forces_violated():
     t2 = get("T2")
     images = {"t1": Element(), "t2": generator(t2.ring, "t2")}
     hom = RingHomSpec(t2.ring, t2.ring, images, 1)
-    report = full_report(t2, t2, hom=hom)
+    report = full_report(t2, t2, hom=validate_hom(hom))
     assert report.overall == VIOLATED
     by_id = {v.criterion_id: v for v in report.verdicts}
     assert by_id["lemma_injectivity"].status == VIOLATED

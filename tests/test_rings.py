@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from lscat.rings import (
     check_poincare_duality,
     expand_to_table,
     tensor_product,
+    _Monogenic,
 )
 
 from lscat.spacefile import element_from_monomials, parse_space
@@ -685,3 +687,80 @@ def test_composed_search_and_duality_equal_brute_force(a, b):
     copy = explicit_copy(t)
     assert cup_length_search(t) == brute_cup_length(copy)
     assert check_poincare_duality(t) == brute_duality(copy)
+
+
+# -- a class of half the top degree with a nonzero square ---------------------------
+
+
+SQUARE_TABLES = [
+    surface_table(1),
+    NOT_DUAL,  # a^2 = w
+    MultiplicationTable([("1", 0), ("a", 1), ("b", 1), ("w", 2)], 2,
+                        {("a", "b"): {"w"}, ("b", "b"): {"w"}}),  # only the second squares
+    MultiplicationTable([("1", 0), ("x", 2), ("xx", 4)], 4, {("x", "x"): {"xx"}}),
+    MultiplicationTable([("1", 0), ("a", 1)], 3, {}),
+]
+
+
+@st.composite
+def square_rings(draw):
+    """A presentation of up to four generators, with top degree at or above
+    its highest monomial's, or a tensor product of such, their expansions
+    and explicit tables; at most 4,096 basis elements."""
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        gens = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)), max_size=4))
+        specs = tuple(GeneratorSpec(f"g{len(members)}_{i}", d) for i, (d, _) in enumerate(gens))
+        top = sum((q - 1) * d for d, q in gens) + draw(st.sampled_from((0, 0, 0, 1, 2)))
+        members.append(TruncatedPresentation(specs, tuple(q for _, q in gens), top)
+                       if draw(st.integers(0, 2)) else draw(st.sampled_from(SQUARE_TABLES)))
+    if draw(st.booleans()) and not all(isinstance(m, TruncatedPresentation) for m in members):
+        members = [expand_to_table(m) if isinstance(m, TruncatedPresentation) else m
+                   for m in members]
+    ring = functools.reduce(tensor_product, members)
+    assume(ring.basis_count <= 4096)
+    return ring
+
+
+def brute_middle_square(ring) -> bool:
+    """Whether some class of degree top/2 squares to nonzero, by squaring
+    classes: every one when there are at most 2^10, else each basis element
+    (squaring is additive mod 2)."""
+    half, odd = divmod(ring.top_degree, 2)
+    basis = [] if odd else ring.basis_in_degree(half)
+    classes = ([frozenset(c) for r in range(1, len(basis) + 1) for c in itertools.combinations(basis, r)]
+               if len(basis) <= 10 else [frozenset({b}) for b in basis])
+    return any(ring.multiply(Element(c), Element(c)) for c in classes)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(square_rings())
+def test_middle_square_read_off_the_factors_equals_squaring(ring):
+    assert ring.has_middle_square() == brute_middle_square(ring)
+
+
+def test_middle_squares_of_projective_planes_and_products():
+    """CP^2 and HP^2 square their generator to the top class; CP^2 x S^2 has
+    no class of degree 3, so nothing squares there, though x is truncated at
+    an odd power."""
+    def ring(*gens, top):
+        return TruncatedPresentation(tuple(GeneratorSpec(n, d) for n, d, _ in gens),
+                                     tuple(q for _, _, q in gens), top)
+
+    assert ring(("x", 2, 3), top=4).has_middle_square()
+    assert ring(("y", 4, 3), top=8).has_middle_square()
+    assert not ring(("x", 2, 3), ("y", 2, 2), top=6).has_middle_square()
+    assert ring(("x", 2, 3), ("y", 2, 3), top=8).has_middle_square()
+    assert not get("T4").ring.has_middle_square() and not get("S_2xS2").ring.has_middle_square()
+
+
+def test_a_monogenic_factor_stores_its_degree_and_truncation():
+    """k[a]/(a^q), q = 10^12: top and the number of positions are closed
+    forms, and the per-position tables are built only when read."""
+    factor = _Monogenic(1, 10**12)
+    assert factor.top == 10**12 - 1 and len(factor.degrees) == 10**12
+    assert "first" not in factor.__dict__ and "dims" not in factor.__dict__
+    small = _Monogenic(3, 4)
+    assert small.first == {0: 0, 3: 1, 6: 2, 9: 3} and small.dims == dict.fromkeys((0, 3, 6, 9), 1)
+    assert small.generator_rows == ((3, {0: (1,), 3: (1,), 6: (1,)}),)
+    assert small == _Monogenic(3, 4) and hash(small) == hash(_Monogenic(3, 4))

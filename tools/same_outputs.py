@@ -11,8 +11,9 @@ decks do not reach: the edge messages of map parsing, identity maps on
 large presentations and product tables, invalid maps with problem lists
 for each kind of source ring, identity maps on ``SO9`` and ``SO5xS_1``,
 whose truncations above 2 make products carry, the map ``T3 -> T2``
-between spaces of different dimensions (each map through ``check-map``
-and ``degree1-report --map``), ``show`` of
+between spaces of different dimensions and a map ``SO4 -> SO3`` whose
+image has the wrong degree (each map through ``check-map`` and
+``degree1-report --map``), ``show`` of
 ``SO5xS_1``, ``cup-length`` and ``--json invariants`` of every catalogue
 name and sweep product of the decks and of ``S_2xT10``, ``S_4xS_4xS_4``
 and ``S_200``, so that the cup-length search runs on explicit, factored
@@ -28,7 +29,12 @@ mod-2 Poincare duality (``u.space``) as the range of a report and of a
 ``check-map``, a report with a map whose spaces are the report's own
 file, named in all four places, the identity ``check-map`` of a
 two-class space of dim 10,000,000, more degrees than a command may
-enumerate, every malformed file of ``tests/file_errors.py`` (through
+enumerate, a space of one generator truncated at 10^11 through
+``cup-length``, ``invariants``, ``degree1-report`` and the identity
+``check-map``, ``cup-length T100000``, the quaternionic and complex
+projective planes flagged stably parallelizable (which a nonzero middle
+square refutes) through ``invariants`` and ``degree1-report -m T8``,
+every malformed file of ``tests/file_errors.py`` (through
 ``invariants`` or ``check-map``), so that each file error's message is
 compared, and the command line's help, usage errors and accepted option
 forms.  ``--smoke``
@@ -131,8 +137,10 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     so5, s1 = _monomial_labels([("b1", 8), ("b3", 2)]), _surface_labels(1)
     images = ["*".join(f for f in (m.replace("b1", "b1__2"), y) if f != "1") for m in so5 for y in s1]
     maps["so5xs_1-identity"] = ("SO5xS_1", "SO5xS_1", list(zip(_product_labels(so5, s1), images))[1:])
-    # spaces of different dimensions, between which no map has a degree
+    # spaces of different dimensions, between which no map has a degree, and
+    # such a map with an image of the wrong degree: the map's error comes first
     maps["t3-t2"] = ("T3", "T2", [("t1", "t1"), ("t2", "t2")])
+    maps["so4-so3-degree"] = ("SO4", "SO3", [("b1", "b3")])
     out = []
     for name, (domain, range_, sends) in maps.items():
         files = ((f"{name}.map", _map(domain, range_, sends)),)
@@ -170,6 +178,19 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     files = (("d.space", "space D\ndim 10000000\ngenerator x 10000000\ntruncate x 2\n"),
              ("d.map", _map("d.space", "d.space", [("x", "x")])))
     out.append((("check-map", "d.map"), files))
+    # one truncation of 10^11: formulas answer, enumerating commands refuse it
+    files = (("big.space", "space Big\ndim 99999999999\ngenerator a 1\ntruncate a 100000000000\n"),
+             ("big.map", _map("big.space", "big.space", [("a", "a")])))
+    out += [(("cup-length", "big.space"), files), (("invariants", "big.space"), files),
+            (("degree1-report", "-m", "big.space", "-n", "big.space"), files),
+            (("check-map", "big.map"), files), (("cup-length", "T100000"), ())]
+    # stably parallelizable flags that a nonzero middle square refutes
+    files = (("hp2.space", "space HP2\ndim 8\nconnectivity 3\nstably-parallelizable true\n"
+                           "generator y 4\ntruncate y 3\n"),
+             ("cp2.space", "space CP2\ndim 4\nconnectivity 1\nstably-parallelizable true\n"
+                           "generator x 2\ntruncate x 3\n"))
+    out += [(("invariants", "hp2.space"), files), (("invariants", "cp2.space"), files),
+            (("degree1-report", "-m", "T8", "-n", "hp2.space"), files)]
     # every file error: its message, kind and line
     for i, (fmt, text, _) in enumerate(file_errors.FILE_ERRORS):
         command = "invariants" if fmt == "space" else "check-map"
