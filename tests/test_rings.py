@@ -739,21 +739,6 @@ def test_middle_square_read_off_the_factors_equals_squaring(ring):
     assert ring.has_middle_square() == brute_middle_square(ring)
 
 
-def test_middle_squares_of_projective_planes_and_products():
-    """CP^2 and HP^2 square their generator to the top class; CP^2 x S^2 has
-    no class of degree 3, so nothing squares there, though x is truncated at
-    an odd power."""
-    def ring(*gens, top):
-        return TruncatedPresentation(tuple(GeneratorSpec(n, d) for n, d, _ in gens),
-                                     tuple(q for _, _, q in gens), top)
-
-    assert ring(("x", 2, 3), top=4).has_middle_square()
-    assert ring(("y", 4, 3), top=8).has_middle_square()
-    assert not ring(("x", 2, 3), ("y", 2, 2), top=6).has_middle_square()
-    assert ring(("x", 2, 3), ("y", 2, 3), top=8).has_middle_square()
-    assert not get("T4").ring.has_middle_square() and not get("S_2xS2").ring.has_middle_square()
-
-
 def test_a_monogenic_factor_stores_its_degree_and_truncation():
     """k[a]/(a^q), q = 10^12: top and the number of positions are closed
     forms, and the per-position tables are built only when read."""
