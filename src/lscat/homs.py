@@ -30,10 +30,6 @@ VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 NOT_APPLICABLE = "not_applicable"
 
-# criteria whose "certified" status asserts cat(domain) >= cat(range);
-# the others certify necessary conditions or different invariants
-CAT_TRANSFER_IDS = frozenset({"low_dim", "cor_cat_transfer", "thm_main"})
-
 OPEN_QUESTION_NOTE = (
     "ballcat/crit monotonicity under degree-one maps: open question - no criterion"
 )
@@ -475,14 +471,34 @@ class Report(Record):
     range_ledger: BoundLedger | None = None
 
 
+# The criteria in report order: (id, needs, carries_cat, check).  ``needs`` is
+# what the check reads beyond the records' flags: "ring" or "Morse" (both
+# records' ring or morse; a record without it makes the row not_applicable,
+# naming the first such record), "map" (the row is left out without one) or
+# "".  A "certified" of a row that carries cat asserts cat(domain) >=
+# cat(range); the others certify necessary conditions or other invariants.  A
+# check takes (domain, range, their ledgers, the validated map) and calls its
+# function by its module-level name, so that rebinding that name reaches it.
+CRITERIA = (
+    ("low_dim", "", True, lambda m, n, ml, nl, vh: low_dim_check(m.dimension, m.genus, n.genus)),
+    ("prop_cl_monotone", "ring", False, lambda m, n, ml, nl, vh: check_cl_monotone(m.ring, n.ring)),
+    ("cor_cat_transfer", "", True, lambda m, n, ml, nl, vh: cor_cat_transfer(ml, nl)),
+    ("thm_main", "", True, lambda m, n, ml, nl, vh: thm_main_check(m, n, nl)),
+    ("morse_transfer", "Morse", False,
+     lambda m, n, ml, nl, vh: morse_transfer_check(m.morse, n.morse)),
+    ("thm_torus", "", False, lambda m, n, ml, nl, vh: thm_torus_check(m, n)),
+    ("lemma_injectivity", "map", False, lambda m, n, ml, nl, vh: _hom_verdict(vh)),
+)
+
+
 def full_report(
     m_record: SpaceRecord,
     n_record: SpaceRecord,
     hom: ValidatedHom | None = None,
 ) -> Report:
-    """Run every applicable criterion for maps M -> N of degree +-1; a
-    homomorphism comes validated (:func:`validate_hom`), so a broken map
-    is reported before the pair's dimensions.
+    """Run every criterion of :data:`CRITERIA` for maps M -> N of degree
+    +-1; a homomorphism comes validated (:func:`validate_hom`), so a broken
+    map is reported before the pair's dimensions.
 
     Overall status: "violated" when any necessary condition provably
     fails; otherwise "certified" when some criterion establishes
@@ -497,49 +513,27 @@ def full_report(
             "the homomorphism's rings do not match the given records "
             "(expected source = range ring, target = domain ring)"
         )
+    m_ledger, n_ledger = m_record.ledger(), n_record.ledger()
     verdicts: list[CriterionVerdict] = []
-
-    verdicts.append(
-        low_dim_check(m_record.dimension, m_record.genus, n_record.genus)
-    )
-
-    m_ledger = m_record.ledger()
-    n_ledger = n_record.ledger()
-
-    if m_record.ring is not None and n_record.ring is not None:
-        verdicts.append(check_cl_monotone(m_record.ring, n_record.ring))
-    else:
-        missing = m_record.name if m_record.ring is None else n_record.name
-        verdicts.append(
-            CriterionVerdict("prop_cl_monotone", NOT_APPLICABLE, f"no ring data for {missing}")
-        )
-
-    verdicts.append(cor_cat_transfer(m_ledger, n_ledger))
-
-    verdicts.append(thm_main_check(m_record, n_record, n_ledger))
-
-    if m_record.morse is not None and n_record.morse is not None:
-        verdicts.append(morse_transfer_check(m_record.morse, n_record.morse))
-    else:
-        missing = m_record.name if m_record.morse is None else n_record.name
-        verdicts.append(
-            CriterionVerdict("morse_transfer", NOT_APPLICABLE, f"no Morse data for {missing}")
-        )
-
-    verdicts.append(thm_torus_check(m_record, n_record))
-
-    if hom is not None:
-        verdicts.append(_hom_verdict(hom))
-
+    transfers = False
+    for criterion_id, needs, carries_cat, check in CRITERIA:
+        if needs == "map":
+            if hom is None:
+                continue
+        elif needs:
+            records = (m_record, n_record)
+            missing = next((r.name for r in records if getattr(r, needs.lower()) is None), None)
+            if missing is not None:
+                verdicts.append(CriterionVerdict(criterion_id, NOT_APPLICABLE,
+                                                 f"no {needs} data for {missing}"))
+                continue
+        verdict = check(m_record, n_record, m_ledger, n_ledger, hom)
+        verdicts.append(verdict)
+        transfers = transfers or (carries_cat and verdict.status == CERTIFIED)
     if any(v.status == VIOLATED for v in verdicts):
         overall = VIOLATED
-    elif any(
-        v.criterion_id in CAT_TRANSFER_IDS and v.status == CERTIFIED for v in verdicts
-    ):
-        overall = CERTIFIED
     else:
-        overall = INCONCLUSIVE
-
+        overall = CERTIFIED if transfers else INCONCLUSIVE
     return Report(
         domain=m_record.name,
         range=n_record.name,

@@ -10,8 +10,16 @@ run or a metric that silently reads 0.
 from __future__ import annotations
 
 import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import lscat
 from lscat.catalogue import surface_table
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 HOOKS = [
     # rebound or read by the tracer
@@ -64,3 +72,16 @@ def test_tables_carry_what_the_tracer_hashes():
     t = surface_table(1)
     # the tracer counts distinct searched rings by this key
     assert isinstance(hash((t.basis, t.top_degree)), int)
+
+
+def test_the_cli_import_loads_every_module_the_tracer_wraps():
+    # the tracer reads each of its modules from sys.modules after importing
+    # lscat.cli, so a layer the CLI imported lazily would break a traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    probe = "import sys, lscat.cli\nprint(' '.join(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(lscat.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert {f"lscat.{short}" for short in tracer.MODULES} <= set(proc.stdout.split())

@@ -12,6 +12,7 @@ from lscat.catalogue import get, names
 from lscat.homs import (
     CERTIFIED,
     INCONCLUSIVE,
+    CRITERIA,
     NOT_APPLICABLE,
     VIOLATED,
     DimensionMismatch,
@@ -399,6 +400,33 @@ def test_full_report_deterministic_order():
         "morse_transfer",
         "thm_torus",
     ]
+
+
+def test_full_report_runs_the_criteria_table_in_order():
+    # every row runs on T2 -> T2 with a map, and each check answers under its row's id
+    t2 = get("T2")
+    report = full_report(t2, t2, hom=validate_hom(identity_hom(t2.ring)))
+    assert [v.criterion_id for v in report.verdicts] == [row[0] for row in CRITERIA]
+
+
+@pytest.mark.parametrize("domain, range_, reasons", [
+    ("G2", "G2", {"low_dim": "dimension 14 exceeds 4",
+                  "prop_cl_monotone": "no ring data for G2",
+                  "cor_cat_transfer": "no ring data for the range",
+                  "morse_transfer": "no Morse data for G2"}),
+    ("G2", "T14", {"low_dim": "dimension 14 exceeds 4",
+                   "prop_cl_monotone": "no ring data for G2",
+                   "morse_transfer": "no Morse data for G2"}),
+    ("T14", "G2", {"low_dim": "dimension 14 exceeds 4",
+                   "prop_cl_monotone": "no ring data for G2",
+                   "cor_cat_transfer": "no ring data for the range",
+                   "morse_transfer": "no Morse data for G2"}),
+])
+def test_full_report_names_what_a_ringless_space_lacks(domain, range_, reasons):
+    report = full_report(get(domain), get(range_))
+    assert {v.criterion_id: v.reason for v in report.verdicts
+            if v.status == NOT_APPLICABLE} == reasons
+    assert all(not v.citations for v in report.verdicts if v.status == NOT_APPLICABLE)
 
 
 # small products beside the catalogue's names, so that cup-lengths below a

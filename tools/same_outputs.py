@@ -24,8 +24,11 @@ Poincare series is a high power of one factor's, both forms of
 digits than Python prints, ``degree1-report`` with a map whose
 spaces have the given names but other rings and with one naming an
 unknown space, both forms of ``degree1-report -m S2xS2 -n T4`` (whose
-range has cl = cat above the domain's cup-length), a space without
-mod-2 Poincare duality (``u.space``) as the range of a report and of a
+range has cl = cat above the domain's cup-length), both forms of
+``degree1-report`` from ``G2``, which has no ring, to itself, to
+``T14`` and from ``T14`` to it (every ``not_applicable`` row the report
+derives from a missing ring or Morse datum), a space without mod-2
+Poincare duality (``u.space``) as the range of a report and of a
 ``check-map``, a report with a map whose spaces are the report's own
 file, named in all four places, the identity ``check-map`` of a
 two-class space of dim 10,000,000, more degrees than a command may
@@ -164,6 +167,9 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     out.append((("degree1-report", "-m", "S2", "-n", "S2", "--map", "u.map"), files))
     # a report whose ledgers are the spaces' own though cl(S2xS2) < cl(T4) = cat(T4)
     out += [(json + ("degree1-report", "-m", "S2xS2", "-n", "T4"), ()) for json in ((), ("--json",))]
+    # G2, which has no ring, as domain, range or both: every derived not_applicable row
+    out += [(json + ("degree1-report", "-m", m, "-n", n), ()) for json in ((), ("--json",))
+            for m, n in (("G2", "G2"), ("G2", "T14"), ("T14", "G2"))]
     # U, which has no class in its dimension 3, as a report's range and a map's
     files = (("u.space", "space U\ndim 3\ngenerator a 1\ntruncate a 2\n"),
              ("t3u.map", _map("T3", "u.space", [("a", "t1")])))
