@@ -222,23 +222,26 @@ def check_cl_monotone(m_ring: Ring, n_ring: Ring) -> CriterionVerdict:
 
 
 def cor_cat_transfer(
-    m_ledger: BoundLedger | None, n_ledger: BoundLedger | None
+    m_ledger: BoundLedger | None, n_ledger: BoundLedger | None, m_known_cat: int | None = None
 ) -> CriterionVerdict:
     """When cl(N) = cat(N), a degree +-1 map forces cat(M) >= cat(N).
 
+    M's upper bound on cat is its ledger's, or else ``m_known_cat``, the
+    cited cat of a domain without a ring (G2), so G2 -> T14 is violated.
     The conclusion is the verdict's; M's ledger keeps its own bounds.
     """
     if n_ledger is None:
         return CriterionVerdict("cor_cat_transfer", NOT_APPLICABLE, "no ring data for the range")
     if n_ledger.cat.is_exact() and n_ledger.cat.lower == n_ledger.cup_length:
         cat_n = n_ledger.cat.lower
-        if m_ledger is not None and m_ledger.cat.upper is not None and m_ledger.cat.upper < cat_n:
+        m_upper = m_known_cat if m_ledger is None else m_ledger.cat.upper
+        if m_upper is not None and m_upper < cat_n:
             # the forced conclusion cat(domain) >= cat(range) contradicts the
             # domain's known upper bound: no degree +-1 map can exist
             return CriterionVerdict(
                 "cor_cat_transfer",
                 VIOLATED,
-                f"category obstruction: cat(domain) <= {m_ledger.cat.upper} "
+                f"category obstruction: cat(domain) <= {m_upper} "
                 f"< {cat_n} = cat(range) = cl(range); a degree +-1 map "
                 f"would force cat(domain) >= {cat_n}",
                 ("category transfer when cup-length is sharp",),
@@ -482,7 +485,8 @@ class Report(Record):
 CRITERIA = (
     ("low_dim", "", True, lambda m, n, ml, nl, vh: low_dim_check(m.dimension, m.genus, n.genus)),
     ("prop_cl_monotone", "ring", False, lambda m, n, ml, nl, vh: check_cl_monotone(m.ring, n.ring)),
-    ("cor_cat_transfer", "", True, lambda m, n, ml, nl, vh: cor_cat_transfer(ml, nl)),
+    ("cor_cat_transfer", "", True, lambda m, n, ml, nl, vh: cor_cat_transfer(
+        ml, nl, m.known_cat[0] if m.known_cat else None)),
     ("thm_main", "", True, lambda m, n, ml, nl, vh: thm_main_check(m, n, nl)),
     ("morse_transfer", "Morse", False,
      lambda m, n, ml, nl, vh: morse_transfer_check(m.morse, n.morse)),

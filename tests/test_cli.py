@@ -237,6 +237,19 @@ def test_degree1_report_g2(tmp_path, capsys):
     assert "20" in out
 
 
+def test_degree1_report_bounds_a_ringless_domain_by_its_cited_cat(capsys):
+    # cl(T14) = cat(T14) = 14 forces cat(G2) >= 14, but G2's cited cat is 4;
+    # G2 has no ring, so no ledger, and the report once printed "certified"
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, *json_flag, "degree1-report", "-m", "G2", "-n", "T14")
+        assert (code, err) == (EXIT_VIOLATED, "")
+    by_id = {v["criterion_id"]: v for v in json.loads(out)["verdicts"]}
+    assert by_id["cor_cat_transfer"]["status"] == "violated"
+    assert by_id["cor_cat_transfer"]["reason"].startswith(
+        "category obstruction: cat(domain) <= 4 < 14 = cat(range)")
+    assert json.loads(out)["overall"] == "violated"
+
+
 def test_degree1_report_identity(capsys):
     code, out, _ = run(capsys, "degree1-report", "-m", "SO5", "-n", "SO5")
     assert code == EXIT_OK

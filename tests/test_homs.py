@@ -196,6 +196,16 @@ def test_cor_cat_transfer_torus():
     assert verdict.status == CERTIFIED
 
 
+def test_cor_cat_transfer_bounds_a_ringless_domain_by_its_cited_cat():
+    # G2 has no ledger; its cited cat 4 is below cat(T14) = cl(T14) = 14
+    n_ledger = get("T14").ledger()
+    verdict = cor_cat_transfer(None, n_ledger, 4)
+    assert verdict.status == VIOLATED
+    assert "cat(domain) <= 4 < 14" in verdict.reason
+    assert cor_cat_transfer(None, n_ledger, 14).status == CERTIFIED
+    assert cor_cat_transfer(None, n_ledger).status == CERTIFIED
+
+
 def test_cor_cat_transfer_inconclusive_when_cl_lt_cat():
     from lscat.bounds import cat_bounds
 
