@@ -10,6 +10,13 @@ top class) and never claims a map exists.
 A verdict's status is "violated" only when a necessary condition for
 the existence of a degree +-1 map provably fails; "certified" on the
 category-transferring criteria means cat(domain) >= cat(range) holds.
+
+The criteria are one table, :data:`CRITERIA`, in report order; each row
+says what its criterion needs: low_dim (the dimension and genera),
+prop_cl_monotone (both rings), cor_cat_transfer (the range's ring, and
+the domain's ring or cited cat: G2 -> T14 is violated, as cat(G2) = 4 <
+14), thm_main (both flags and a cat of the range), morse_transfer (both
+spaces' Morse data), thm_torus (both flags), lemma_injectivity (a map).
 """
 
 from __future__ import annotations
@@ -203,22 +210,16 @@ def check_dimensions(m_record: SpaceRecord, n_record: SpaceRecord) -> None:
 
 def check_cl_monotone(m_ring: Ring, n_ring: Ring) -> CriterionVerdict:
     """Cup-length is monotone under degree +-1 maps: cl(M) >= cl(N)."""
-    cl_m = cup_length(m_ring)
-    cl_n = cup_length(n_ring)
+    cl_m, cl_n = cup_length(m_ring), cup_length(n_ring)
     if cl_m >= cl_n:
-        return CriterionVerdict(
-            "prop_cl_monotone",
-            CERTIFIED,
-            f"cup-length of domain {cl_m} >= {cl_n} of range: necessary condition holds",
-            ("cup-length is monotone under degree-one maps",),
-        )
-    return CriterionVerdict(
-        "prop_cl_monotone",
-        VIOLATED,
-        f"cup-length obstruction: cl(domain) = {cl_m} < {cl_n} = cl(range); "
-        "no degree +-1 map from domain to range exists",
-        ("cup-length is monotone under degree-one maps",),
-    )
+        status = CERTIFIED
+        reason = f"cup-length of domain {cl_m} >= {cl_n} of range: necessary condition holds"
+    else:
+        status = VIOLATED
+        reason = (f"cup-length obstruction: cl(domain) = {cl_m} < {cl_n} = cl(range); "
+                  "no degree +-1 map from domain to range exists")
+    return CriterionVerdict("prop_cl_monotone", status, reason,
+                            ("cup-length is monotone under degree-one maps",))
 
 
 def cor_cat_transfer(
@@ -270,13 +271,10 @@ def thm_main_check(
     """Connectivity-versus-dimension criterion for stably parallelizable
     manifolds: with N (q-1)-connected, dim N <= 2*q*cat(N) - 4 forces
     cat(M) >= cat(N)."""
-    if not m_record.stably_parallelizable:
+    if not (m_record.stably_parallelizable and n_record.stably_parallelizable):
+        missing = "domain" if not m_record.stably_parallelizable else "range"
         return CriterionVerdict(
-            "thm_main", INCONCLUSIVE, "domain is not flagged stably parallelizable", ()
-        )
-    if not n_record.stably_parallelizable:
-        return CriterionVerdict(
-            "thm_main", INCONCLUSIVE, "range is not flagged stably parallelizable", ()
+            "thm_main", INCONCLUSIVE, f"{missing} is not flagged stably parallelizable", ()
         )
     q = n_record.connectivity + 1
     lower_only = False
@@ -474,14 +472,12 @@ class Report(Record):
     range_ledger: BoundLedger | None = None
 
 
-# The criteria in report order: (id, needs, carries_cat, check).  ``needs`` is
-# what the check reads beyond the records' flags: "ring" or "Morse" (both
-# records' ring or morse; a record without it makes the row not_applicable,
-# naming the first such record), "map" (the row is left out without one) or
-# "".  A "certified" of a row that carries cat asserts cat(domain) >=
-# cat(range); the others certify necessary conditions or other invariants.  A
-# check takes (domain, range, their ledgers, the validated map) and calls its
-# function by its module-level name, so that rebinding that name reaches it.
+# (id, needs, carries_cat, check) in report order.  needs: "ring" or "Morse"
+# (both records' ring or morse, else not_applicable naming the first record
+# without it), "map" (the row is left out without one) or "".  carries_cat: its
+# "certified" asserts cat(domain) >= cat(range).  A check takes (domain, range,
+# their ledgers, the map) and calls its function by its module-level name, so
+# that rebinding the name reaches it.
 CRITERIA = (
     ("low_dim", "", True, lambda m, n, ml, nl, vh: low_dim_check(m.dimension, m.genus, n.genus)),
     ("prop_cl_monotone", "ring", False, lambda m, n, ml, nl, vh: check_cl_monotone(m.ring, n.ring)),
@@ -534,10 +530,8 @@ def full_report(
         verdict = check(m_record, n_record, m_ledger, n_ledger, hom)
         verdicts.append(verdict)
         transfers = transfers or (carries_cat and verdict.status == CERTIFIED)
-    if any(v.status == VIOLATED for v in verdicts):
-        overall = VIOLATED
-    else:
-        overall = CERTIFIED if transfers else INCONCLUSIVE
+    violated = any(v.status == VIOLATED for v in verdicts)
+    overall = VIOLATED if violated else CERTIFIED if transfers else INCONCLUSIVE
     return Report(
         domain=m_record.name,
         range=n_record.name,

@@ -262,6 +262,10 @@ def test_thm_main_needs_flags():
     m = _declared(dim=14, stably_parallelizable=False)
     verdict = thm_main_check(m, get("G2"))
     assert verdict.status == INCONCLUSIVE
+    assert verdict.reason == "domain is not flagged stably parallelizable"
+    verdict = thm_main_check(get("G2"), m)
+    assert (verdict.status, verdict.reason) == (
+        INCONCLUSIVE, "range is not flagged stably parallelizable")
 
 
 def _declared(dim: int, stably_parallelizable: bool, name: str = "X"):
