@@ -239,7 +239,7 @@ def test_degree1_report_g2(tmp_path, capsys):
 
 def test_degree1_report_bounds_a_ringless_domain_by_its_cited_cat(capsys):
     # cl(T14) = cat(T14) = 14 forces cat(G2) >= 14, but G2's cited cat is 4;
-    # G2 has no ring, so no ledger, and the report once printed "certified"
+    # G2 has no ring and so no ledger: the cited cat is its upper bound
     for json_flag in ((), ("--json",)):
         code, out, err = run(capsys, *json_flag, "degree1-report", "-m", "G2", "-n", "T14")
         assert (code, err) == (EXIT_VIOLATED, "")

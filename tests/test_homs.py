@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from lscat.catalogue import get, names
 from lscat.homs import (
     CERTIFIED,
-    INCONCLUSIVE,
     CRITERIA,
+    INCONCLUSIVE,
     NOT_APPLICABLE,
     VIOLATED,
     DimensionMismatch,
