@@ -85,6 +85,9 @@ REQUESTS = {
         "degree1-report", "-m", "S_2", "-n", "S_2", "--map", "s2-zero.map"
     ],
     "degree1-report-T4-T4": ["degree1-report", "-m", "T4", "-n", "T4"],
+    # the Morse row certified (exact counts, 4 >= 2) and violated (degree 3)
+    "degree1-report-S3xS3-S6": ["degree1-report", "-m", "S3xS3", "-n", "S6"],
+    "degree1-report-S6-S3xS3": ["degree1-report", "-m", "S6", "-n", "S3xS3"],
     "verify-paper": ["verify-paper"],
 }
 
