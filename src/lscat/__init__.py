@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "bounds": "BoundLedger CupLength Interval LedgerError MorseData betti_sum cat_bounds"
-        " cup_length cup_length_check cup_length_formula cup_length_search"
-        " morse_lower_bound so_n_presentation",
+        "bounds": "BoundLedger CupLength Interval LedgerError cat_bounds cup_length"
+        " cup_length_check cup_length_formula cup_length_search morse_lower_bound"
+        " so_n_presentation",
         "catalogue": "SpaceRecord UnknownSpaceError get names surface_table",
         "gf2": "rank",
         "homs": "CriterionVerdict DimensionMismatch HomValidationError Report RingHomSpec"

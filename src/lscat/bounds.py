@@ -36,42 +36,15 @@ CROSS_CHECK_LIMIT = 4096
 ENUMERATION_LIMIT = 1_000_000
 
 
-class MorseData(Record):
-    """Homology input for Morse counting: ranks and torsion ranks per degree."""
-
-    ranks: tuple[int, ...]
-    torsion_ranks: tuple[int, ...]
-    simply_connected: bool
-    dimension: int
-
-    def validate(self) -> None:
-        n = self.dimension
-        if n < 0:
-            raise ValueError("dimension must be nonnegative")
-        if len(self.ranks) != n + 1 or len(self.torsion_ranks) != n + 1:
-            raise ValueError(f"rank lists must have length dimension+1 = {n + 1}")
-        if any(r < 0 for r in self.ranks) or any(t < 0 for t in self.torsion_ranks):
-            raise ValueError("ranks must be nonnegative")
-
-
-def betti_sum(ranks: Sequence[int]) -> int:
-    """Sum of Betti numbers SB; a Morse-theoretic lower bound for crit*."""
-    return sum(ranks)
-
-
-def morse_lower_bound(d: MorseData) -> tuple[int, bool]:
-    """Total of the Morse inequalities m_l >= r_l + t_l + t_(l-1).
+def morse_lower_bound(record) -> tuple[int, bool]:
+    """A record's Betti sum SB, its Morse data's total: every Morse function
+    has at least SB critical points.
 
     Returns (bound, exact).  The bound is attained by some Morse
     function exactly when the manifold is simply connected of dimension
     at least 6 (Smale), which is what the flag reports.
     """
-    total = 0
-    for lam in range(d.dimension + 1):
-        t_prev = d.torsion_ranks[lam - 1] if lam > 0 else 0
-        total += d.ranks[lam] + d.torsion_ranks[lam] + t_prev
-    exact = d.simply_connected and d.dimension >= 6
-    return total, exact
+    return sum(record.morse), record.simply_connected and record.dimension >= 6
 
 
 def cup_length_formula(ring: Ring) -> int:
@@ -326,13 +299,14 @@ def cat_bounds(
     dimension: int,
     known_cat: int | None = None,
     known_cat_citation: str = "",
-    morse: MorseData | None = None,
+    betti: Sequence[int] | None = None,
 ) -> BoundLedger:
     """Assemble the bound ledger for one space.
 
     cat lands in [cup-length, dimension] unless a known value (cited
     data, never computed) collapses it.  e* is squeezed between the
     cup-length and cat's upper bound; it is never computed directly.
+    Betti numbers, when given, bound crit* below by their sum.
     """
     cl = cup_length(ring)
     if known_cat is not None and not cl <= known_cat <= dimension:
@@ -352,7 +326,7 @@ def cat_bounds(
     )
     ballcat = Interval(cat.lower, dimension, "at least cat", "dimension bound")
     crit = Interval(ballcat.lower + 1, None, "ballcat + 1", "")
-    sb = betti_sum(morse.ranks) if morse is not None else None
+    sb = None if betti is None else sum(betti)
     if sb is not None and sb > crit.lower:
         crit_star = Interval(sb, None, "Betti sum (Morse theory)", "")
     else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache, reduce
 
 from ._record import Record
-from .bounds import ENUMERATION_LIMIT, BoundLedger, MorseData, cat_bounds
+from .bounds import ENUMERATION_LIMIT, BoundLedger, cat_bounds
 from .bounds import cup_length_formula, so_n_presentation
 from .rings import (
     GeneratorSpec,
@@ -103,6 +103,12 @@ class SpaceRecord(Record):
                 raise SpaceFileError(f"connectivity {c} needs H^i = 0 for 0 < i <= {c}, but the "
                                      f"ring has a class in degree {low}",
                                      kind="inconsistent-connectivity")
+        if c >= self.dimension > 0:
+            # H^n(M; F2) = F2 on a closed n-manifold, so M is at most (n - 1)-connected
+            raise SpaceFileError(f"{self.name}: connectivity {c} reaches the dimension "
+                                 f"{self.dimension}, but a closed {self.dimension}-manifold has "
+                                 f"a class in degree {self.dimension}",
+                                 kind="inconsistent-connectivity")
         if self.known_cat is not None:
             value = self.known_cat[0]
             if not 0 <= value <= self.dimension:
@@ -127,15 +133,13 @@ class SpaceRecord(Record):
         return self.connectivity >= 1
 
     @cached_property
-    def morse(self) -> MorseData | None:
+    def morse(self) -> tuple[int, ...] | None:
         """Morse data of a torsion-free space (a point, sphere, torus, surface
         or product of them), read off the ring when first asked for: its
-        integral ranks are the ring's mod-2 Betti numbers; None otherwise."""
+        integral Betti numbers, which are the ring's mod-2 ones; None otherwise."""
         if not self.torsion_free or self.ring is None:
             return None
-        ranks = tuple(self.ring.poincare_polynomial())
-        return MorseData(ranks, (0,) * len(ranks), self.simply_connected or self.dimension == 0,
-                         self.dimension)
+        return tuple(self.ring.poincare_polynomial())
 
     def ledger(self) -> BoundLedger | None:
         """Bound ledger for this record; None when no ring data is stored."""
@@ -147,7 +151,7 @@ class SpaceRecord(Record):
             self.dimension,
             known_cat=value,
             known_cat_citation=citation,
-            morse=self.morse,
+            betti=self.morse,
         )
 
 

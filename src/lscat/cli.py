@@ -370,18 +370,29 @@ def _printable(record: SpaceRecord) -> SpaceRecord:
     return record
 
 
+def _mappable(record: SpaceRecord) -> SpaceRecord:
+    """The record, unless its ring has more basis elements than a map may
+    enumerate (validation builds an image per basis element of the source, and
+    an image's vector lists every term of the target) or too many to print."""
+    count = 0 if record.ring is None else _printable(record).ring.basis_count
+    if count > ENUMERATION_LIMIT:
+        raise SpaceFileError(f"{record.name}: a map would enumerate its {count} basis elements, "
+                             f"above the limit of {ENUMERATION_LIMIT}", kind="too-large")
+    return record
+
+
 def _load_map(path: str, loaded: dict[str, SpaceRecord]) -> tuple:
     """A map file's spec, its domain and range records, and its induced
     homomorphism, validated: a space it names that resolves nowhere, to no
-    closed manifold or to one of too many degrees, and images that define
-    no ring homomorphism are file errors, raised before any check of the
-    pair (names, rings, dimensions)."""
+    closed manifold or to one of too many degrees or basis elements, and
+    images that define no ring homomorphism are file errors, raised before
+    any check of the pair (names, rings, dimensions)."""
     spec = parse_map(_read_file(path))
     try:
         domain, range_ = _resolve_space(spec.domain, loaded), _resolve_space(spec.range, loaded)
     except UnknownSpaceError as exc:
         raise SpaceFileError(str(exc), kind="unknown-space") from exc
-    domain, range_ = _enumerable(_manifold(domain)), _enumerable(_manifold(range_))
+    domain, range_ = (_mappable(_enumerable(_manifold(r))) for r in (domain, range_))
     return spec, domain, range_, validate_hom(resolve_map(spec, domain, range_))
 
 

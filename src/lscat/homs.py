@@ -27,7 +27,7 @@ import operator
 from collections.abc import Mapping
 
 from ._record import Record
-from .bounds import BoundLedger, MorseData, cup_length, morse_lower_bound
+from .bounds import BoundLedger, cup_length, morse_lower_bound
 from .catalogue import SpaceRecord
 from .gf2 import rank
 from .rings import Element, Ring, TruncatedPresentation
@@ -405,44 +405,27 @@ def low_dim_check(
     )
 
 
-def morse_transfer_check(m_data: MorseData, n_data: MorseData) -> CriterionVerdict:
-    """Termwise homology-rank necessity plus crit* transfer under Smale.
+def morse_transfer_check(m_record: SpaceRecord, n_record: SpaceRecord) -> CriterionVerdict:
+    """Termwise Betti-number necessity plus crit* transfer under Smale, on
+    the records' Morse data.
 
-    Degree-one maps are surjective on homology, so every rank and
-    torsion rank of the domain must dominate the range's; when both
-    manifolds are simply connected of dimension >= 6 the Morse counts
-    are exact and crit*(domain) >= crit*(range) follows.
+    Degree-one maps are surjective on homology, so every Betti number of
+    the domain must dominate the range's; when both manifolds are simply
+    connected of dimension >= 6 the Morse counts are exact and
+    crit*(domain) >= crit*(range) follows.
     """
-    if m_data.dimension != n_data.dimension:
-        raise DimensionMismatch(
-            f"Morse data dimensions differ: {m_data.dimension} vs {n_data.dimension}"
-        )
-    bad_ranks = [
-        lam
-        for lam in range(n_data.dimension + 1)
-        if m_data.ranks[lam] < n_data.ranks[lam]
-    ]
-    bad_torsion = [
-        lam
-        for lam in range(n_data.dimension + 1)
-        if m_data.torsion_ranks[lam] < n_data.torsion_ranks[lam]
-    ]
-    if bad_ranks or bad_torsion:
-        bits = []
-        if bad_ranks:
-            bits.append(f"homology ranks at degrees {bad_ranks}")
-        if bad_torsion:
-            bits.append(f"torsion ranks at degrees {bad_torsion}")
+    check_dimensions(m_record, n_record)
+    bad = [lam for lam, (b_m, b_n) in enumerate(zip(m_record.morse, n_record.morse)) if b_m < b_n]
+    if bad:
         return CriterionVerdict(
             "morse_transfer",
             VIOLATED,
-            "rank obstruction: domain fails to dominate range in "
-            + " and ".join(bits)
-            + "; degree-one maps are surjective on homology",
+            f"rank obstruction: domain fails to dominate range in homology ranks at degrees {bad}"
+            "; degree-one maps are surjective on homology",
             ("homology surjectivity of degree-one maps",),
         )
-    m_bound, m_exact = morse_lower_bound(m_data)
-    n_bound, n_exact = morse_lower_bound(n_data)
+    m_bound, m_exact = morse_lower_bound(m_record)
+    n_bound, n_exact = morse_lower_bound(n_record)
     if m_exact and n_exact:
         return CriterionVerdict(
             "morse_transfer",
@@ -484,8 +467,7 @@ CRITERIA = (
     ("cor_cat_transfer", "", True, lambda m, n, ml, nl, vh: cor_cat_transfer(
         ml, nl, m.known_cat[0] if m.known_cat else None)),
     ("thm_main", "", True, lambda m, n, ml, nl, vh: thm_main_check(m, n, nl)),
-    ("morse_transfer", "Morse", False,
-     lambda m, n, ml, nl, vh: morse_transfer_check(m.morse, n.morse)),
+    ("morse_transfer", "Morse", False, lambda m, n, ml, nl, vh: morse_transfer_check(m, n)),
     ("thm_torus", "", False, lambda m, n, ml, nl, vh: thm_torus_check(m, n)),
     ("lemma_injectivity", "map", False, lambda m, n, ml, nl, vh: _hom_verdict(vh)),
 )

@@ -18,8 +18,6 @@ from lscat.bounds import (
     BoundLedger,
     Interval,
     LedgerError,
-    MorseData,
-    betti_sum,
     cat_bounds,
     cup_length,
     cup_length_check,
@@ -29,7 +27,7 @@ from lscat.bounds import (
     poincare_duality,
     so_n_presentation,
 )
-from lscat.catalogue import surface_table
+from lscat.catalogue import get, surface_table
 from lscat.rings import (
     GeneratorSpec,
     MultiplicationTable,
@@ -343,51 +341,26 @@ def test_a_duality_mismatch_is_an_internal_failure():
 # -- Morse / Betti --------------------------------------------------------------
 
 
-def test_betti_sum_sphere():
-    assert betti_sum((1, 0, 0, 1)) == 2
-
-
-def test_betti_sum_surface():
-    for g in range(5):
-        assert betti_sum((1, 2 * g, 1)) == 2 * g + 2
-
-
-def test_betti_sum_t3():
-    assert betti_sum((1, 3, 3, 1)) == 8
-
-
-def test_morse_lower_bound_s3xs3():
-    d = MorseData((1, 0, 0, 2, 0, 0, 1), (0,) * 7, True, 6)
-    assert morse_lower_bound(d) == (4, True)
+@pytest.mark.parametrize("name, bound, exact", [
+    ("point", 1, False), ("S3", 2, False), ("T3", 8, False), ("S6", 2, True),
+    ("S3xS3", 4, True), ("T6", 64, False),  # T6 is not simply connected
+])
+def test_morse_lower_bound(name, bound, exact):
+    assert morse_lower_bound(get(name)) == (bound, exact)
 
 
 def test_morse_lower_bound_surface():
     for g in range(4):
-        d = MorseData((1, 2 * g, 1), (0, 0, 0), g == 0, 2)
-        bound, exact = morse_lower_bound(d)
+        bound, exact = morse_lower_bound(get(f"S_{g}"))
         assert bound == 2 * g + 2
         assert exact is False  # dimension 2 < 6
 
 
-def test_morse_lower_bound_torsion_counts_twice():
-    # t_1 = 1 contributes at lambda = 1 and lambda = 2
-    d = MorseData((1, 0, 0, 1), (0, 1, 0, 0), False, 3)
-    assert morse_lower_bound(d)[0] == 4
-
-
-def test_morse_bound_dominates_betti_sum():
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randint(0, 6)
-        ranks = tuple(rng.randint(0, 3) for _ in range(n + 1))
-        torsion = tuple(rng.randint(0, 2) for _ in range(n + 1))
-        d = MorseData(ranks, torsion, bool(rng.getrandbits(1)), n)
-        assert morse_lower_bound(d)[0] >= betti_sum(ranks)
-
-
-def test_morse_data_validates_lengths():
-    with pytest.raises(ValueError):
-        MorseData((1, 0), (0, 0, 0), True, 2)
+@pytest.mark.parametrize("name", ["T5", "S_3xS2", "S_2xT2", "S3xS3xS_1"])
+def test_morse_lower_bound_counts_the_basis(name):
+    # a torsion-free space's Betti numbers are its mod-2 ones, which sum to the basis
+    rec = get(name)
+    assert morse_lower_bound(rec)[0] == sum(rec.morse) == rec.ring.basis_count
 
 
 # -- ledger ---------------------------------------------------------------------
@@ -425,8 +398,7 @@ def test_cat_bounds_rejects_inconsistent_known_cat():
 
 def test_cat_bounds_uses_betti_sum():
     ring = surface_table(2)
-    morse = MorseData((1, 4, 1), (0, 0, 0), False, 2)
-    ledger = cat_bounds(ring, 2, known_cat=2, morse=morse)
+    ledger = cat_bounds(ring, 2, known_cat=2, betti=(1, 4, 1))
     assert ledger.betti_total == 6
     assert ledger.crit_star.lower == 6
     assert ledger.crit.lower == 3

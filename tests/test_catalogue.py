@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from lscat import catalogue
-from lscat.bounds import betti_sum, cup_length, cup_length_formula
+from lscat.bounds import cup_length, cup_length_formula, morse_lower_bound
 from lscat.catalogue import (
     SO_KNOWN_CAT,
     SpaceFileError,
@@ -42,8 +42,7 @@ def test_get_t3():
     rec = get("T3")
     assert cup_length(rec.ring) == 3
     assert rec.known_cat[0] == 3
-    assert rec.morse.ranks == (1, 3, 3, 1)
-    assert betti_sum(rec.morse.ranks) == 8
+    assert rec.morse == (1, 3, 3, 1)
 
 
 def test_get_genus0_is_sphere_table():
@@ -143,7 +142,7 @@ def test_catalogue_rings_pass_duality():
 def test_product_record_s3xs3():
     rec = get("S3xS3")
     assert rec.dimension == 6
-    assert rec.morse.ranks == (1, 0, 0, 2, 0, 0, 1)
+    assert rec.morse == (1, 0, 0, 2, 0, 0, 1)
     assert rec.simply_connected
     assert rec.stably_parallelizable
     assert cup_length(rec.ring) == 2
@@ -170,7 +169,7 @@ def test_surface_crit_star_discrepancy_note():
         assert any("crit*" in note for note in rec.notes)
         ledger = rec.ledger()
         # the ledger records the Morse-derived bound 2g+2, not the 2g value
-        assert ledger.crit_star.lower == 2 * g + 2 == betti_sum(rec.morse.ranks)
+        assert ledger.crit_star.lower == 2 * g + 2 == sum(rec.morse)
 
 
 def test_surface_genus1_cat_annotated_via_torus():
@@ -217,6 +216,17 @@ def test_record_validates_connectivity_against_the_ring():
         SpaceRecord("X", 2, 1, True, True, surface_table(1))
 
 
+def test_record_validates_connectivity_against_the_dimension():
+    # H^n(M; F2) is nonzero on a closed n-manifold: it is at most (n - 1)-connected
+    for c in (2, 5):
+        with pytest.raises(SpaceFileError, match=f"connectivity {c} reaches the dimension 2") as exc:
+            SpaceRecord("C", 2, c, True, True, None, known_cat=(1, "x"))
+        assert exc.value.kind == "inconsistent-connectivity"
+    assert [get(f"S{n}").connectivity for n in (1, 2, 7)] == [0, 1, 6]
+    assert (get("point").connectivity, get("G2").connectivity) == (0, 2)
+    SpaceRecord("P", 0, 3, True, True, None)
+
+
 def test_names_listing():
     ns = names()
     for expected in ("point", "G2", "SO9", "T8", "S10", "S_4"):
@@ -260,20 +270,18 @@ def _closed_form_ranks(name: str) -> tuple[int, ...]:
 def test_morse_ranks_are_the_closed_forms(name):
     """The ranks read off each ring equal C(k, d) for T^k, 1 in degrees 0
     and n for S^n, (1, 2g, 1) for S_g and (1,) for the point, and their
-    convolution for products; no torsion."""
-    morse = get(name).morse
-    assert morse.ranks == _closed_form_ranks(name)
-    assert morse.torsion_ranks == (0,) * len(morse.ranks)
+    convolution for products."""
+    assert get(name).morse == _closed_form_ranks(name)
 
 
 def test_morse_data_only_for_torsion_free_families():
     assert get("SO3").morse is None and get("SO3xT2").morse is None and get("G2").morse is None
-    # simply connected: a point and S^n, n >= 2, and S_0; a product of them
-    # only when every factor's record is (a point's connectivity is 0)
-    flags = {name: get(name).morse.simply_connected
-             for name in ("point", "S1", "S2", "T1", "S_0", "S_1", "S2xS3", "S2xT1", "pointxS2")}
-    assert flags == {"point": True, "S1": False, "S2": True, "T1": False, "S_0": True,
-                     "S_1": False, "S2xS3": True, "S2xT1": False, "pointxS2": False}
+    # exact from dimension 6 when simply connected: S^n, n >= 2, and S_0; a product
+    # of them only when every factor's record is (a point's connectivity is 0)
+    exact = {name: morse_lower_bound(get(name))[1]
+             for name in ("S6", "T6", "S_0xS4", "S_1xS4", "S3xS3", "S2xT4", "pointxS6")}
+    assert exact == {"S6": True, "T6": False, "S_0xS4": True, "S_1xS4": False, "S3xS3": True,
+                     "S2xT4": False, "pointxS6": False}
 
 
 def test_torus_series_takes_linearly_many_steps():

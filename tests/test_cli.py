@@ -383,6 +383,18 @@ def test_connectivity_the_ring_refutes_is_parse_error(tmp_path, capsys):
     assert "[inconsistent-connectivity]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["invariants", "c.space"],
+                                  ["degree1-report", "-m", "T2", "-n", "c.space"]])
+def test_connectivity_that_reaches_the_dimension_is_parse_error(tmp_path, monkeypatch, capsys, argv):
+    # without a ring nothing else refutes it, and thm_main would certify with q = 6
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.space").write_text(
+        'space C\ndim 2\nconnectivity 5\nstably-parallelizable true\nknown-cat 1 "x"\n')
+    error = ("lscat: C: connectivity 5 reaches the dimension 2, but a closed 2-manifold has a "
+             "class in degree 2 [inconsistent-connectivity]\n")
+    assert run(capsys, *argv) == (EXIT_PARSE, "", error)
+
+
 def test_huge_exponent_in_a_map_is_parse_error(tmp_path, capsys):
     # past the interpreter's 4,300-digit limit for int()
     bad = tmp_path / "huge.map"
@@ -647,6 +659,22 @@ def test_a_huge_truncation_builds_no_table(tmp_path, argv, code, out):
     assert proc.returncode == code and out in proc.stdout
     assert proc.stderr == ("" if code == EXIT_OK else
                            "lscat: Big: the Poincare polynomial would have 100000000000 terms, "
+                           f"above the limit of {ENUMERATION_LIMIT} [too-large]\n")
+
+
+@pytest.mark.parametrize("argv", [["check-map", "t20.map"],
+                                  ["degree1-report", "-m", "T20", "-n", "T20", "--map", "t20.map"]])
+def test_a_map_on_more_basis_elements_than_the_limit_is_refused(tmp_path, argv):
+    """T20 has 2^20 basis elements: validating its identity would build an
+    image per source basis element, each a vector over every target term,
+    so both map commands refuse it as too large before reading the images."""
+    sends = "".join(f"send t{i} -> t{i}\n" for i in range(1, 21))
+    (tmp_path / "t20.map").write_text(f"map id\ndomain T20\nrange T20\ndegree 1\n{sends}")
+    start = time.perf_counter()
+    proc = capped(["-m", "lscat.cli", *argv], tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
+    assert proc.stderr == (f"lscat: T20: a map would enumerate its {2 ** 20} basis elements, "
                            f"above the limit of {ENUMERATION_LIMIT} [too-large]\n")
 
 

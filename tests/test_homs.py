@@ -324,29 +324,29 @@ def test_low_dim_not_applicable_above_four():
 
 
 def test_morse_transfer_certified():
-    verdict = morse_transfer_check(get("S3xS3").morse, get("S6").morse)
+    verdict = morse_transfer_check(get("S3xS3"), get("S6"))
     assert verdict.status == CERTIFIED
     assert "4" in verdict.reason and "2" in verdict.reason
 
 
 def test_morse_transfer_violated():
-    verdict = morse_transfer_check(get("S6").morse, get("S3xS3").morse)
+    verdict = morse_transfer_check(get("S6"), get("S3xS3"))
     assert verdict.status == VIOLATED
     assert "3" in verdict.reason  # failing degree
 
 
 def test_morse_transfer_identity():
-    verdict = morse_transfer_check(get("S3xS3").morse, get("S3xS3").morse)
+    verdict = morse_transfer_check(get("S3xS3"), get("S3xS3"))
     assert verdict.status == CERTIFIED
 
 
 def test_morse_transfer_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        morse_transfer_check(get("S2").morse, get("S3").morse)
+        morse_transfer_check(get("S2"), get("S3"))
 
 
 def test_morse_transfer_inconclusive_low_dim():
-    verdict = morse_transfer_check(get("S_2").morse, get("S_1").morse)
+    verdict = morse_transfer_check(get("S_2"), get("S_1"))
     assert verdict.status == INCONCLUSIVE
 
 

@@ -153,6 +153,9 @@ MALFORMED = [
         "product a b = w\n",
         "inconsistent-connectivity",
     ),
+    # flags only: a closed 2-manifold has a class in degree 2, so it is not 5-connected
+    ('space C\ndim 2\nconnectivity 5\nstably-parallelizable true\nknown-cat 1 "x"\n',
+     "inconsistent-connectivity"),
 ]
 
 
@@ -219,12 +222,12 @@ def presentation_records(draw) -> SpaceRecord:
     known = None
     if draw(st.booleans()):
         known = (draw(st.integers(cup_length_formula(ring), dim)), draw(CITATIONS))
-    # a c-connected space has no class in degrees 1..c
+    # a c-connected space has no class in degrees 1..c, and c < dim unless dim = 0
     low = min((g.degree for g, h in zip(gens, heights) if h > 1), default=4)
     return SpaceRecord(
         name=draw(IDENTIFIERS),
         dimension=dim,
-        connectivity=draw(st.integers(0, min(3, low - 1))),
+        connectivity=draw(st.integers(0, min(3, low - 1, dim - 1 if dim else 3))),
         orientable=draw(st.booleans()),
         stably_parallelizable=draw(st.booleans()),
         ring=ring,

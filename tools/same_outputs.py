@@ -9,8 +9,9 @@ benchmark decks (``perfbench/decks.py``, imported unchanged) for every
 workload (or those named) and every seed from A to B, and a fixed set of requests the
 decks do not reach: the edge messages of map parsing, identity maps on
 large presentations and product tables, invalid maps with problem lists
-for each kind of source ring, identity maps on ``SO9`` and ``SO5xS_1``,
-whose truncations above 2 make products carry, the map ``T3 -> T2``
+for each kind of source ring, identity maps on ``T12``, ``T16`` and
+``T20`` (whose basis is above the limit a map may enumerate) and on
+``SO9`` and ``SO5xS_1``, whose truncations above 2 make products carry, the map ``T3 -> T2``
 between spaces of different dimensions and a map ``SO4 -> SO3`` whose
 image has the wrong degree (each map through ``check-map`` and
 ``degree1-report --map``), ``show`` of
@@ -24,7 +25,9 @@ Poincare series is a high power of one factor's, both forms of
 digits than Python prints, ``degree1-report`` with a map whose
 spaces have the given names but other rings and with one naming an
 unknown space, both forms of ``degree1-report -m S2xS2 -n T4`` (whose
-range has cl = cat above the domain's cup-length), both forms of
+range has cl = cat above the domain's cup-length) and of ``-m S3xS3 -n
+S6`` and ``-m S6 -n S3xS3`` (the Morse row certified with exact counts
+and violated in degree 3), both forms of
 ``degree1-report`` from ``G2``, which has no ring, to itself, to
 ``T14`` and from ``T14`` to it (every ``not_applicable`` row the report
 derives from a missing ring or Morse datum), a space without mod-2
@@ -36,9 +39,11 @@ enumerate, a space of one generator truncated at 10^11 through
 ``cup-length``, ``invariants``, ``degree1-report`` and the identity
 ``check-map``, ``cup-length T100000``, the quaternionic and complex
 projective planes flagged stably parallelizable (which a nonzero middle
-square refutes) through ``invariants`` and ``degree1-report -m T8``,
-every malformed file of ``tests/file_errors.py`` (through
-``invariants`` or ``check-map``), so that each file error's message is
+square refutes) through ``invariants`` and ``degree1-report -m T8``, a
+space without a ring whose connectivity 5 reaches its dimension 2
+through ``invariants`` and ``degree1-report -m T2``, every malformed
+file of ``tests/file_errors.py`` (through ``invariants`` or
+``check-map``), so that each file error's message is
 compared, and the command line's help, usage errors and accepted option
 forms.  ``--smoke``
 keeps the smoke decks and drops the fixed set.
@@ -128,7 +133,7 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
                                                ("a1_t1*t2", "1"), ("qq", "w")]),
         "s1xt2-multiplicativity": ("S_1xT2", "S_1xT2", [(l, "a1" if l == "b1" else l) for l in s1xt2]),
     }
-    for k in (12, 16):
+    for k in (12, 16, 20):
         maps[f"t{k}-identity"] = (f"T{k}", f"T{k}", [(f"t{i}", f"t{i}") for i in range(1, k + 1)])
     for k in (4, 6):
         labels = _product_labels(_surface_labels(2), _torus_labels(k))[1:]
@@ -165,8 +170,10 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     out.append((("degree1-report", "-m", "a.space", "-n", "a.space", "--map", "m.map"), files))
     files = (("u.map", _map("Nowhere", "S2", [("x2", "0")])),)
     out.append((("degree1-report", "-m", "S2", "-n", "S2", "--map", "u.map"), files))
-    # a report whose ledgers are the spaces' own though cl(S2xS2) < cl(T4) = cat(T4)
-    out += [(json + ("degree1-report", "-m", "S2xS2", "-n", "T4"), ()) for json in ((), ("--json",))]
+    # a report whose ledgers are the spaces' own though cl(S2xS2) < cl(T4) = cat(T4),
+    # and the Morse row certified (exact counts) and violated (a Betti number)
+    out += [(json + ("degree1-report", "-m", m, "-n", n), ()) for json in ((), ("--json",))
+            for m, n in (("S2xS2", "T4"), ("S3xS3", "S6"), ("S6", "S3xS3"))]
     # G2, which has no ring, as domain, range or both: every derived not_applicable row
     out += [(json + ("degree1-report", "-m", m, "-n", n), ()) for json in ((), ("--json",))
             for m, n in (("G2", "G2"), ("G2", "T14"), ("T14", "G2"))]
@@ -197,6 +204,10 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
                            "generator x 2\ntruncate x 3\n"))
     out += [(("invariants", "hp2.space"), files), (("invariants", "cp2.space"), files),
             (("degree1-report", "-m", "T8", "-n", "hp2.space"), files)]
+    # a connectivity that reaches the dimension, in a space without a ring
+    files = (("c.space", 'space C\ndim 2\nconnectivity 5\nstably-parallelizable true\n'
+                         'known-cat 1 "x"\n'),)
+    out += [(("invariants", "c.space"), files), (("degree1-report", "-m", "T2", "-n", "c.space"), files)]
     # every file error: its message, kind and line
     for i, (fmt, text, _) in enumerate(file_errors.FILE_ERRORS):
         command = "invariants" if fmt == "space" else "check-map"
