@@ -31,14 +31,15 @@ from .rings import _bits, _Monogenic, check_poincare_duality
 # explicit table, which has no formula, is searched and ranked whatever its size
 CROSS_CHECK_LIMIT = 4096
 
-# the most terms a command may enumerate, now the Poincare polynomial's 0..top_degree:
-# a million took about 0.5 s and 93 MB on a 2-vCPU machine, ten million 4.5 s and 800 MB
+# the most terms a command may enumerate: the Poincare polynomial's 0..top_degree (a
+# million took about 0.5 s and 93 MB on a 2-vCPU machine, ten million 4.5 s and 800 MB)
+# and the basis elements of a map's spaces
 ENUMERATION_LIMIT = 1_000_000
 
 
 def morse_lower_bound(record) -> tuple[int, bool]:
-    """A record's Betti sum SB, its Morse data's total: every Morse function
-    has at least SB critical points.
+    """The Betti sum SB of a ``catalogue.SpaceRecord`` with Morse data, the
+    total of its ``morse``: every Morse function has at least SB critical points.
 
     Returns (bound, exact).  The bound is attained by some Morse
     function exactly when the manifold is simply connected of dimension

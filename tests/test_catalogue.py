@@ -216,17 +216,6 @@ def test_record_validates_connectivity_against_the_ring():
         SpaceRecord("X", 2, 1, True, True, surface_table(1))
 
 
-def test_record_validates_connectivity_against_the_dimension():
-    # H^n(M; F2) is nonzero on a closed n-manifold: it is at most (n - 1)-connected
-    for c in (2, 5):
-        with pytest.raises(SpaceFileError, match=f"connectivity {c} reaches the dimension 2") as exc:
-            SpaceRecord("C", 2, c, True, True, None, known_cat=(1, "x"))
-        assert exc.value.kind == "inconsistent-connectivity"
-    assert [get(f"S{n}").connectivity for n in (1, 2, 7)] == [0, 1, 6]
-    assert (get("point").connectivity, get("G2").connectivity) == (0, 2)
-    SpaceRecord("P", 0, 3, True, True, None)
-
-
 def test_names_listing():
     ns = names()
     for expected in ("point", "G2", "SO9", "T8", "S10", "S_4"):
