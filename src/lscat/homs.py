@@ -418,29 +418,18 @@ def morse_transfer_check(m_record: SpaceRecord, n_record: SpaceRecord) -> Criter
     bad = [lam for lam, (b_m, b_n) in enumerate(zip(m_record.morse, n_record.morse)) if b_m < b_n]
     if bad:
         return CriterionVerdict(
-            "morse_transfer",
-            VIOLATED,
-            f"rank obstruction: domain fails to dominate range in homology ranks at degrees {bad}"
-            "; degree-one maps are surjective on homology",
-            ("homology surjectivity of degree-one maps",),
-        )
-    m_bound, m_exact = morse_lower_bound(m_record)
-    n_bound, n_exact = morse_lower_bound(n_record)
+            "morse_transfer", VIOLATED, "rank obstruction: domain fails to dominate range in "
+            f"homology ranks at degrees {bad}; degree-one maps are surjective on homology",
+            ("homology surjectivity of degree-one maps",))
+    (m_bound, m_exact), (n_bound, n_exact) = map(morse_lower_bound, (m_record, n_record))
     if m_exact and n_exact:
         return CriterionVerdict(
-            "morse_transfer",
-            CERTIFIED,
-            f"crit*(domain) = {m_bound} >= {n_bound} = crit*(range); Morse "
-            "counts are exact (simply connected, dimension >= 6)",
-            ("Smale: Morse equalities for simply connected manifolds of dim >= 6",),
-        )
+            "morse_transfer", CERTIFIED, f"crit*(domain) = {m_bound} >= {n_bound} = crit*(range); "
+            "Morse counts are exact (simply connected, dimension >= 6)",
+            ("Smale: Morse equalities for simply connected manifolds of dim >= 6",))
     return CriterionVerdict(
-        "morse_transfer",
-        INCONCLUSIVE,
-        f"termwise ranks compatible (Morse bounds {m_bound} >= {n_bound}), but "
-        "exactness needs both manifolds simply connected of dimension >= 6",
-        (),
-    )
+        "morse_transfer", INCONCLUSIVE, f"termwise ranks compatible (Morse bounds {m_bound} >= "
+        f"{n_bound}), but exactness needs both manifolds simply connected of dimension >= 6")
 
 
 class Report(Record):
