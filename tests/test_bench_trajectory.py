@@ -25,7 +25,7 @@ def test_the_checked_in_files_give_one_row_per_workload():
     assert other == ["BENCH_6", "BENCH_9", "BENCH_10"]
     read = [line for line in lines[1:-1] if line[1:] != ["other", "format"]]
     assert [line[0] for line in read] == [
-        f"BENCH_{n}" for n in (11, 12, 13, 14, 18, 28, 30, 31) for _ in range(3)
+        f"BENCH_{n}" for n in (11, 12, 13, 14, 18, 28, 30, 31, 32) for _ in range(3)
     ]
     assert {line[1] for line in read} == {"catalogue-sweep", "large-presentations", "tables-and-maps"}
     assert all(len(line) == 6 and all(float(cell) > 0 for cell in line[2:]) for line in read)
