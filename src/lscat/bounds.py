@@ -5,8 +5,8 @@ cup-lengths add and which has Poincare duality iff each factor does
 (Kunneth): that is the formula.  The definitional search (largest m with
 a nonzero m-th power of the positive-degree ideal) and the pairing rank
 cross-check it within ``CROSS_CHECK_LIMIT``; an explicit table has those alone.
-One rule (``_by_rule``) applies this to every invariant, and one memo holds
-each ring's invariants, each computed once per ring when first read.
+One rule (``_by_rule``) applies this to every invariant, and each ring keeps
+its own in ``ring.invariants``, each computed once, when first read.
 
 The ledger chains every bound the toolkit knows:
 
@@ -173,21 +173,14 @@ def _cross_checked(ring: Ring) -> bool:
     return ring.basis_count <= CROSS_CHECK_LIMIT
 
 
-# one entry per ring, keyed by its factors, which compare by value (two parses of
-# one file share it), and its top degree, on which duality depends, or by an
-# explicit table's id, kept in use by the entry: the ring and its invariants by name
-_INVARIANTS: dict[object, tuple[Ring, dict[str, object]]] = {}
-
-
 def _by_rule(ring: Ring, name: str, formula, computation, settle):
-    """The ring's invariant ``name`` by the cross-check rule, computed once per
-    ring, when first read: a factored ring's ``formula(ring)``, read off its
-    factors, which within ``CROSS_CHECK_LIMIT`` ``computation(ring)`` on its
-    compiled form cross-checks, or an explicit table's computation, whatever
-    its size.  Kept and returned is ``settle(value, formula, computation,
-    agree)``, with None for what did not run."""
-    key = id(ring) if ring.factors is None else (ring.factors, ring.top_degree)
-    memo = _INVARIANTS.setdefault(key, (ring, {}))[1]
+    """The ring's invariant ``name`` by the cross-check rule, computed when
+    first read and kept in ``ring.invariants``: a factored ring's ``formula(ring)``,
+    read off its factors, which within ``CROSS_CHECK_LIMIT`` ``computation(ring)``
+    on its compiled form cross-checks, or an explicit table's computation,
+    whatever its size.  Kept and returned is ``settle(value, formula,
+    computation, agree)``, with None for what did not run."""
+    memo = ring.invariants
     if name not in memo:
         f = None if ring.factors is None else formula(ring)
         c = computation(ring) if f is None or _cross_checked(ring) else None

@@ -75,12 +75,17 @@ class Element(Record):
 
 class _Ring:
     """What both ring kinds share: ``factors`` (None for an explicit table),
-    the integer form, and the views read off them."""
+    the integer form, the views read off them, and the invariants."""
 
     @cached_property
     def compiled(self) -> "CompiledRing":
         """The integer form, built on first use."""
         return CompiledRing(self)
+
+    @cached_property
+    def invariants(self) -> dict[str, object]:
+        """The invariants ``bounds`` computed for the ring, by name, freed with it."""
+        return {}
 
     @property
     def tensor_factors(self) -> tuple:
@@ -114,12 +119,6 @@ class _Ring:
         factors = self.tensor_factors
         return all(map(_has_middle_square, factors)) and sum(
             f.top for f in factors) == self.top_degree
-
-    def basis_in_degree(self, d: int) -> list[Term]:
-        """The basis of degree d: a presentation's normal-form monomials,
-        lexicographic on exponents, or a table's labels, in basis order."""
-        c = self.compiled
-        return c.lookups()[0][c.first[d] : c.first[d] + c.dims[d]] if d in c.first else []
 
     def multiply(self, a: Element, b: Element) -> Element:
         """Cup product, on the compiled form."""
@@ -294,9 +293,9 @@ class CompiledRing:
     * ``product(p, q)``, ``times``, ``power`` -- products of positions and
       of vectors; a tensor product multiplies in each factor;
     * ``generator_rows`` -- per ideal generator, its degree and, per
-      source degree d (degree 0 included), a tuple of row bitmasks: row i
-      is the i-th basis element of degree d times the generator (missing
-      degrees multiply to zero);
+      source degree d (degree 0 included), its row bitmasks: row i is the
+      i-th basis element of degree d times the generator (missing degrees
+      multiply to zero), a tuple, or an explicit table's dict of its nonzero rows;
     * ``pairing(d)`` -- row i marks the basis elements of degree top - d
       whose product with the i-th one of degree d is the top class;
       defined when degree d has a basis and ``top`` a unique class.
@@ -370,7 +369,7 @@ class CompiledRing:
         return self._search
 
     @property
-    def generator_rows(self) -> tuple[tuple[int, dict[int, tuple[int, ...]]], ...]:
+    def generator_rows(self) -> tuple[tuple[int, dict[int, tuple[int, ...] | _Rows]], ...]:
         return self._rows_and_pairing()[0]
 
     def pairing(self, d: int) -> tuple[int, ...]:
@@ -423,18 +422,24 @@ def _bits(mask: int):
         mask ^= low
 
 
+class _Rows(dict):
+    """Rows by index, the nonzero ones only: a missing row reads 0."""
+
+    def __missing__(self, i: int) -> int:
+        return 0
+
+
 def _compile_explicit(c: CompiledRing) -> tuple:
     # every positive basis element g generates, in basis order; its rows are
     # read off the stored products it takes part in (the unit row gives
-    # degree 0)
+    # degree 0), so a genus-g surface keeps O(g) rows, not (2g)^2
     t, degrees, first, dims = c.ring, c.degrees, c.first, c.dims
-    rows: dict[int, dict[int, list[int]]] = {t._codes[i]: {} for i, (_, d) in enumerate(t.basis) if d}
+    rows: dict[int, dict[int, _Rows]] = {t._codes[i]: {} for i, (_, d) in enumerate(t.basis) if d}
     for (i, j), mask in t._store.items():
         for x, g in ((i, j), (j, i)):
             if g in rows:
                 d = degrees[x]
-                rows[g].setdefault(d, [0] * dims[d])[x - first[d]] = mask
-    rows = [(degrees[g], {d: tuple(r) for d, r in by_d.items()}) for g, by_d in rows.items()]
+                rows[g].setdefault(d, _Rows())[x - first[d]] = mask
 
     def pairing(d: int) -> tuple[int, ...]:
         # the top degree has a unique class, number 0
@@ -446,7 +451,7 @@ def _compile_explicit(c: CompiledRing) -> tuple:
                         out[x - first[d]] |= 1 << y - first[c.top - d]
         return tuple(out)
 
-    return tuple(rows), pairing
+    return tuple((degrees[g], by_d) for g, by_d in rows.items()), pairing
 
 
 def _compile_factored(c: CompiledRing) -> tuple:

@@ -98,6 +98,16 @@ def _product(t: MultiplicationTable):
     return _PRODUCTS[id(t)][1]
 
 
+def basis_in_degree(ring, d: int) -> list:
+    """The basis of degree d in the compiled form's order: a presentation's
+    normal-form monomials, lexicographic on exponents, or a table's labels,
+    in basis order."""
+    if isinstance(ring, TruncatedPresentation):
+        return [m for m in itertools.product(*map(range, ring.truncations))
+                if sum(e * g.degree for e, g in zip(m, ring.generators)) == d]
+    return [l for l, e in ring.basis if e == d]
+
+
 def unit(ring) -> Element:
     if isinstance(ring, TruncatedPresentation):
         return Element.of((0,) * len(ring.generators))

@@ -246,10 +246,9 @@ def test_factor_values_equal_the_computations_on_the_product(members):
     c = ring.compiled
     assert len(c.degrees) <= CROSS_CHECK_LIMIT
     assert cup_length_formula(ring) == bounds._ideal_power_search(c.dims, c.generator_rows)
-    # the factors' verdict alone: every factored ring taken as above the limit
-    with mock.patch.object(bounds, "_cross_checked", lambda r: r.factors is None), \
-            mock.patch.object(bounds, "_INVARIANTS", {}):
-        assert poincare_duality(ring) == check_poincare_duality(ring)
+    # the factors' verdict alone, on a fresh copy: every factored ring taken as above the limit
+    with mock.patch.object(bounds, "_cross_checked", lambda r: r.factors is None):
+        assert poincare_duality(reduce(tensor_product, members)) == check_poincare_duality(ring)
     assert ring.poincare_polynomial() == [c.dims.get(d, 0) for d in range(ring.top_degree + 1)]
     # and the policy itself: formula and cross-check agree
     check = cup_length_check(ring)
@@ -316,14 +315,14 @@ def test_every_ring_gets_a_duality_verdict(p, q, genus):
     names collide, and with surfaces: with or without the cross-check (a
     limit of 0 turns it off), the verdict is a bool, the pairing's own, and
     the compiled form pairs into the declared top degree."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        surface = surface_table(genus)
-        rings = [p, tensor_product(p, q), surface, tensor_product(p, surface),
-                 tensor_product(surface, expand_to_table(q))]
-    for limit in (0, CROSS_CHECK_LIMIT):  # each with an empty memo, so that both paths run
-        with mock.patch.object(bounds, "CROSS_CHECK_LIMIT", limit), \
-                mock.patch.object(bounds, "_INVARIANTS", {}):
+    for limit in (0, CROSS_CHECK_LIMIT):  # each on fresh rings, so that both paths run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh = TruncatedPresentation(p.generators, p.truncations, p.top_degree)
+            surface = surface_table(genus)
+            rings = [fresh, tensor_product(fresh, q), surface, tensor_product(fresh, surface),
+                     tensor_product(surface, expand_to_table(q))]
+        with mock.patch.object(bounds, "CROSS_CHECK_LIMIT", limit):
             for ring in rings:
                 verdict = poincare_duality(ring)
                 assert type(verdict) is bool and verdict == check_poincare_duality(ring)
@@ -332,8 +331,7 @@ def test_every_ring_gets_a_duality_verdict(p, q, genus):
 
 def test_a_duality_mismatch_is_an_internal_failure():
     s2 = expand_to_table(TruncatedPresentation((GeneratorSpec("x", 2),), (2,), 2))
-    with mock.patch.object(bounds, "check_poincare_duality", lambda ring: False), \
-            mock.patch.object(bounds, "_INVARIANTS", {}):
+    with mock.patch.object(bounds, "check_poincare_duality", lambda ring: False):
         with pytest.raises(RuntimeError, match="duality cross-check failed"):
             poincare_duality(s2)
 

@@ -678,6 +678,23 @@ def test_a_map_on_more_basis_elements_than_the_limit_is_refused(tmp_path, argv):
                            f"above the limit of {ENUMERATION_LIMIT} [too-large]\n")
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["show", "S_10000"], "product a10000 b10000 = w\n"),
+    (["invariants", "S_10000"], "poincare polynomial: 1 20000 1\ncup-length: 2 (search)\n"
+                                "poincare duality: True\n"),
+    (["--json", "invariants", "S_10000"], '"search": 2\n'),
+], ids=["show", "invariants", "invariants-json"])
+def test_a_large_surface_keeps_sparse_rows(tmp_path, argv, shown):
+    """S_10000's 20,000 degree-1 generators each keep their nonzero rows
+    only, not 20,000 entries each: the record's cup-length search, its
+    duality and the request finish in about a second under the cap."""
+    start = time.perf_counter()
+    proc = capped(["-m", "lscat.cli", *argv], tmp_path)
+    assert time.perf_counter() - start < 1.5
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert shown in proc.stdout
+
+
 def test_a_large_torus_record_holds_no_morse_data(tmp_path):
     """T100000's record is its ring and flags: its Morse ranks, 100,001
     binomials, are computed when a command first reads them."""

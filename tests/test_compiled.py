@@ -1,4 +1,4 @@
-"""The compiled form of presentations, the per-ring cup-length memo, and
+"""The compiled form of presentations, each ring's own invariants, and
 one compiled form per ring.
 
 The compiled form is checked against the label-based expansion it
@@ -10,8 +10,11 @@ by counting the compiled forms built.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import tracemalloc
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -20,7 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lscat import bounds, catalogue
-from lscat.bounds import cup_length_check, cup_length_formula
+from lscat.bounds import (
+    cup_length,
+    cup_length_check,
+    cup_length_formula,
+    cup_length_search,
+    poincare_duality,
+)
 from lscat.catalogue import get, surface_table
 from lscat.cli import EXIT_OK, main
 from lscat.rings import (
@@ -34,6 +43,7 @@ from lscat.rings import (
 )
 from lscat.spacefile import parse_space
 
+from label_algebra import basis_in_degree
 from oracles import (
     brute_basis_in_degree,
     brute_cup_length,
@@ -112,7 +122,7 @@ def test_compiled_rows_match_expanded_products():
         p = presentation(gens)
         c = p.compiled
         table = expand_to_table(p)
-        labels = {d: table.basis_in_degree(d) for d in range(c.top + 1)}
+        labels = {d: basis_in_degree(table, d) for d in range(c.top + 1)}
 
         def mask(terms, d):
             return sum(1 << labels[d].index(t) for t in terms)
@@ -129,7 +139,7 @@ def test_compiled_rows_match_expanded_products():
             assert dg == dict(table.basis)[g]
             for d, rows in rows_by_degree.items():
                 assert rows == tuple(mask(table.product(x, g), d + dg) for x in labels[d])
-        (top_label,) = table.basis_in_degree(c.top)
+        (top_label,) = basis_in_degree(table, c.top)
         for d in c.dims:
             assert c.pairing(d) == tuple(
                 mask([y for y in labels[c.top - d] if top_label in table.product(x, y)], c.top - d)
@@ -160,7 +170,7 @@ def rebased(t: MultiplicationTable, rng: random.Random) -> MultiplicationTable:
     """``t`` in a random graded unitriangular change of basis, as an
     explicit table: new element i of a degree is old element i plus a
     random sum of the later ones, so products are sums of basis elements."""
-    old = {d: t.basis_in_degree(d) for d in dict.fromkeys(d for _, d in t.basis)}
+    old = {d: basis_in_degree(t, d) for d in dict.fromkeys(d for _, d in t.basis)}
     masks = {  # new label -> (degree, bitmask over the old basis of its degree)
         l if d == 0 else f"e{d}_{i}": (d, 1 << i | sum(1 << j for j in range(i + 1, len(ls))
                                                        if rng.random() < 0.5))
@@ -255,19 +265,24 @@ def test_each_adapted_basis_equals_the_xor_basis_reference(ring_and_formula):
 def test_rebased_tables_multiply_into_sums():
     # the rebased tables are the only ones whose rows have several bits
     table = rebased(expand_to_table(presentation([(1, 4), (1, 2), (2, 2)])), random.Random(3))
-    rows = [r for _, by_degree in table.compiled.generator_rows for rs in by_degree.values() for r in rs]
+    rows = [r for _, by_degree in table.compiled.generator_rows for rs in by_degree.values()
+            for r in rs.values()]
     assert any(r & (r - 1) for r in rows)
     assert compiled_search(table) == reference_search(table) == brute_cup_length(table) == 5
 
 
-class CountedRows(tuple):
-    """Rows that count their reads."""
+class CountedRows:
+    """Rows that count their reads, over a factored ring's tuple or an
+    explicit table's dict of nonzero rows alike."""
 
     reads = 0
 
+    def __init__(self, rows):
+        self.rows = rows
+
     def __getitem__(self, i):
         CountedRows.reads += 1
-        return tuple.__getitem__(self, i)
+        return self.rows[i]
 
 
 def row_reads(ring: Ring) -> tuple[int, int]:
@@ -298,14 +313,36 @@ def test_search_stops_a_degree_once_it_is_full():
     assert reads <= len(table.basis)
 
 
+@pytest.mark.parametrize("g", [500, 2000])
+def test_a_surface_compiles_and_searches_in_space_linear_in_its_genus(g):
+    # its 2g generators keep their nonzero rows, O(g) of them, where rows of
+    # all 2g entries took (2g)^2: 33 kB a genus at g = 500, 129 kB at g = 2000
+    table = surface_table(g)
+    tracemalloc.start()
+    try:
+        assert cup_length_search(table) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * g
+
+
 # -- one computation per ring ------------------------------------------------------
+
+
+def fresh_catalogue() -> None:
+    """Clear the catalogue's caches, so that its records and rings are built
+    anew, with nothing compiled and no invariant read yet."""
+    for cached in vars(catalogue).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
 
 
 @pytest.fixture
 def kernel_runs(monkeypatch):
-    """Empty invariants memo; returns the list of kernel runs made, each
-    as its arguments (the searched ring's dims and generator rows)."""
-    monkeypatch.setattr(bounds, "_INVARIANTS", {})
+    """A fresh catalogue; returns the list of kernel runs made, each as its
+    arguments (the searched ring's dims and generator rows)."""
+    fresh_catalogue()
     runs = []
     kernel = bounds._ideal_power_search
 
@@ -326,28 +363,42 @@ def test_degree1_report_searches_once(kernel_runs, capsys):
 def test_duality_is_ranked_once_per_ring(monkeypatch, capsys):
     """Both sides of a report on one ring share its duality verdict, and a
     cup-length ranks no pairing."""
-    monkeypatch.setattr(bounds, "_INVARIANTS", {})
+    fresh_catalogue()
     ranked = []
     rank = bounds.check_poincare_duality
     monkeypatch.setattr(bounds, "check_poincare_duality", lambda ring: ranked.append(ring) or rank(ring))
     assert main(["degree1-report", "-m", "T10", "-n", "T10"]) == EXIT_OK
     assert ranked == [get("T10").ring]
     ranked.clear()
-    monkeypatch.setattr(bounds, "_INVARIANTS", {})
+    fresh_catalogue()
     assert main(["cup-length", "T10"]) == EXIT_OK
     capsys.readouterr()
     assert ranked == []
 
 
-def test_two_parses_share_one_cup_length(kernel_runs):
+def test_a_parsed_ring_searches_once_and_keeps_its_cup_length(kernel_runs):
     text = (
         'space X\ndim 6\nknown-cat 4 "declared"\n'
         "generator a 1\ngenerator b 2\ntruncate a 3\ntruncate b 3\n"
     )
-    first, second = parse_space(text), parse_space(text)
-    assert first.ring is not second.ring
-    assert cup_length_check(first.ring) is cup_length_check(second.ring)
-    assert len(kernel_runs) == 1
+    ring = parse_space(text).ring
+    assert kernel_runs == []  # the cited cat is checked against the formula
+    assert cup_length_check(ring) is cup_length_check(ring)
+    assert ring.invariants == {"cup_length": cup_length_check(ring)}
+    assert cup_length_check(ring).value == 4 and len(kernel_runs) == 1
+
+
+def test_a_ring_and_its_invariants_are_freed_with_it():
+    """Each ring keeps its own invariants: nothing else holds a presentation
+    or an explicit table whose cup-length and duality were read."""
+    refs = []
+    for ring, cl in ((presentation([(1, 3), (2, 3)]), 4), (surface_table(3), 2)):
+        assert (cup_length(ring), poincare_duality(ring)) == (cl, True)
+        assert set(ring.invariants) == {"cup_length", "duality"}
+        refs.append(weakref.ref(ring))
+    del ring
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_tables_are_memoized_by_identity(kernel_runs, monkeypatch):
@@ -391,9 +442,6 @@ def test_resolving_records_searches_tables_only(kernel_runs, capsys):
     """A cited cat is checked against a presentation's formula, so resolving
     T12 runs no search and listing the catalogue searches only the five
     surface tables S_0..S_4; printing a cup-length still cross-checks it."""
-    for cached in vars(catalogue).values():
-        if hasattr(cached, "cache_clear"):
-            cached.cache_clear()  # records are checked when they are built
     assert main(["show", "T12"]) == EXIT_OK
     assert kernel_runs == []
     assert main(["catalogue"]) == EXIT_OK
@@ -414,9 +462,7 @@ IDENTITY_T4 = "map identity\ndomain T4\nrange T4\ndegree 1\n" + "".join(
 def test_each_ring_is_numbered_once(monkeypatch, tmp_path, capsys):
     """Search, duality, factors and hom validation share ``ring.compiled``:
     no ring is numbered twice, whichever of them reads it first."""
-    for cached in vars(catalogue).values():
-        if hasattr(cached, "cache_clear"):
-            cached.cache_clear()  # fresh rings, nothing compiled yet
+    fresh_catalogue()
     numbered = []
     init = CompiledRing.__init__
 

@@ -38,7 +38,7 @@ from lscat.rings import (
     TruncatedPresentation,
 )
 
-from label_algebra import expansion, generator, multiply, surface, tensor, unit
+from label_algebra import basis_in_degree, expansion, generator, multiply, surface, tensor, unit
 from oracles import brute_rank
 
 
@@ -546,11 +546,11 @@ def reference_image(spec: RingHomSpec, term) -> Element:
 def reference_matrices(spec: RingHomSpec) -> tuple:
     out = []
     for d in range(spec.source.top_degree + 1):
-        index = {t: i for i, t in enumerate(spec.target.basis_in_degree(d))}
+        index = {t: i for i, t in enumerate(basis_in_degree(spec.target, d))}
         out.append(
             tuple(
                 sum(1 << index[t] for t in reference_image(spec, s).terms)
-                for s in spec.source.basis_in_degree(d)
+                for s in basis_in_degree(spec.source, d)
             )
         )
     return tuple(out)
@@ -628,7 +628,7 @@ def random_homs(draw) -> RingHomSpec:
                 else Element.of(name)
             )
             continue
-        basis = target.basis_in_degree(degree)
+        basis = basis_in_degree(target, degree)
         mask = draw(st.integers(0, 2 ** len(basis) - 1))
         images[name] = Element(frozenset(t for i, t in enumerate(basis) if mask >> i & 1))
     return RingHomSpec(source, target, images, 1)
@@ -709,10 +709,10 @@ def test_injectivity_matches_brute_force_rank():
         vh = validate_hom(spec)
         per_degree, overall = check_injectivity(vh)
         for d, masks in enumerate(vh.matrices):
-            tgt_basis = spec.target.basis_in_degree(d)
+            tgt_basis = basis_in_degree(spec.target, d)
             dense = [
                 [int(t in reference_image(spec, s).terms) for t in tgt_basis]
-                for s in spec.source.basis_in_degree(d)
+                for s in basis_in_degree(spec.source, d)
             ]
             assert masks == tuple(sum(b << i for i, b in enumerate(row)) for row in dense), name
             if len(dense) <= ORACLE_MAX_ROWS:

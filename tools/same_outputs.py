@@ -19,8 +19,11 @@ image has the wrong degree (each map through ``check-map`` and
 name and sweep product of the decks and of ``S_2xT10``, ``S_4xS_4xS_4``
 and ``S_200``, so that the cup-length search runs on explicit, factored
 and presentation rings, both forms of ``invariants S_2100``, an explicit
-table above the cross-check limit, and of ``invariants T3000``, whose
-Poincare series is a high power of one factor's, both forms of
+table above the cross-check limit, of ``invariants S_10000`` and its
+``show``, whose 20,000 generators each keep only their nonzero rows
+(rows of every basis element would hold 4 * 10^8 entries), and of
+``invariants T3000``, whose Poincare series is a high power of one
+factor's, both forms of
 ``degree1-report -m T15000 -n T15000``, whose basis count has more
 digits than Python prints, ``degree1-report`` with a map whose
 spaces have the given names but other rings and with one naming an
@@ -157,9 +160,11 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
             out.append((json + ("degree1-report", "-m", domain, "-n", range_, "--map", f"{name}.map"), files))
     for name in [*decks.CATALOGUE_NAMES, *decks.SWEEP_PRODUCTS, "S_2xT10", "S_4xS_4xS_4", "S_200"]:
         out += [(("cup-length", name), ()), (("--json", "invariants", name), ())]
-    out += [(("show", "SO5xS_1"), ()), (("--json", "show", "SO5xS_1"), ())]
+    out += [(("show", "SO5xS_1"), ()), (("--json", "show", "SO5xS_1"), ()), (("show", "S_10000"), ())]
     for json in ((), ("--json",)):
         out += [(json + ("invariants", "S_2100"), ()), (json + ("invariants", "T3000"), ()),
+                # 20,000 generators, whose rows of every basis element would hold 4 * 10^8 entries
+                (json + ("invariants", "S_10000"), ()),
                 # a basis count of more digits than Python prints
                 (json + ("degree1-report", "-m", "T15000", "-n", "T15000"), ())]
     # a map between spaces named as -m/-n but with other rings, and one naming no space
