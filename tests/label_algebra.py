@@ -25,6 +25,8 @@ from lscat.rings import (
     tensor_product,
 )
 
+from oracles import brute_basis_in_degree
+
 # id(table) -> (table, the product of two of its labels as a label set); the
 # table is kept so that its id is not reused
 _PRODUCTS: dict[int, tuple] = {}
@@ -103,8 +105,7 @@ def basis_in_degree(ring, d: int) -> list:
     normal-form monomials, lexicographic on exponents, or a table's labels,
     in basis order."""
     if isinstance(ring, TruncatedPresentation):
-        return [m for m in itertools.product(*map(range, ring.truncations))
-                if sum(e * g.degree for e, g in zip(m, ring.generators)) == d]
+        return brute_basis_in_degree(ring, d)
     return [l for l, e in ring.basis if e == d]
 
 

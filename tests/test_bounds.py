@@ -297,7 +297,7 @@ def test_duality_above_the_limit_is_the_factors_verdict():
     assert "compiled" not in t16.__dict__
     above = tensor_product(t16, TruncatedPresentation((GeneratorSpec("a", 1),), (2,), 2))
     assert poincare_duality(above) is False  # its top degree is above its factors'
-    # the same factors with another top degree: a ring of its own in the memo
+    # the same factors with another top degree, and another verdict
     t17 = TruncatedPresentation(tuple(GeneratorSpec(f"t{i}", 1) for i in range(17)), (2,) * 17, 17)
     assert t17.factors == above.factors and poincare_duality(t17) is True
     # an explicit factor above the limit is ranked, and its product takes its verdict

@@ -3,9 +3,10 @@ one compiled form per ring.
 
 The compiled form is checked against the label-based expansion it
 replaces and against the brute-force oracles, and the search kernel
-against its earlier design and by the rows it reads; the memo is checked by
-counting runs of the search kernel, and the sharing of ``ring.compiled``
-by counting the compiled forms built.
+against its earlier design and by the rows it reads; each ring's
+invariants are checked by counting runs of the search kernel and by
+freeing the ring, and the sharing of ``ring.compiled`` by counting the
+compiled forms built.
 """
 
 from __future__ import annotations
@@ -315,8 +316,8 @@ def test_search_stops_a_degree_once_it_is_full():
 
 @pytest.mark.parametrize("g", [500, 2000])
 def test_a_surface_compiles_and_searches_in_space_linear_in_its_genus(g):
-    # its 2g generators keep their nonzero rows, O(g) of them, where rows of
-    # all 2g entries took (2g)^2: 33 kB a genus at g = 500, 129 kB at g = 2000
+    # its 2g generators keep O(g) nonzero rows; dense rows, (2g)^2 entries,
+    # took 33 kB a genus at g = 500 and 129 kB at g = 2000
     table = surface_table(g)
     tracemalloc.start()
     try:
