@@ -423,7 +423,7 @@ def _bits(mask: int):
 
 
 class _Rows(dict):
-    """Rows by index, the nonzero ones only: a missing row reads 0."""
+    """Rows by index, the nonzero ones only: a missing row reads 0 and stays missing."""
 
     def __missing__(self, i: int) -> int:
         return 0
