@@ -30,7 +30,7 @@ from ._record import Record
 from .bounds import BoundLedger, cup_length, morse_lower_bound
 from .catalogue import SpaceRecord
 from .gf2 import rank
-from .rings import Element, Ring, TruncatedPresentation
+from .rings import Ring, TruncatedPresentation
 
 CERTIFIED = "certified"
 VIOLATED = "violated"
@@ -67,11 +67,13 @@ class RingHomSpec(Record):
     ``source`` is H*(N) (cohomology of the map's range), ``target`` is
     H*(M).  For presentation sources the images are keyed by generator
     name; for table sources every non-unit basis label needs an image.
+    An image is a vector of the target's compiled form, ``{degree: bitmask}``
+    with no zero entries (``{}`` is zero, ``{0: 1}`` the unit).
     """
 
     source: Ring
     target: Ring
-    images: Mapping[str, Element]
+    images: Mapping[str, Mapping[int, int]]
     asserted_degree: int = 1
 
     def validate(self) -> None:
@@ -93,13 +95,14 @@ class ValidatedHom(Record):
 def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     """Check that the images define a graded ring homomorphism.
 
-    The images are read by the target's ``compiled.vector`` and checked
-    (known keys, an image per generator, homogeneous of its degree, unit
-    -> unit, a presentation's relations by square-and-multiply).  Then one
-    loop over the source's tensor factors (an explicit table is its own)
-    checks (a) F(x)F(y) = F(xy) on each factor's positive basis pairs with
-    x given and (b) each basis tensor's image as its rest's times its last
-    factor part's: with a commutative target, F is then a homomorphism.
+    The image vectors are checked (known keys, an image per generator, a
+    vector of the target ring, homogeneous of its degree, unit -> unit, a
+    presentation's relations by square-and-multiply).  Then one loop over
+    the source's tensor factors
+    (an explicit table is its own) checks (a) F(x)F(y) = F(xy) on each
+    factor's positive basis pairs with x given and (b) each basis tensor's
+    image as its rest's times its last factor part's: with a commutative
+    target, F is then a homomorphism.
     An image not given (a presentation's monomial) is that product, a
     given one is compared with it.  Returns the per-degree matrices;
     raises :class:`HomValidationError` listing every problem of the read
@@ -116,30 +119,25 @@ def validate_hom(spec: RingHomSpec) -> ValidatedHom:
     else:
         generators = [(l, d, known[l], None) for l, d in source.basis if l != source.unit_label]
         problems = [f"unknown basis label {key!r}" for key in spec.images if key not in known]
-        unit = basis.element({0: 1})
-        if spec.images.get(source.unit_label, unit) != unit:
+        if spec.images.get(source.unit_label, {0: 1}) != {0: 1}:
             problems.append("unit must map to unit")
         noun = "basis element"
     images = {0: 1}  # per source position
     for name, degree, p, q in generators:
-        img, deg, x = spec.images.get(name), None, 0
-        if img is None:
-            problems.append(f"no image given for {noun} {name!r}")
-        else:
-            try:
-                v = basis.vector(img)
-                if len(v) > 1:
-                    raise ValueError(f"element is not homogeneous: degrees {sorted(v)}")
-                deg, x = next(iter(v.items()), (None, 0))
-            except ValueError as exc:
-                problems.append(f"image of {name!r}: {exc}")
-        if deg is not None and deg != degree:
-            problems.append(
-                f"degree mismatch: {name!r} has degree {degree}, its image has degree {deg}"
-            )
-            continue
+        v = spec.images.get(name)
+        (deg, x), *rest = (v or {degree: 0}).items()
         images[p] = x
-        if q and basis.power(x, degree, q):
+        if v is None:
+            problems.append(f"no image given for {noun} {name!r}")
+        elif outside := sorted(d for d, y in v.items() if y < 0 or y >> basis.dims.get(d, 0)):
+            # a degree the target lacks, or a bit at or past its dimension there
+            problems.append(f"image of {name!r}: outside the target ring in degrees {outside}")
+        elif rest:
+            problems.append(f"image of {name!r}: element is not homogeneous: degrees {sorted(v)}")
+        elif deg != degree:
+            problems.append(f"degree mismatch: {name!r} has degree {degree}, "
+                            f"its image has degree {deg}")
+        elif q and basis.power(x, degree, q):
             problems.append(f"relation {name}^{q} = 0 is not preserved: image power is nonzero")
     if problems:
         raise HomValidationError(problems)

@@ -16,9 +16,9 @@ Each ring builds one integer form on first use, ``ring.compiled`` (a
 products, search rows and duality pairing on those numbers; a
 presentation compiles as the tensor product of its factors k[x]/(x^q),
 as a factored table does.  The cup-length search, the duality check,
-hom validation, file expressions and factored tables all run on it.
-Its ``vector`` and ``element`` are the one place where an
-:class:`Element` (exponent tuples or basis labels) meets those numbers.
+hom validation, file expressions and factored tables all run on it, and
+a map's images are its vectors.  An :class:`Element` (exponent tuples or
+basis labels) meets those numbers only in the label-level ``multiply``.
 
 Coefficients are fixed to GF(2): an element is a finite set of basis
 terms, addition is symmetric difference, and no signs ever appear.
@@ -239,8 +239,8 @@ class _Monogenic(Record):
     top = cached_property(lambda self: (self.truncation - 1) * self.degree)
     first = cached_property(lambda self: {d: e for e, d in enumerate(self.degrees)})
     dims = cached_property(lambda self: dict.fromkeys(self.degrees, 1))
-    generator_rows = cached_property(lambda self: (
-        ((self.degree, dict.fromkeys(self.degrees[:-1], (1,))),) if self.truncation > 1 else ()))
+    generator_rows = cached_property(lambda self: (  # x^e x = x^(e+1): row 0, one bit
+        ((self.degree, dict.fromkeys(self.degrees[:-1], {0: 1})),) if self.truncation > 1 else ()))
 
     def product(self, p: int, r: int) -> list[int]:
         return [p + r] if p + r < self.truncation else []
@@ -263,7 +263,8 @@ def _has_middle_square(f) -> bool:
 class CompiledRing:
     """The integer form of a ring, built once on first use as
     ``ring.compiled``; the cup-length search, the duality check, hom
-    validation, file expressions and factored tables all read it.
+    validation, file expressions and factored tables all read it, and a
+    map's images are its vectors.
 
     Positions number the basis degree by degree, by a stable sort on
     degree: a presentation's monomials in mixed-radix (lexicographic)
@@ -284,8 +285,8 @@ class CompiledRing:
       degrees are zero);
     * ``factors``, ``strides``, ``codes`` -- the factors (None for an explicit
       table), and the strides and each position's code over ``tensor_factors``;
-    * ``vector(e)``, ``element(v)`` -- the one label edge: an
-      :class:`Element` as ``{degree: bitmask}``, and back;
+    * ``vector(e)``, ``element(v)`` -- an :class:`Element` as ``{degree:
+      bitmask}``, and back, for the label-level ``multiply`` only;
     * ``lookups()`` -- ``(terms, position)``: the element term (exponent
       tuple or basis label) at each position, and back;
     * ``names()`` -- the position of each name a file expression or a map
@@ -295,7 +296,8 @@ class CompiledRing:
     * ``generator_rows`` -- per ideal generator, its degree and, per
       source degree d (degree 0 included), its row bitmasks: row i is the
       i-th basis element of degree d times the generator (missing degrees
-      multiply to zero), a tuple, or an explicit table's dict of its nonzero rows;
+      multiply to zero): a factored ring's tuple, composed from its
+      factors' nonzero rows, or an explicit table's ``_Rows`` of its own;
     * ``pairing(d)`` -- row i marks the basis elements of degree top - d
       whose product with the i-th one of degree d is the top class;
       defined when degree d has a basis and ``top`` a unique class.
@@ -467,12 +469,12 @@ def _compile_factored(c: CompiledRing) -> tuple:
     rows = []
     for f, stride in zip(c.factors, c.strides):
         for dg, by_e in f.generator_rows:
-            # code offsets: x.g for the x at position p in f
-            moves = [
-                [(f.first[e + dg] + b - p) * stride for b in _bits(by_e[e][p - f.first[e]])]
-                if e in by_e else []
-                for p, e in enumerate(f.degrees)
-            ]
+            # code offsets: x.g for each x at position p in f with a nonzero row
+            moves = [()] * len(f.degrees)
+            for e, by_i in by_e.items():
+                for i, row in by_i.items():
+                    p = f.first[e] + i
+                    moves[p] = [(f.first[e + dg] + b - p) * stride for b in _bits(row)]
             image = [0] * n  # per position
             for layer in layers(moves):
                 offset = [o for o in layer for _ in range(stride)] * (n // (len(layer) * stride))

@@ -41,7 +41,7 @@ from __future__ import annotations
 from ._record import Record
 from .catalogue import SpaceFileError, SpaceRecord
 from .homs import RingHomSpec
-from .rings import Element, GeneratorSpec, MultiplicationTable, Ring, TableEntryError
+from .rings import GeneratorSpec, MultiplicationTable, Ring, TableEntryError
 from .rings import TruncatedPresentation
 
 # pattern strings; the readers import re and compile them on first use, so a
@@ -179,9 +179,9 @@ def parse_expression(text: str, lineno: int | None = None) -> list[dict[str, int
 
 def element_from_monomials(
     ring: Ring, monomials: list[dict[str, int]], lineno: int | None = None
-) -> Element:
-    """Evaluate parsed monomials to an element of ``ring``, on its compiled
-    form: each monomial is the product of its factors' powers.
+) -> dict[int, int]:
+    """Evaluate parsed monomials to a vector of ``ring``'s compiled form,
+    as a map's images are: each monomial is the product of its factors' powers.
 
     An identifier names a presentation's generator, at its position (None
     when it is truncated at 1, so zero), or a table's basis label.
@@ -200,9 +200,8 @@ def element_from_monomials(
             e = 0 if p is None else c.degrees[p]
             y = 0 if p is None else 1 << p - c.first[e]
             x, d = c.times(x, d, c.power(y, e, exp), e * exp), d + e * exp
-        if x:
-            acc[d] = acc.get(d, 0) ^ x
-    return c.element(acc)
+        acc[d] = acc.get(d, 0) ^ x
+    return {d: x for d, x in acc.items() if x}
 
 
 def parse_space(text: str) -> SpaceRecord:

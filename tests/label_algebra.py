@@ -1,9 +1,11 @@
 """A label-level reference algebra: elements as sets of exponent tuples or
 basis labels, multiplied term by term, with no integer forms.
 
-lscat keeps only one label edge (``CompiledRing.vector`` and ``element``)
-and computes on positions; the tests check it against these definitions,
-whose products read nothing lscat computes.  A presentation adds exponent tuples
+lscat computes on positions, a map's images and evaluated expressions
+included, and meets labels only in ``CompiledRing.vector`` and
+``element``; the tests check it against these definitions, whose products
+read nothing lscat computes, and give an element to lscat as a vector
+through :func:`vector`.  A presentation adds exponent tuples
 and drops a sum past a truncation.  A table multiplies as it was built,
 so the tests build the tables they check through this module: an
 explicit one by :func:`table` reads the product entries it was given, a
@@ -107,6 +109,12 @@ def basis_in_degree(ring, d: int) -> list:
     if isinstance(ring, TruncatedPresentation):
         return brute_basis_in_degree(ring, d)
     return [l for l, e in ring.basis if e == d]
+
+
+def vector(ring, e: Element) -> dict[int, int]:
+    """``e`` as a vector of ``ring``'s compiled form, the form of a map's
+    images and of ``spacefile.element_from_monomials``."""
+    return ring.compiled.vector(e)
 
 
 def unit(ring) -> Element:

@@ -39,6 +39,8 @@ from lscat.rings import (
 )
 from lscat.spacefile import SpaceFileError, parse_space, serialize_space
 
+from label_algebra import vector
+
 SIZE_BOUND = 4096
 
 
@@ -178,7 +180,7 @@ def test_criterion_6_obstruction_detection():
     t2 = get("T2").ring
     s_2 = get("S_2").ring
     collapse = RingHomSpec(
-        t2, s_2, {"t1": Element.of("a1"), "t2": Element.of("b1")}, 1
+        t2, s_2, {"t1": vector(s_2, Element.of("a1")), "t2": vector(s_2, Element.of("b1"))}, 1
     )
     per_degree, overall = check_injectivity(validate_hom(collapse))
     assert overall and all(per_degree.values())

@@ -39,6 +39,7 @@ from lscat.rings import (
     MultiplicationTable,
     Ring,
     TruncatedPresentation,
+    _Rows,
     check_poincare_duality,
     expand_to_table,
 )
@@ -314,6 +315,21 @@ def test_search_stops_a_degree_once_it_is_full():
     assert reads <= len(table.basis)
 
 
+def test_a_product_composes_its_rows_from_its_factors_nonzero_rows(monkeypatch):
+    """S_300xS1 composes each generator's rows from the nonzero rows of its
+    factor, so it reads no missing row of S_300 (one read per position of
+    S_300 and generator, 359,400 in all, when every position was read).
+    The record searches S_300 itself first, which may read missing rows."""
+    fresh_catalogue()
+    ring = get("S_300xS1").ring
+    missing = []
+    monkeypatch.setattr(_Rows, "__missing__", lambda self, i: missing.append(i) or 0)
+    assert ring.compiled._search is None  # its own rows are not composed yet
+    assert len(ring.compiled.generator_rows) == 602  # S_300's 601, S1's one
+    assert missing == []
+    assert cup_length_search(ring) == 3
+
+
 @pytest.mark.parametrize("g", [500, 2000])
 def test_a_surface_compiles_and_searches_in_space_linear_in_its_genus(g):
     # its 2g generators keep O(g) nonzero rows; dense rows, (2g)^2 entries,
@@ -458,6 +474,20 @@ def test_resolving_records_searches_tables_only(kernel_runs, capsys):
 IDENTITY_T4 = "map identity\ndomain T4\nrange T4\ndegree 1\n" + "".join(
     f"send t{i} -> t{i}\n" for i in range(1, 5)
 )
+
+
+def test_an_identity_map_lists_no_terms(tmp_path, capsys):
+    """A map's images stay vectors of the compiled form from the file to
+    the matrices: checking the identity of T8 numbers its 256 monomials but
+    builds no table of their exponent tuples (the lookups)."""
+    fresh_catalogue()
+    identity = tmp_path / "t8.map"
+    identity.write_text("map identity\ndomain T8\nrange T8\ndegree 1\n" + "".join(
+        f"send t{i} -> t{i}\n" for i in range(1, 9)))
+    assert main(["check-map", str(identity)]) == EXIT_OK
+    assert "consistent with a degree +-1 map" in capsys.readouterr().out
+    ring = get("T8").ring
+    assert "compiled" in vars(ring) and ring.compiled._lookups is None
 
 
 def test_each_ring_is_numbered_once(monkeypatch, tmp_path, capsys):

@@ -38,13 +38,23 @@ from lscat.rings import (
     TruncatedPresentation,
 )
 
-from label_algebra import basis_in_degree, expansion, generator, multiply, surface, tensor, unit
+from label_algebra import (
+    basis_in_degree,
+    expansion,
+    generator,
+    multiply,
+    surface,
+    tensor,
+    unit,
+    vector,
+)
 from oracles import brute_rank
 
 
 def identity_hom(presentation: TruncatedPresentation) -> RingHomSpec:
     images = {
-        g.name: generator(presentation, g.name) for g in presentation.generators
+        g.name: vector(presentation, generator(presentation, g.name))
+        for g in presentation.generators
     }
     return RingHomSpec(presentation, presentation, images, 1)
 
@@ -53,7 +63,9 @@ def collapse_hom() -> RingHomSpec:
     """Induced hom of the genus-2 -> torus collapse map: H*(T2) -> H*(S_2)."""
     t2 = get("T2").ring
     s2 = get("S_2").ring
-    return RingHomSpec(t2, s2, {"t1": Element.of("a1"), "t2": Element.of("b1")}, 1)
+    return RingHomSpec(
+        t2, s2, {"t1": vector(s2, Element.of("a1")), "t2": vector(s2, Element.of("b1"))}, 1
+    )
 
 
 # -- validation -----------------------------------------------------------------
@@ -70,7 +82,7 @@ def test_identity_hom_valid():
 def test_relation_not_preserved():
     src = TruncatedPresentation((GeneratorSpec("b1", 1),), (4,), 3)
     tgt = TruncatedPresentation((GeneratorSpec("a1", 1),), (8,), 7)
-    spec = RingHomSpec(src, tgt, {"b1": generator(tgt, "a1")}, 1)
+    spec = RingHomSpec(src, tgt, {"b1": vector(tgt, generator(tgt, "a1"))}, 1)
     with pytest.raises(HomValidationError, match="relation"):
         validate_hom(spec)
 
@@ -78,7 +90,7 @@ def test_relation_not_preserved():
 def test_degree_mismatch_rejected():
     src = get("SO3").ring  # generator b1 in degree 1
     tgt = get("SO4").ring
-    b3 = generator(tgt, "b3")
+    b3 = vector(tgt, generator(tgt, "b3"))
     with pytest.raises(HomValidationError, match="degree mismatch"):
         validate_hom(RingHomSpec(src, tgt, {"b1": b3}, 1))
 
@@ -86,7 +98,7 @@ def test_degree_mismatch_rejected():
 def test_unknown_generator_rejected():
     s3 = get("SO3").ring
     spec = RingHomSpec(
-        s3, s3, {"b1": generator(s3, "b1"), "zz": unit(s3)}, 1
+        s3, s3, {"b1": vector(s3, generator(s3, "b1")), "zz": vector(s3, unit(s3))}, 1
     )
     with pytest.raises(HomValidationError, match="unknown generator"):
         validate_hom(spec)
@@ -95,15 +107,15 @@ def test_unknown_generator_rejected():
 def test_missing_image_rejected():
     s4 = get("SO4").ring
     with pytest.raises(HomValidationError, match="no image"):
-        validate_hom(RingHomSpec(s4, s4, {"b1": generator(s4, "b1")}, 1))
+        validate_hom(RingHomSpec(s4, s4, {"b1": vector(s4, generator(s4, "b1"))}, 1))
 
 
 def test_table_source_multiplicativity_checked():
     s1 = get("S_1").ring  # torus surface table: a1*b1 = w
     images = {
-        "a1": Element.of("a1"),
-        "b1": Element.of("a1"),  # then a1*b1 -> a1*a1 = 0 but w -> w
-        "w": Element.of("w"),
+        "a1": vector(s1, Element.of("a1")),
+        "b1": vector(s1, Element.of("a1")),  # then a1*b1 -> a1*a1 = 0 but w -> w
+        "w": vector(s1, Element.of("w")),
     }
     with pytest.raises(HomValidationError, match="multiplicativity"):
         validate_hom(RingHomSpec(s1, s1, images, 1))
@@ -111,10 +123,31 @@ def test_table_source_multiplicativity_checked():
 
 def test_table_source_identity_valid():
     s2 = get("S_2").ring
-    images = {l: Element.of(l) for l, d in s2.basis if d > 0}
+    images = {l: vector(s2, Element.of(l)) for l, d in s2.basis if d > 0}
     vh = validate_hom(RingHomSpec(s2, s2, images, 1))
     assert check_injectivity(vh)[1]
     assert check_top_class(vh)
+
+
+@pytest.mark.parametrize("name, key, image, outside", [
+    ("T2", "t1", {3: 1}, [3]),  # T2 has no degree 3
+    ("T2", "t1", {1: 0b100}, [1]),  # its degree 1 has two classes
+    ("T2", "t1", {1: -1}, [1]),
+    ("T2", "t1", {5: 1, 1: 0b100}, [1, 5]),
+    ("S_1", "w", {2: 0b10}, [2]),
+    ("S_1", "b1", {-1: 1}, [-1]),
+])
+def test_an_image_outside_the_target_ring_is_a_problem(name, key, image, outside):
+    """A vector with a degree the target lacks, or a bit at or past that
+    degree's dimension, is a problem line, not a KeyError or IndexError;
+    the other images are the identity's."""
+    ring = get(name).ring
+    identity = identity_hom(ring).images if name == "T2" else {
+        l: vector(ring, Element.of(l)) for l, d in ring.basis if d > 0}
+    with pytest.raises(HomValidationError) as exc_info:
+        validate_hom(RingHomSpec(ring, ring, {**identity, key: image}, 1))
+    assert exc_info.value.problems == [
+        f"image of {key!r}: outside the target ring in degrees {outside}"]
 
 
 def test_asserted_degree_must_be_unit():
@@ -125,7 +158,7 @@ def test_asserted_degree_must_be_unit():
 
 def test_zero_image_is_valid_but_not_injective():
     t2 = get("T2").ring
-    images = {"t1": Element(), "t2": generator(t2, "t2")}
+    images = {"t1": vector(t2, Element()), "t2": vector(t2, generator(t2, "t2"))}
     vh = validate_hom(RingHomSpec(t2, t2, images, 1))
     per_degree, overall = check_injectivity(vh)
     assert not overall
@@ -156,7 +189,7 @@ def test_ring_matching_checks_identity_first(monkeypatch):
     monkeypatch.setattr(MultiplicationTable, "__eq__", no_eq)
     s2 = get("S_2").ring
     identity = RingHomSpec(
-        s2, s2, {l: Element.of(l) for l, _ in s2.basis if l != s2.unit_label}, 1
+        s2, s2, {l: vector(s2, Element.of(l)) for l, _ in s2.basis if l != s2.unit_label}, 1
     )
     assert full_report(get("S_2"), get("S_2"), hom=validate_hom(identity)).overall == CERTIFIED
 
@@ -388,7 +421,7 @@ def test_full_report_identity_so5():
 
 def test_full_report_injectivity_failure_forces_violated():
     t2 = get("T2")
-    images = {"t1": Element(), "t2": generator(t2.ring, "t2")}
+    images = {"t1": vector(t2.ring, Element()), "t2": vector(t2.ring, generator(t2.ring, "t2"))}
     hom = RingHomSpec(t2.ring, t2.ring, images, 1)
     report = full_report(t2, t2, hom=validate_hom(hom))
     assert report.overall == VIOLATED
@@ -490,7 +523,7 @@ def test_identity_validation_makes_no_label_products(monkeypatch):
     s = get("S_2xT4").ring
     specs = [
         identity_hom(get("T12").ring),
-        RingHomSpec(s, s, {l: Element.of(l) for l, d in s.basis if d > 0}, 1),
+        RingHomSpec(s, s, {l: vector(s, Element.of(l)) for l, d in s.basis if d > 0}, 1),
     ]
 
     def refuse(*args):
@@ -513,7 +546,7 @@ def test_validation_costs_one_product_per_basis_element(name, monkeypatch):
         spec = identity_hom(TruncatedPresentation((GeneratorSpec("x", 1),), (400,), 399))
     else:
         s = get(name).ring
-        spec = RingHomSpec(s, s, {l: Element.of(l) for l, d in s.basis if d > 0}, 1)
+        spec = RingHomSpec(s, s, {l: vector(s, Element.of(l)) for l, d in s.basis if d > 0}, 1)
     calls = []
     times = CompiledRing.times
 
@@ -530,16 +563,21 @@ def test_validation_costs_one_product_per_basis_element(name, monkeypatch):
 # -- a label-level reference: images through the label algebra of the tests ---------
 
 
+def given_image(spec: RingHomSpec, key: str) -> Element:
+    """The image given for ``key``, as an element of labels."""
+    return spec.target.compiled.element(spec.images[key])
+
+
 def reference_image(spec: RingHomSpec, term) -> Element:
     """The image of one source basis term: a table label's given image, or a
     monomial's generator images multiplied in one factor at a time."""
     source, target = spec.source, spec.target
     if isinstance(source, MultiplicationTable):
-        return unit(target) if term == source.unit_label else spec.images[term]
+        return unit(target) if term == source.unit_label else given_image(spec, term)
     out = unit(target)
     for g, e in zip(source.generators, term):
         for _ in range(e):
-            out = multiply(target, out, spec.images[g.name])
+            out = multiply(target, out, given_image(spec, g.name))
     return out
 
 
@@ -565,7 +603,7 @@ def reference_problems(spec: RingHomSpec) -> list[str]:
         for g, p in zip(source.generators, source.truncations):
             power = unit(target)
             for _ in range(p):
-                power = multiply(target, power, spec.images[g.name])
+                power = multiply(target, power, given_image(spec, g.name))
             if power:
                 problems.append(
                     f"relation {g.name}^{p} = 0 is not preserved: image power is nonzero"
@@ -622,15 +660,16 @@ def random_homs(draw) -> RingHomSpec:
     images = {}
     for name, degree in gens:
         if replaced is not None and name != replaced[0]:
-            images[name] = (
+            images[name] = vector(target, (
                 generator(target, name)
                 if isinstance(target, TruncatedPresentation)
                 else Element.of(name)
-            )
+            ))
             continue
         basis = basis_in_degree(target, degree)
         mask = draw(st.integers(0, 2 ** len(basis) - 1))
-        images[name] = Element(frozenset(t for i, t in enumerate(basis) if mask >> i & 1))
+        images[name] = vector(target, Element(frozenset(
+            t for i, t in enumerate(basis) if mask >> i & 1)))
     return RingHomSpec(source, target, images, 1)
 
 
@@ -685,7 +724,7 @@ def _torus_maps():
                     i, j = rng.sample(range(k), 2)
                     images[j] = images[i]
                 sends = {
-                    f"t{i}": generator(t, img) if img else Element()
+                    f"t{i}": vector(t, generator(t, img) if img else Element())
                     for i, img in enumerate(images, start=1)
                 }
                 yield f"T{k}-{kind}-{images}", RingHomSpec(t, t, sends, 1)
@@ -694,12 +733,12 @@ def _torus_maps():
 def _surface_maps():
     for g in range(1, 6):
         s = get(f"S_{g}").ring
-        swap = {f"a{i}": Element.of(f"b{i}") for i in range(1, g + 1)}
-        swap.update({f"b{i}": Element.of(f"a{i}") for i in range(1, g + 1)})
-        yield f"S_{g}-swap", RingHomSpec(s, s, {**swap, "w": Element.of("w")}, 1)
+        swap = {f"a{i}": vector(s, Element.of(f"b{i}")) for i in range(1, g + 1)}
+        swap.update({f"b{i}": vector(s, Element.of(f"a{i}")) for i in range(1, g + 1)})
+        yield f"S_{g}-swap", RingHomSpec(s, s, {**swap, "w": vector(s, Element.of("w"))}, 1)
         for h in range(1, g + 1):
             r = get(f"S_{h}").ring
-            images = {l: Element.of(l) for l, d in r.basis if d > 0}
+            images = {l: vector(s, Element.of(l)) for l, d in r.basis if d > 0}
             yield f"S_{g}-collapse-S_{h}", RingHomSpec(r, s, images, 1)
 
 

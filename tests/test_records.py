@@ -30,6 +30,8 @@ from lscat.homs import (
 from lscat.rings import Element, GeneratorSpec, TruncatedPresentation, _Monogenic
 from lscat.spacefile import MapFileSpec
 
+from label_algebra import vector
+
 # -- start-up -----------------------------------------------------------------------
 
 # dataclasses imports inspect, which imports ast, dis and tokenize
@@ -192,8 +194,13 @@ def _ledger() -> BoundLedger:
     )
 
 
+def _images() -> dict:
+    t2 = _t2()
+    return {"a": vector(t2, Element.of((1, 0))), "b": vector(t2, Element.of((0, 1)))}
+
+
 def _spec() -> RingHomSpec:
-    return RingHomSpec(_t2(), _t2(), {"a": Element.of((1, 0)), "b": Element.of((0, 1))})
+    return RingHomSpec(_t2(), _t2(), _images())
 
 
 def _verdict() -> CriterionVerdict:
@@ -280,7 +287,7 @@ RECORDS = [
     ),
     (
         RingHomSpec,
-        lambda: [_t2(), _t2(), {"a": Element.of((1, 0)), "b": Element.of((0, 1))}, -1],
+        lambda: [_t2(), _t2(), _images(), -1],
         [([_t2(), _t2(), {}, 2], ValueError, "asserted degree must be \\+1 or -1")],
         {"asserted_degree": 1},
     ),

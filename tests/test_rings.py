@@ -28,7 +28,7 @@ from lscat.rings import (
 
 from lscat.spacefile import element_from_monomials, parse_space
 
-from label_algebra import basis_in_degree
+from label_algebra import basis_in_degree, vector
 from oracles import (
     brute_basis_in_degree,
     brute_cup_length,
@@ -51,17 +51,17 @@ def point_presentation() -> TruncatedPresentation:
 
 def test_normal_form_truncation_kills():
     s4 = so_n_presentation(4)  # Z/2[b1,b3]/(b1^4, b3^2)
-    assert element_from_monomials(s4, [{"b1": 4}]) == Element()
+    assert element_from_monomials(s4, [{"b1": 4}]) == vector(s4, Element())
 
 
 def test_normal_form_in_bounds():
     s4 = so_n_presentation(4)
-    assert element_from_monomials(s4, [{"b1": 3, "b3": 1}]) == Element.of((3, 1))
+    assert element_from_monomials(s4, [{"b1": 3, "b3": 1}]) == vector(s4, Element.of((3, 1)))
 
 
 def test_normal_form_unit():
     s4 = so_n_presentation(4)
-    assert element_from_monomials(s4, [{}]) == Element.of((0, 0))
+    assert element_from_monomials(s4, [{}]) == vector(s4, Element.of((0, 0)))
     assert s4.compiled.vector(Element.of((0, 0))) == {0: 1}
 
 
@@ -73,7 +73,7 @@ def test_normal_form_length_mismatch():
 
 def test_truncation_one_makes_generator_zero():
     p = TruncatedPresentation((GeneratorSpec("a", 1),), (1,), 0)
-    assert element_from_monomials(p, [{"a": 1}]) == Element()
+    assert element_from_monomials(p, [{"a": 1}]) == vector(p, Element())
     assert p.total_dimension == 1
 
 
@@ -754,5 +754,6 @@ def test_a_monogenic_factor_stores_its_degree_and_truncation():
     assert "first" not in factor.__dict__ and "dims" not in factor.__dict__
     small = _Monogenic(3, 4)
     assert small.first == {0: 0, 3: 1, 6: 2, 9: 3} and small.dims == dict.fromkeys((0, 3, 6, 9), 1)
-    assert small.generator_rows == ((3, {0: (1,), 3: (1,), 6: (1,)}),)
+    # x^e times x is x^(e+1): per degree, one nonzero row, index 0, one bit
+    assert small.generator_rows == ((3, {0: {0: 1}, 3: {0: 1}, 6: {0: 1}}),)
     assert small == _Monogenic(3, 4) and hash(small) == hash(_Monogenic(3, 4))

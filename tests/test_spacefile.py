@@ -32,7 +32,7 @@ from lscat.spacefile import (
 )
 
 from file_errors import FILE_ERRORS
-from label_algebra import evaluate, surface, table, tensor
+from label_algebra import evaluate, surface, table, tensor, vector
 
 SO5_FILE = """\
 # special orthogonal group SO(5)
@@ -311,23 +311,27 @@ def test_parse_expression_rejects_garbage():
 def test_element_from_monomials_presentation_reduces():
     s4 = get("SO4").ring
     elem = element_from_monomials(s4, parse_expression("b1^4"))
-    assert elem == Element()
+    assert elem == vector(s4, Element())
     elem = element_from_monomials(s4, parse_expression("b1^3*b3 + b1 + b1"))
-    assert elem == Element.of((3, 1))
+    assert elem == vector(s4, Element.of((3, 1)))
 
 
 def test_element_from_monomials_table_evaluates_products():
     s1 = get("S_1").ring
     elem = element_from_monomials(s1, parse_expression("a1*b1"))
-    assert elem == Element.of("w")
-    assert element_from_monomials(s1, parse_expression("1")) == Element.of("1")
-    assert element_from_monomials(s1, parse_expression("1 + a1*b1 + b1")) == Element.of(
-        "1", "w", "b1"
+    assert elem == vector(s1, Element.of("w"))
+    assert element_from_monomials(s1, parse_expression("1")) == vector(s1, Element.of("1"))
+    assert element_from_monomials(s1, parse_expression("1 + a1*b1 + b1")) == vector(
+        s1, Element.of("1", "w", "b1")
     )
-    assert element_from_monomials(s1, parse_expression("b1*a1 + a1*b1 + 0")) == Element()
-    assert element_from_monomials(s1, parse_expression("a1^1")) == Element.of("a1")
-    assert element_from_monomials(s1, parse_expression("a1^1000000000000")) == Element()
-    assert element_from_monomials(s1, parse_expression("w^0 + a1^0")) == Element()
+    assert element_from_monomials(s1, parse_expression("b1*a1 + a1*b1 + 0")) == vector(
+        s1, Element()
+    )
+    assert element_from_monomials(s1, parse_expression("a1^1")) == vector(s1, Element.of("a1"))
+    assert element_from_monomials(s1, parse_expression("a1^1000000000000")) == vector(
+        s1, Element()
+    )
+    assert element_from_monomials(s1, parse_expression("w^0 + a1^0")) == vector(s1, Element())
 
 
 def test_element_from_monomials_unknown_names():
@@ -353,10 +357,11 @@ def test_table_powers_take_logarithmically_many_products(monkeypatch):
 
     monkeypatch.setattr(CompiledRing, "times", counted)
     n = 10**12
-    assert element_from_monomials(s2, parse_expression(f"a1^{n}")) == Element()
-    assert element_from_monomials(named_unit, parse_expression(f"e^{n}")) == Element.of("e")
-    assert element_from_monomials(named_unit, parse_expression(f"a*e^{n}")) == Element.of("a")
-    assert element_from_monomials(named_unit, parse_expression("a*b^1")) == Element.of("w")
+    e, a, w = (vector(named_unit, Element.of(label)) for label in "eaw")
+    assert element_from_monomials(s2, parse_expression(f"a1^{n}")) == vector(s2, Element())
+    assert element_from_monomials(named_unit, parse_expression(f"e^{n}")) == e
+    assert element_from_monomials(named_unit, parse_expression(f"a*e^{n}")) == a
+    assert element_from_monomials(named_unit, parse_expression("a*b^1")) == w
     assert calls
 
 
@@ -419,7 +424,7 @@ def expressions(draw):
 def test_element_from_monomials_agrees_with_the_label_reference(case):
     ring, text = case
     monomials = parse_expression(text)
-    assert element_from_monomials(ring, monomials) == evaluate(ring, monomials), text
+    assert element_from_monomials(ring, monomials) == vector(ring, evaluate(ring, monomials)), text
 
 
 def _every_product(ring) -> str:

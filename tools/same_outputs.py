@@ -23,7 +23,9 @@ table above the cross-check limit, of ``invariants S_10000`` and its
 ``show``, whose 20,000 generators each keep only their nonzero rows
 (rows of every basis element would hold 4 * 10^8 entries), and of
 ``invariants T3000``, whose Poincare series is a high power of one
-factor's, both forms of
+factor's, of ``--json invariants S_300xS1``, a product with a large explicit
+factor inside the cross-check limit, whose search composes its rows from
+the factor's nonzero rows, both forms of
 ``degree1-report -m T15000 -n T15000``, whose basis count has more
 digits than Python prints, ``degree1-report`` with a map whose
 spaces have the given names but other rings and with one naming an
@@ -161,6 +163,9 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     for name in [*decks.CATALOGUE_NAMES, *decks.SWEEP_PRODUCTS, "S_2xT10", "S_4xS_4xS_4", "S_200"]:
         out += [(("cup-length", name), ()), (("--json", "invariants", name), ())]
     out += [(("show", "SO5xS_1"), ()), (("--json", "show", "SO5xS_1"), ()), (("show", "S_10000"), ())]
+    # a product with a large explicit factor inside the cross-check limit, whose
+    # search composes its rows from the factor's nonzero rows
+    out += [(("--json", "invariants", "S_300xS1"), ())]
     for json in ((), ("--json",)):
         out += [(json + ("invariants", "S_2100"), ()), (json + ("invariants", "T3000"), ()),
                 # 20,000 generators, whose rows of every basis element would hold 4 * 10^8 entries
