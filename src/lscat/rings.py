@@ -239,7 +239,7 @@ class _Monogenic(Record):
     top = cached_property(lambda self: (self.truncation - 1) * self.degree)
     first = cached_property(lambda self: {d: e for e, d in enumerate(self.degrees)})
     dims = cached_property(lambda self: dict.fromkeys(self.degrees, 1))
-    generator_rows = cached_property(lambda self: (  # x^e x = x^(e+1): row 0, one bit
+    generator_rows = cached_property(lambda self: (  # nonzero rows only, as an explicit factor's
         ((self.degree, dict.fromkeys(self.degrees[:-1], {0: 1})),) if self.truncation > 1 else ()))
 
     def product(self, p: int, r: int) -> list[int]:
