@@ -3,8 +3,8 @@
 Every numerical fact that is not recomputed here (category values in
 particular) carries its literature citation as a string, so reports can
 print provenance.  Parametric families (special orthogonal groups,
-tori, spheres, orientable surfaces) are generated lazily and cached by
-name in :func:`get`; products are available on demand through names
+tori, spheres, orientable surfaces), one table of them in ``FAMILIES``,
+are generated lazily and cached by name in :func:`get`; products are available on demand through names
 such as ``S3xS3``.  A record stores what the space is; its Morse data is
 read off the ring when first asked for.
 """
@@ -171,113 +171,67 @@ def surface_table(g: int) -> MultiplicationTable:
     return MultiplicationTable(basis, 2, products)
 
 
-def _point() -> SpaceRecord:
-    return SpaceRecord(
-        name="point",
-        dimension=0,
-        connectivity=0,
-        orientable=True,
-        stably_parallelizable=True,
-        ring=TruncatedPresentation((), (), 0),
-        torsion_free=True,
-        known_cat=(0, "a point is contractible"),
-    )
+def _atom(name: str, dimension: int, ring: Ring | None, known_cat: tuple[int, str] | None,
+          connectivity: int = 0, **own) -> SpaceRecord:
+    """A catalogue atom: every one is an orientable, stably parallelizable
+    closed manifold.  ``own`` holds the rest that is the atom's own:
+    torsion_free, genus and notes."""
+    return SpaceRecord(name, dimension, connectivity, orientable=True, stably_parallelizable=True,
+                       ring=ring, known_cat=known_cat, **own)
 
 
 def _sphere(n: int) -> SpaceRecord:
-    if n < 1:
-        raise UnknownSpaceError("spheres S n need n >= 1")
-    return SpaceRecord(
-        name=f"S{n}",
-        dimension=n,
-        connectivity=n - 1,
-        orientable=True,
-        stably_parallelizable=True,
-        ring=TruncatedPresentation((GeneratorSpec(f"x{n}", n),), (2,), n),
-        torsion_free=True,
-        known_cat=(1, SPHERE_CAT_CITATION),
-    )
+    ring = TruncatedPresentation((GeneratorSpec(f"x{n}", n),), (2,), n)
+    return _atom(f"S{n}", n, ring, (1, SPHERE_CAT_CITATION), n - 1, torsion_free=True)
 
 
 def _torus(k: int) -> SpaceRecord:
-    if k < 1:
-        raise UnknownSpaceError("tori T k need k >= 1")
     gens = tuple(GeneratorSpec(f"t{i}", 1) for i in range(1, k + 1))
-    return SpaceRecord(
-        name=f"T{k}",
-        dimension=k,
-        connectivity=0,
-        orientable=True,
-        stably_parallelizable=True,
-        ring=TruncatedPresentation(gens, (2,) * k, k),
-        torsion_free=True,
-        known_cat=(k, TORUS_CAT_CITATION),
-    )
+    ring = TruncatedPresentation(gens, (2,) * k, k)
+    return _atom(f"T{k}", k, ring, (k, TORUS_CAT_CITATION), torsion_free=True)
 
 
 def _special_orthogonal(n: int) -> SpaceRecord:
-    if n < 2:
-        raise UnknownSpaceError("SO n needs n >= 2")
     known = (SO_KNOWN_CAT[n], SO_CAT_CITATION) if n in SO_KNOWN_CAT else None
-    return SpaceRecord(
-        name=f"SO{n}",
-        dimension=n * (n - 1) // 2,
-        connectivity=0,
-        orientable=True,
-        stably_parallelizable=True,
-        ring=so_n_presentation(n),
-        known_cat=known,
-    )
+    return _atom(f"SO{n}", n * (n - 1) // 2, so_n_presentation(n), known)
 
 
 def _surface(g: int) -> SpaceRecord:
-    if g < 0:
-        raise UnknownSpaceError("surfaces S_g need g >= 0")
     if g == 0:
         known = (1, "standard: the 2-sphere has category 1")
     elif g == 1:
         known = (2, "category of the 2-torus is 2 (torus family)")
     else:
         known = (2, SURFACE_CAT_CITATION)
-    return SpaceRecord(
-        name=f"S_{g}",
-        dimension=2,
-        connectivity=1 if g == 0 else 0,
-        orientable=True,
-        stably_parallelizable=True,
-        ring=surface_table(g),
-        torsion_free=True,
-        known_cat=known,
-        genus=g,
-        notes=(SURFACE_CRIT_STAR_NOTE,) if g >= 1 else (),
-    )
+    return _atom(f"S_{g}", 2, surface_table(g), known, 1 if g == 0 else 0, torsion_free=True,
+                 genus=g, notes=(SURFACE_CRIT_STAR_NOTE,) if g >= 1 else ())
 
 
-def _g2() -> SpaceRecord:
-    return SpaceRecord(
-        name="G2",
-        dimension=14,
-        connectivity=2,
-        orientable=True,
-        stably_parallelizable=True,
-        ring=None,
-        known_cat=(4, G2_CAT_CITATION),
-        notes=("cohomology ring not stored; ring-based criteria are not applicable",),
-    )
+# prefix: (parameter letter, least parameter, the refusal below it, which ends
+# "{letter} >= {least}", the parameters names() lists, builder)
+FAMILIES = {
+    "SO": ("n", 2, "SO n needs", range(3, 10), _special_orthogonal),
+    "T": ("k", 1, "tori T k need", range(1, 9), _torus),
+    "S": ("n", 1, "spheres S n need", range(1, 11), _sphere),
+    "S_": ("g", 0, "surfaces S_g need", range(0, 5), _surface),
+}
 
 
 def _atomic(name: str) -> SpaceRecord:
     if name == "point":
-        return _point()
+        ring = TruncatedPresentation((), (), 0)
+        return _atom(name, 0, ring, (0, "a point is contractible"), torsion_free=True)
     if name == "G2":
-        return _g2()
-    for prefix, family in (("SO", _special_orthogonal), ("S_", _surface), ("T", _torus),
-                           ("S", _sphere)):
+        return _atom(name, 14, None, (4, G2_CAT_CITATION), 2, notes=(
+            "cohomology ring not stored; ring-based criteria are not applicable",))
+    for prefix, (letter, least, refusal, _, build) in FAMILIES.items():
         if name.startswith(prefix) and name[len(prefix) :].isdecimal():
             if (n := int(name[len(prefix) :])) > ENUMERATION_LIMIT:  # n terms and more
                 raise SpaceFileError(f"{name}: family parameter {n} is above the limit of "
                                      f"{ENUMERATION_LIMIT}", kind="too-large")
-            return family(n)
+            if n < least:
+                raise UnknownSpaceError(f"{refusal} {letter} >= {least}")
+            return build(n)
     raise UnknownSpaceError(f"unknown space name {name!r}")
 
 
@@ -316,9 +270,5 @@ def get(name: str) -> SpaceRecord:
 
 def names() -> list[str]:
     """Representative catalogue names (families accept any parameter)."""
-    out = ["point", "G2"]
-    out += [f"SO{n}" for n in range(3, 10)]
-    out += [f"T{k}" for k in range(1, 9)]
-    out += [f"S{n}" for n in range(1, 11)]
-    out += [f"S_{g}" for g in range(0, 5)]
-    return out
+    return ["point", "G2"] + [f"{prefix}{n}" for prefix, (_, _, _, listed, _) in FAMILIES.items()
+                              for n in listed]

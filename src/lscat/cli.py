@@ -662,10 +662,9 @@ def cmd_catalogue(args) -> int:
         )
     payload = {"spaces": entries}
     text = [f"{e['name']:<8} dim {e['dimension']:<3} known cat {e['known_cat']}" for e in entries]
-    text.append(
-        "families: SOn (n >= 2), Tk (k >= 1), Sn (n >= 1), S_g (g >= 0); "
-        "products on demand, e.g. S3xS3"
-    )
+    families = (f"{prefix}{letter} ({letter} >= {least})"
+                for prefix, (letter, least, *_) in catalogue.FAMILIES.items())
+    text.append(f"families: {', '.join(families)}; products on demand, e.g. S3xS3")
     _emit(args, payload, text)
     return EXIT_OK
 

@@ -261,6 +261,17 @@ def cor_cat_transfer(
     return CriterionVerdict("cor_cat_transfer", INCONCLUSIVE, reason, ())
 
 
+def _unflagged(criterion: str, m_record: SpaceRecord, n_record: SpaceRecord
+               ) -> CriterionVerdict | None:
+    """The inconclusive verdict of a criterion that needs both spaces flagged
+    stably parallelizable, naming the first that is not; None when both are."""
+    for side, record in (("domain", m_record), ("range", n_record)):
+        if not record.stably_parallelizable:
+            return CriterionVerdict(criterion, INCONCLUSIVE,
+                                    f"{side} is not flagged stably parallelizable", ())
+    return None
+
+
 def thm_main_check(
     m_record: SpaceRecord,
     n_record: SpaceRecord,
@@ -269,11 +280,8 @@ def thm_main_check(
     """Connectivity-versus-dimension criterion for stably parallelizable
     manifolds: with N (q-1)-connected, dim N <= 2*q*cat(N) - 4 forces
     cat(M) >= cat(N)."""
-    if not (m_record.stably_parallelizable and n_record.stably_parallelizable):
-        missing = "domain" if not m_record.stably_parallelizable else "range"
-        return CriterionVerdict(
-            "thm_main", INCONCLUSIVE, f"{missing} is not flagged stably parallelizable", ()
-        )
+    if unflagged := _unflagged("thm_main", m_record, n_record):
+        return unflagged
     q = n_record.connectivity + 1
     lower_only = False
     if n_record.known_cat is not None:
@@ -339,11 +347,8 @@ def torus_stabilization_k(n: int) -> StabilizationCheck:
 def thm_torus_check(m_record: SpaceRecord, n_record: SpaceRecord) -> CriterionVerdict:
     """Stabilized transfer: after crossing with a large torus the category
     comparison holds for stably parallelizable manifolds."""
-    if not (m_record.stably_parallelizable and n_record.stably_parallelizable):
-        missing = "domain" if not m_record.stably_parallelizable else "range"
-        return CriterionVerdict(
-            "thm_torus", INCONCLUSIVE, f"{missing} is not flagged stably parallelizable", ()
-        )
+    if unflagged := _unflagged("thm_torus", m_record, n_record):
+        return unflagged
     n = m_record.dimension
     st = torus_stabilization_k(n)
     return CriterionVerdict(

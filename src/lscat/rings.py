@@ -507,10 +507,11 @@ def _compile_factored(c: CompiledRing) -> tuple:
 
 
 class TableEntryError(ValueError):
-    """A product entry of an explicit table breaks a ring law; ``entry`` is
-    its key, so that a file reader can name the entry's line."""
+    """A basis element of an explicit table lies outside its degrees, or a
+    product entry breaks a ring law; ``entry`` is the element's label or the
+    entry's key, so that a file reader can name its line."""
 
-    def __init__(self, message: str, entry: tuple[str, str]):
+    def __init__(self, message: str, entry: str | tuple[str, str]):
         super().__init__(message)
         self.entry = entry
 
@@ -573,7 +574,8 @@ class MultiplicationTable(_Ring):
         self.unit_label = units[0]
         for l, d in self.basis:
             if d < 0 or d > self.top_degree:
-                raise ValueError(f"basis element {l!r} has degree {d} outside 0..{self.top_degree}")
+                raise TableEntryError(
+                    f"basis element {l!r} has degree {d} outside 0..{self.top_degree}", l)
 
     def _load_products(self, products: Mapping[tuple[str, str], frozenset]) -> None:
         """Store each nonzero product once, under its position-ordered pair

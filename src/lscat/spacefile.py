@@ -212,6 +212,7 @@ def parse_space(text: str) -> SpaceRecord:
     generators: dict[str, int] = {}  # name -> degree
     truncations: dict[str, int] = {}
     basis: list[tuple[str, int]] = []
+    lines: dict[str | tuple[str, str], int] = {}  # a basis label's or a product pair's line
     products: list[tuple[int, str, str, str]] = []
     for lineno, keyword, args in _read(text, _SPACE_KEYWORDS):
         if keyword in ("dim", "connectivity"):
@@ -245,6 +246,7 @@ def parse_space(text: str) -> SpaceRecord:
             if degree < 0:
                 raise SpaceFileError("basis degree must be >= 0", lineno, kind="bad-degree")
             basis.append((args[0], degree))
+            lines[args[0]] = lineno
         elif keyword == "product":
             products.append((lineno, *args))
         else:  # space
@@ -286,7 +288,7 @@ def parse_space(text: str) -> SpaceRecord:
         try:
             ring = MultiplicationTable(basis, dim, table)
         except TableEntryError as exc:
-            lines = {(la, lb): lineno for lineno, la, lb, _ in products}
+            lines.update({(la, lb): lineno for lineno, la, lb, _ in products})
             raise SpaceFileError(str(exc), lines[exc.entry]) from exc
         except ValueError as exc:
             raise SpaceFileError(str(exc)) from exc
@@ -368,18 +370,19 @@ def serialize_space(record: SpaceRecord) -> str:
 
 
 class MapFileSpec(Record):
-    """Parsed map file, unresolved: space names and raw image expressions."""
+    """Parsed map file, unresolved: space names, and each image's parsed
+    monomials with the line of its send."""
 
     name: str
     domain: str
     range: str
     degree: int
-    sends: tuple[tuple[str, str], ...]  # (generator, expression text)
+    sends: tuple[tuple[str, list[dict[str, int]], int], ...]  # (generator, monomials, line)
 
 
 def parse_map(text: str) -> MapFileSpec:
     values: dict[str, object] = {}  # the single-valued lines' values
-    sends: list[tuple[str, str]] = []
+    sends: list[tuple[str, list[dict[str, int]], int]] = []
     for lineno, keyword, args in _read(text, _MAP_KEYWORDS):
         if keyword == "degree":
             if args[0] not in ("1", "+1", "-1"):
@@ -388,8 +391,7 @@ def parse_map(text: str) -> MapFileSpec:
                 )
             values[keyword] = int(args[0])
         elif keyword == "send":
-            parse_expression(args[1], lineno)  # syntax check now
-            sends.append((args[0], args[1].strip()))
+            sends.append((args[0], parse_expression(args[1], lineno), lineno))
         else:  # map, domain, range
             values[keyword] = args[0]
 
@@ -416,7 +418,6 @@ def resolve_map(
             f"{missing} has no ring data; cannot resolve the induced homomorphism",
             kind="no-ring-data",
         )
-    images = {
-        gen: element_from_monomials(domain.ring, parse_expression(expr)) for gen, expr in spec.sends
-    }
+    images = {gen: element_from_monomials(domain.ring, monomials, lineno)
+              for gen, monomials, lineno in spec.sends}
     return RingHomSpec(range_.ring, domain.ring, images, spec.degree)

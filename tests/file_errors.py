@@ -7,7 +7,8 @@ whole file).  The rows cover every keyword with too few and too many
 arguments, a line before the header, an unknown keyword, a missing
 header or field, a wrong-arity ring line after a line of the other ring
 kind, every line given twice (a ``product`` pair in either order), and a
-``product`` line that breaks a ring law while the table is built.
+``basis`` line above ``dim`` or a ``product`` line that breaks a ring law
+while the table is built.
 
 ``tests/test_spacefile.py`` asserts each row, and ``tools/same_outputs.py``
 runs each file through the command line, so the error of every file is
@@ -116,6 +117,9 @@ def _rows() -> list[tuple[str, str, tuple]]:
             "product a 1 = b": "unit law violated at 'a'"}
     for line, message in laws.items():
         rows.append(("space", pair + f"{line}\n", (f"line 8: {message}", "syntax", 8)))
+    # a basis line above dim, which the table refuses when it is built
+    rows.append(("space", SPACE + "basis 1 0\nbasis a 1\nbasis z 5\n",
+                 ("line 5: basis element 'z' has degree 5 outside 0..2", "syntax", 5)))
     # a ring line of the wrong arity after a line of the other ring kind
     for first, keyword in (("basis 1 0", "generator"), ("basis 1 0", "truncate"),
                            ("generator a 1", "basis"), ("generator a 1", "product")):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import time
 import warnings
 from unittest import mock
@@ -220,6 +221,33 @@ def test_names_listing():
     ns = names()
     for expected in ("point", "G2", "SO9", "T8", "S10", "S_4"):
         assert expected in ns
+
+
+# each family's refusal below its least parameter, as the catalogue has always worded it
+REFUSALS = {"SO": "SO n needs n >= 2", "T": "tori T k need k >= 1",
+            "S": "spheres S n need n >= 1", "S_": "surfaces S_g need g >= 0"}
+
+
+def test_the_family_table_is_what_get_names_and_the_listing_read(capsys):
+    from lscat.cli import main
+
+    for name in names():
+        assert get(name).name == name
+    assert list(catalogue.FAMILIES) == list(REFUSALS)
+    for prefix, (letter, least, *_) in catalogue.FAMILIES.items():
+        assert get(f"{prefix}{least}").name == f"{prefix}{least}"
+        assert REFUSALS[prefix].endswith(f" {letter} >= {least}")
+        below = f"{prefix}{least - 1}"
+        message = REFUSALS[prefix] if least > 0 else f"unknown space name {below!r}"
+        with pytest.raises(UnknownSpaceError, match=f"^{re.escape(message)}$"):
+            get(below)
+    assert main(["catalogue"]) == 0
+    listed = capsys.readouterr().out.splitlines()[-1]
+    assert listed == ("families: SOn (n >= 2), Tk (k >= 1), Sn (n >= 1), S_g (g >= 0); "
+                      "products on demand, e.g. S3xS3")
+    families = re.findall(r"(\w+?)([a-z]) \(\2 >= (\d+)\)", listed)
+    assert families == [(prefix, letter, str(least))
+                        for prefix, (letter, least, *_) in catalogue.FAMILIES.items()]
 
 
 def test_ledger_for_so6():

@@ -180,6 +180,20 @@ def test_check_map_invalid_hom_is_parse_error(tmp_path, capsys):
     assert "degree mismatch" in err
 
 
+@pytest.mark.parametrize("domain, send, error", [
+    ("T2", "t1", "line 6: unknown generator 'zz' [unknown-generator]"),
+    ("S_1", "a1", "line 6: unknown basis label 'zz' [unknown-label]"),
+])
+def test_an_unknown_name_in_a_send_names_its_line(tmp_path, capsys, domain, send, error):
+    """A presentation domain and a table domain: the name is looked up in
+    the domain's ring, after the file is parsed, and still names its line."""
+    path = tmp_path / "f.map"
+    path.write_text(f"map f\ndomain {domain}\nrange T2\ndegree +1\nsend t1 -> {send}\n"
+                    "send t2 -> zz\n")
+    for argv in (["check-map", path], ["degree1-report", "-m", domain, "-n", "T2", "--map", path]):
+        assert run(capsys, *map(str, argv)) == (EXIT_PARSE, "", f"lscat: {error}\n")
+
+
 def test_check_map_between_dimensions_is_a_usage_error(tmp_path, capsys):
     """A degree exists only between manifolds of one dimension: check-map
     refuses T3 -> T2 as degree1-report given the same map does."""

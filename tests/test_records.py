@@ -299,7 +299,7 @@ RECORDS = [
         [],
         {"domain_ledger": None, "range_ledger": None},
     ),
-    (MapFileSpec, lambda: ["f", "T2", "T2", 1, (("a", "a + b"),)], [], {}),
+    (MapFileSpec, lambda: ["f", "T2", "T2", 1, (("a", [{"a": 1}, {"b": 1}], 5),)], [], {}),
 ]
 
 

@@ -449,7 +449,7 @@ def test_parse_map_file():
     assert spec.domain == "S_2"
     assert spec.range == "T2"
     assert spec.degree == 1
-    assert spec.sends == (("t1", "a1"), ("t2", "b1"))
+    assert spec.sends == (("t1", [{"a1": 1}], 5), ("t2", [{"b1": 1}], 6))
 
 
 def test_parse_map_negative_degree():

@@ -15,7 +15,11 @@ for each kind of source ring, identity maps on ``T12``, ``T16`` and
 between spaces of different dimensions and a map ``SO4 -> SO3`` whose
 image has the wrong degree (each map through ``check-map`` and
 ``degree1-report --map``), ``show`` of
-``SO5xS_1``, ``cup-length`` and ``--json invariants`` of every catalogue
+``SO5xS_1``, ``show`` of ``S0``, ``T0`` and ``SO1`` (the refusals the
+catalogue's family table words), a map that sends a generator to an
+unknown name from ``T2`` and from ``S_1`` (through ``check-map`` and
+``degree1-report --map``) and a ``basis`` line above ``dim`` (through
+``invariants`` and ``show``), whose errors name their lines, ``cup-length`` and ``--json invariants`` of every catalogue
 name and sweep product of the decks and of ``S_2xT10``, ``S_4xS_4xS_4``
 and ``S_200``, so that the cup-length search runs on explicit, factored
 and presentation rings, both forms of ``invariants S_2100``, an explicit
@@ -163,6 +167,8 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
     for name in [*decks.CATALOGUE_NAMES, *decks.SWEEP_PRODUCTS, "S_2xT10", "S_4xS_4xS_4", "S_200"]:
         out += [(("cup-length", name), ()), (("--json", "invariants", name), ())]
     out += [(("show", "SO5xS_1"), ()), (("--json", "show", "SO5xS_1"), ()), (("show", "S_10000"), ())]
+    # the refusals below a family's least parameter, read from the catalogue's family table
+    out += [(("show", name), ()) for name in ("S0", "T0", "SO1")]
     # a product with a large explicit factor inside the cross-check limit, whose
     # search composes its rows from the factor's nonzero rows
     out += [(("--json", "invariants", "S_300xS1"), ())]
@@ -197,6 +203,14 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
                          "truncate b 2\n"),
              ("f.map", _map("f.space", "f.space", [("a", "a"), ("b", "b")])))
     out.append((("degree1-report", "-m", "f.space", "-n", "f.space", "--map", "f.map"), files))
+    # an unknown name in a send, in a presentation domain and in a table domain,
+    # and a basis degree above dim: each error names its line
+    for domain, send in (("T2", "t1"), ("S_1", "a1")):
+        files = (("zz.map", _map(domain, "T2", [("t1", send), ("t2", "zz")])),)
+        out += [(("check-map", "zz.map"), files),
+                (("degree1-report", "-m", domain, "-n", "T2", "--map", "zz.map"), files)]
+    files = (("z.space", "space Z\ndim 2\nbasis 1 0\nbasis a 1\nbasis z 5\n"),)
+    out += [(("invariants", "z.space"), files), (("show", "z.space"), files)]
     # a dim of more degrees than a command may enumerate, in a map
     files = (("d.space", "space D\ndim 10000000\ngenerator x 10000000\ntruncate x 2\n"),
              ("d.map", _map("d.space", "d.space", [("x", "x")])))
