@@ -207,8 +207,8 @@ def _surface(g: int) -> SpaceRecord:
                  genus=g, notes=(SURFACE_CRIT_STAR_NOTE,) if g >= 1 else ())
 
 
-# prefix: (parameter letter, least parameter, the refusal below it, which ends
-# "{letter} >= {least}", the parameters names() lists, builder)
+# prefix: (parameter letter, least parameter, the words of the refusal below it,
+# which _atomic ends with "{letter} >= {least}", the parameters names() lists, builder)
 FAMILIES = {
     "SO": ("n", 2, "SO n needs", range(3, 10), _special_orthogonal),
     "T": ("k", 1, "tori T k need", range(1, 9), _torus),
