@@ -11,6 +11,8 @@ read off the ring when first asked for.
 
 from __future__ import annotations
 
+import math
+import sys
 from functools import cached_property, lru_cache, reduce
 
 from ._record import Record
@@ -132,14 +134,37 @@ class SpaceRecord(Record):
     def simply_connected(self) -> bool:
         return self.connectivity >= 1
 
+    def within_limits(self, mapped: bool = False) -> "SpaceRecord":
+        """The record, unless a command would enumerate or print too much of its
+        ring: a term (and a map's matrix) per degree 0..dim, a basis count (which
+        bounds every integer printed of it) of more digits than Python prints, or,
+        for a map (``mapped``), an image per basis element."""
+        if (ring := self.ring) is None:
+            return self
+        if (size := ring.top_degree + 1) > ENUMERATION_LIMIT:
+            raise SpaceFileError(f"{self.name}: the Poincare polynomial would have {size} terms, "
+                                 f"above the limit of {ENUMERATION_LIMIT}", kind="too-large")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before Python 3.10.7
+        count = ring.basis_count
+        if limit and count.bit_length() > 3 * limit and count >= 10 ** limit:  # 8^limit < 10^limit
+            e = int(math.log10(count))  # the digit count is e + 1, unless rounding moved e by one
+            digits = e + (count >= 10 ** e) + (count >= 10 ** (e + 1))
+            raise SpaceFileError(f"{self.name}: its basis count has {digits} digits, above the "
+                                 f"limit of {limit} digits for printing an integer",
+                                 kind="too-large")
+        if mapped and count > ENUMERATION_LIMIT:
+            raise SpaceFileError(f"{self.name}: a map would enumerate its {count} basis elements, "
+                                 f"above the limit of {ENUMERATION_LIMIT}", kind="too-large")
+        return self
+
     @cached_property
     def morse(self) -> tuple[int, ...] | None:
         """Morse data of a torsion-free space (a point, sphere, torus, surface
-        or product of them), read off the ring when first asked for: its
-        integral Betti numbers, which are the ring's mod-2 ones; None otherwise."""
+        or product of them), read off the ring within its limits when first
+        asked for: its integral Betti numbers, the ring's mod-2 ones; or None."""
         if not self.torsion_free or self.ring is None:
             return None
-        return tuple(self.ring.poincare_polynomial())
+        return tuple(self.within_limits().ring.poincare_polynomial())
 
     def ledger(self) -> BoundLedger | None:
         """Bound ledger for this record; None when no ring data is stored."""
@@ -225,13 +250,15 @@ def _atomic(name: str) -> SpaceRecord:
         return _atom(name, 14, None, (4, G2_CAT_CITATION), 2, notes=(
             "cohomology ring not stored; ring-based criteria are not applicable",))
     for prefix, (letter, least, refusal, _, build) in FAMILIES.items():
-        if name.startswith(prefix) and name[len(prefix) :].isdecimal():
-            if (n := int(name[len(prefix) :])) > ENUMERATION_LIMIT:  # n terms and more
+        # ASCII digits without a leading zero, compared with the limit as text
+        n = name[len(prefix) :]
+        if name.startswith(prefix) and n.isascii() and n.isdecimal() and n in ("0", n.lstrip("0")):
+            if (len(n), n) > (len(limit := str(ENUMERATION_LIMIT)), limit):  # n terms and more
                 raise SpaceFileError(f"{name}: family parameter {n} is above the limit of "
-                                     f"{ENUMERATION_LIMIT}", kind="too-large")
-            if n < least:
+                                     f"{limit}", kind="too-large")
+            if int(n) < least:
                 raise UnknownSpaceError(f"{refusal} {letter} >= {least}")
-            return build(n)
+            return build(int(n))
     raise UnknownSpaceError(f"unknown space name {name!r}")
 
 

@@ -14,7 +14,7 @@ import sys
 from types import SimpleNamespace
 
 from . import catalogue
-from .bounds import ENUMERATION_LIMIT, cup_length_check, poincare_duality, so_n_presentation
+from .bounds import cup_length_check, poincare_duality, so_n_presentation
 from .catalogue import SpaceRecord, UnknownSpaceError
 from .homs import (
     CERTIFIED,
@@ -348,39 +348,6 @@ def _manifold(record: SpaceRecord) -> SpaceRecord:
     return record
 
 
-def _enumerable(record: SpaceRecord) -> SpaceRecord:
-    """The record, unless its ring has more degrees 0..dim than a command may
-    enumerate: a Poincare polynomial has a term, and a map a matrix, per degree."""
-    if record.ring is not None and (size := record.ring.top_degree + 1) > ENUMERATION_LIMIT:
-        raise SpaceFileError(f"{record.name}: the Poincare polynomial would have {size} terms, "
-                             f"above the limit of {ENUMERATION_LIMIT}", kind="too-large")
-    return record
-
-
-def _printable(record: SpaceRecord) -> SpaceRecord:
-    """The record, unless its basis count, which bounds every integer ``invariants``
-    and ``degree1-report`` print of it, has more digits than Python prints."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before Python 3.10.7
-    count = 0 if record.ring is None else record.ring.basis_count
-    if limit and count.bit_length() > 3 * limit and count >= 10 ** limit:  # 8^limit < 10^limit
-        e = int(math.log10(count))  # the digit count is e + 1, unless rounding moved e by one
-        digits = e + (count >= 10 ** e) + (count >= 10 ** (e + 1))
-        raise SpaceFileError(f"{record.name}: its basis count has {digits} digits, above the "
-                             f"limit of {limit} digits for printing an integer", kind="too-large")
-    return record
-
-
-def _mappable(record: SpaceRecord) -> SpaceRecord:
-    """The record, unless its ring has more basis elements than a map may
-    enumerate (validation builds an image per basis element of the source, and
-    an image's vector lists every term of the target) or too many to print."""
-    count = 0 if record.ring is None else _printable(record).ring.basis_count
-    if count > ENUMERATION_LIMIT:
-        raise SpaceFileError(f"{record.name}: a map would enumerate its {count} basis elements, "
-                             f"above the limit of {ENUMERATION_LIMIT}", kind="too-large")
-    return record
-
-
 def _load_map(path: str, loaded: dict[str, SpaceRecord]) -> tuple:
     """A map file's spec, its domain and range records, and its induced
     homomorphism, validated: a space it names that resolves nowhere, to no
@@ -392,7 +359,7 @@ def _load_map(path: str, loaded: dict[str, SpaceRecord]) -> tuple:
         domain, range_ = _resolve_space(spec.domain, loaded), _resolve_space(spec.range, loaded)
     except UnknownSpaceError as exc:
         raise SpaceFileError(str(exc), kind="unknown-space") from exc
-    domain, range_ = (_mappable(_enumerable(_manifold(r))) for r in (domain, range_))
+    domain, range_ = (_manifold(r).within_limits(mapped=True) for r in (domain, range_))
     return spec, domain, range_, validate_hom(resolve_map(spec, domain, range_))
 
 
@@ -443,7 +410,7 @@ def _record_dict(record: SpaceRecord) -> dict:
 
 
 def cmd_invariants(args) -> int:
-    record = _printable(_enumerable(_resolve_space(args.space, {})))
+    record = _resolve_space(args.space, {}).within_limits()
     payload: dict = {
         "space": record.name,
         "dimension": record.dimension,
@@ -527,8 +494,7 @@ def cmd_check_map(args) -> int:
 
 def cmd_degree1_report(args) -> int:
     loaded = _load_extra_spaces(args.space)
-    m_record = _manifold(_printable(_resolve_space(args.domain, loaded)))
-    n_record = _manifold(_printable(_resolve_space(args.range, loaded)))
+    m_record, n_record = (_manifold(_resolve_space(t, loaded)) for t in (args.domain, args.range))
     hom = None
     if args.mapfile:
         _, map_domain, map_range, hom = _load_map(args.mapfile, loaded)

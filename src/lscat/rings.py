@@ -379,6 +379,8 @@ class CompiledRing:
 
     def product(self, p: int, q: int) -> list[int]:
         """Positions of the terms of the product of positions p and q."""
+        if not p or not q:  # position 0 is the unit, in every ring kind
+            return [p + q]
         start = self.first.get(self.degrees[p] + self.degrees[q])
         if start is None:
             return []
@@ -433,10 +435,10 @@ class _Rows(dict):
 
 def _compile_explicit(c: CompiledRing) -> tuple:
     # every positive basis element g generates, in basis order; its rows are
-    # read off the stored products it takes part in (the unit row gives
-    # degree 0), so a genus-g surface keeps O(g) rows, not (2g)^2
+    # the unit's in degree 0 and read off the stored products it takes part
+    # in, so a genus-g surface keeps O(g) rows, not (2g)^2
     t, degrees, first, dims = c.ring, c.degrees, c.first, c.dims
-    rows: dict[int, dict[int, _Rows]] = {t._codes[i]: {} for i, (_, d) in enumerate(t.basis) if d}
+    rows = {g: {0: _Rows({0: 1 << g - first[degrees[g]]})} for g in t._codes if g}
     for (i, j), mask in t._store.items():
         for x, g in ((i, j), (j, i)):
             if g in rows:
@@ -444,8 +446,8 @@ def _compile_explicit(c: CompiledRing) -> tuple:
                 rows[g].setdefault(d, _Rows())[x - first[d]] = mask
 
     def pairing(d: int) -> tuple[int, ...]:
-        # the top degree has a unique class, number 0
-        out = [0] * dims[d]
+        # the top degree has a unique class, number 0, which the unit pairs with
+        out = [int(d in (0, c.top) and c.top in dims)] + [0] * (dims[d] - 1)
         for (i, j), mask in t._store.items():
             if mask & 1 and degrees[i] + degrees[j] == c.top:
                 for x, y in ((i, j), (j, i)):
@@ -525,11 +527,11 @@ class MultiplicationTable(_Ring):
     bitmask over those numbers.  A table is one of two kinds:
 
     * explicit, from ``MultiplicationTable(basis, top_degree, products)``
-      (space files, surfaces): each nonzero product of two basis elements
-      is stored once, under the pair of their compiled positions, as a
-      bitmask over the basis of the degree sum, and missing pairs are
-      zero.  Construction validates the unit law, degree additivity,
-      commutativity and associativity.
+      (space files, surfaces): each nonzero product of two positive basis
+      elements is stored once, under the pair of their compiled positions,
+      as a bitmask over the basis of the degree sum; missing pairs are
+      zero, and the unit's are the unit law's.  Construction validates
+      the unit law, degree additivity, commutativity and associativity.
     * factored, from :func:`tensor_product` and :func:`expand_to_table`: a
       tensor product of factors, each a presentation's monogenic factor
       k[x]/(x^q) or an explicit table's compiled form.  Its products and
@@ -578,8 +580,9 @@ class MultiplicationTable(_Ring):
                     f"basis element {l!r} has degree {d} outside 0..{self.top_degree}", l)
 
     def _load_products(self, products: Mapping[tuple[str, str], frozenset]) -> None:
-        """Store each nonzero product once, under its position-ordered pair
-        (commutativity), as a bitmask over the basis of the degree sum."""
+        """Store each nonzero product of positive elements once, under its
+        position-ordered pair (commutativity), as a bitmask over the basis
+        of the degree sum; one with the unit is checked, not stored."""
         c = self.compiled
         (labels, position), degrees, first = c.lookups(), c.degrees, c.first
         given: dict[tuple[int, int], int] = {}
@@ -603,17 +606,15 @@ class MultiplicationTable(_Ring):
             mask = sum(1 << position[t] - first[d] for t in terms)
             if p == 0 and mask != 1 << q - first[d]:  # the unit is position 0
                 raise TableEntryError(f"unit law violated at {labels[q]!r}", entry)
-            if given.setdefault((p, q), mask) != mask:
+            if p and given.setdefault((p, q), mask) != mask:
                 raise TableEntryError(f"conflicting entries for product {la}*{lb}", entry)
-        for p in range(self.size):  # the unit row is forced, not data
-            given.setdefault((0, p), 1 << p - first[degrees[p]])
         self._store = {key: mask for key, mask in given.items() if mask}
 
     def _validate_full(self) -> None:
         # (xy)z = x(yz) = (yz)x holds trivially when both xy and yz vanish,
-        # with the unit (its row is forced) and above the top degree (both
-        # sides vanish there); so with x, y a stored positive pair in either
-        # order and z free, every triple that can fail is checked
+        # with the unit and above the top degree (both sides vanish there);
+        # so with x, y a stored pair in either order and z positive, every
+        # triple that can fail is checked
         c, store = self.compiled, self._store
         degrees, order = c.degrees, c._order
 
@@ -623,8 +624,6 @@ class MultiplicationTable(_Ring):
 
         for key in store:
             i, j = sorted(key, key=order.__getitem__)  # in basis order, as reported
-            if not degrees[i] or not degrees[j]:
-                continue
             room = self.top_degree - degrees[i] - degrees[j]
             for x, y in ((i, j), (j, i)):
                 # the positive positions, up to degree room
@@ -634,8 +633,8 @@ class MultiplicationTable(_Ring):
                         raise ValueError(f"associativity fails on ({names})")
 
     def _products(self) -> dict[tuple[int, int], int]:
-        """Every nonzero product of basis elements i <= j (basis indices),
-        as a bitmask."""
+        """Every nonzero product of positive basis elements i <= j (basis
+        indices), as a bitmask."""
         c = self.compiled
         order = c._order
         if c.factors is None:
@@ -649,7 +648,7 @@ class MultiplicationTable(_Ring):
         out = {}
         for combo in itertools.product(*pairs):
             p, q = c._at[sum(x for x, _ in combo)], c._at[sum(y for _, y in combo)]
-            if order[p] <= order[q]:
+            if p and q and order[p] <= order[q]:
                 start = c.first[c.degrees[p] + c.degrees[q]]
                 out[order[p], order[q]] = sum(1 << w - start for w in c.product(p, q))
         return out

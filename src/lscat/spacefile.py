@@ -12,7 +12,8 @@ Space files (UTF-8, ``#`` starts a comment, tokens whitespace-separated)::
     truncate NAME EXPONENT          # required once per generator
     # or, mutually exclusive with generator/truncate:
     basis LABEL DEGREE              # once per LABEL; unit = unique degree-0 label
-    product LABEL LABEL = EXPR      # once per LABEL pair, either order; omitted products are 0
+    product LABEL LABEL = EXPR      # once per LABEL pair, either order; omitted products are 0,
+                                    # the unit's are checked against the unit law, not stored
 
 Map files::
 
@@ -362,10 +363,9 @@ def serialize_space(record: SpaceRecord) -> str:
         terms = c.lookups()[0]
         for (i, j), mask in sorted(ring._products().items()):
             (la, da), (lb, db) = ring.basis[i], ring.basis[j]
-            if da and db:  # the product's labels, in basis order
-                start = c.first[da + db]
-                rhs = " + ".join(terms[start + b] for b in range(mask.bit_length()) if mask >> b & 1)
-                out.append(f"product {la} {lb} = {rhs}")
+            start = c.first[da + db]  # the product's labels, in basis order
+            rhs = " + ".join(terms[start + b] for b in range(mask.bit_length()) if mask >> b & 1)
+            out.append(f"product {la} {lb} = {rhs}")
     return "\n".join(out) + "\n"
 
 

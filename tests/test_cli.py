@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import lscat
 from lscat.bounds import ENUMERATION_LIMIT
-from lscat.catalogue import get
+from lscat.catalogue import SpaceRecord, get
 from lscat.cli import (
     COMMANDS,
     EXIT_INCONCLUSIVE,
@@ -29,7 +29,6 @@ from lscat.cli import (
     EXIT_VIOLATED,
     _HelpRequested,
     _is_negative_number,
-    _printable,
     _UsageError,
     main,
     parse_args,
@@ -612,11 +611,55 @@ def test_the_digit_count_next_to_a_power_of_ten(tmp_path, capsys):
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("lscat: Ten: its basis count has 4301 digits, above the limit of 4300 ")
     # counts no ring of a sane size reaches, on a stand-in record
+    def stand_in(count):
+        return SimpleNamespace(name="X", ring=SimpleNamespace(top_degree=2, basis_count=count))
+
     for count, digits in ((10**4301 - 1, 4301), (10**4301, 4302)):
         with pytest.raises(SpaceFileError, match=f"its basis count has {digits} digits"):
-            _printable(SimpleNamespace(name="X", ring=SimpleNamespace(basis_count=count)))
-    record = SimpleNamespace(name="X", ring=SimpleNamespace(basis_count=10**4300 - 1))
-    assert _printable(record) is record
+            SpaceRecord.within_limits(stand_in(count))
+    record = stand_in(10**4300 - 1)
+    assert SpaceRecord.within_limits(record) is record
+
+
+@pytest.mark.parametrize("argv", [["show", "S\u0663"], ["show", "S03"], ["invariants", "T007"]])
+def test_a_family_parameter_is_ascii_digits_without_a_leading_zero(capsys, argv):
+    """int() reads an Arabic-Indic three or a leading zero, but such a name
+    is no catalogue name: it would give a second record equal to S3's or T7's."""
+    assert run(capsys, *argv) == (EXIT_USAGE, "",
+                                  f"lscat: error: unknown space name {argv[-1]!r}\n")
+
+
+def test_a_family_parameter_of_more_digits_than_int_reads_is_too_large(capsys):
+    # int() refuses more than 4,300 digits; the parameter is compared as text
+    name = "S" + "1" * 5000
+    assert run(capsys, "show", name) == (EXIT_PARSE, "", f"lscat: {name}: family parameter "
+                                         f"{name[1:]} is above the limit of {ENUMERATION_LIMIT} "
+                                         "[too-large]\n")
+
+
+def test_a_report_prints_no_basis_count_of_a_ring_that_is_not_torsion_free(tmp_path, capsys):
+    """A report prints a basis count only as a torsion-free record's Morse
+    sum, so the Ten file of the test above, whose count has 4,301 digits,
+    reports against itself."""
+    space = tmp_path / "ten.space"
+    space.write_text("space Ten\ndim 38700\n" + "".join(
+        f"generator x{i} 1\ntruncate x{i} 10\n" for i in range(4300)))
+    code, out, err = run(capsys, "degree1-report", "-m", str(space), "-n", str(space))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-2] == "overall: certified"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_report_stops_a_long_morse_row_at_the_enumeration_limit(capsys, json_flag):
+    """The Morse row of a torsion-free product lists its Poincare polynomial,
+    3,000,001 terms for three spheres of dimension 10^6: refused up front."""
+    name = "S1000000xS1000000xS1000000"
+    start = time.perf_counter()
+    result = run(capsys, *json_flag, "degree1-report", "-m", name, "-n", name)
+    assert time.perf_counter() - start < 1.0
+    assert result == (EXIT_PARSE, "", f"lscat: {name}: the Poincare polynomial would have "
+                                      f"3000001 terms, above the limit of {ENUMERATION_LIMIT} "
+                                      "[too-large]\n")
 
 
 @pytest.mark.parametrize("n", [10**7, 10**19])

@@ -344,6 +344,47 @@ def test_a_surface_compiles_and_searches_in_space_linear_in_its_genus(g):
     assert peak < 4000 * g
 
 
+def test_a_surface_table_builds_in_space_linear_in_its_genus():
+    # its store holds the g products a_i b_i; a stored unit row, one bitmask
+    # per basis element, took about 3 kB a genus at g = 5000
+    g = 5000
+    tracemalloc.start()
+    try:
+        surface_table(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * g
+
+
+UNIT_LAST = """\
+space U
+dim 2
+basis a 1
+basis b 1
+basis w 2
+basis e 0
+product a b = w
+product e a = a
+product b e = b
+"""
+
+
+@pytest.mark.parametrize("name", ["T3", "S_2", "S_2xT2", "SO5xS_1", "unit last"])
+def test_position_0_is_the_unit_by_law_not_by_store(name):
+    """Every ring kind numbers its unit first, and its product with a
+    position is that position; no explicit table, a factor's included,
+    stores a product with it, though a file may state one."""
+    ring = parse_space(UNIT_LAST).ring if name == "unit last" else get(name).ring
+    c = ring.compiled
+    for p in range(len(c.degrees)):
+        assert c.product(0, p) == c.product(p, 0) == [p]
+    explicit = [f.ring for f in ring.tensor_factors if isinstance(f, CompiledRing)]
+    assert len(explicit) == (name != "T3")
+    for table in explicit:
+        assert table._store and all(0 not in pair for pair in table._store)
+
+
 # -- one computation per ring ------------------------------------------------------
 
 

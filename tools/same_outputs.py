@@ -31,7 +31,16 @@ factor's, of ``--json invariants S_300xS1``, a product with a large explicit
 factor inside the cross-check limit, whose search composes its rows from
 the factor's nonzero rows, both forms of
 ``degree1-report -m T15000 -n T15000``, whose basis count has more
-digits than Python prints, ``degree1-report`` with a map whose
+digits than Python prints, and of a report on
+``S1000000xS1000000xS1000000``, whose Morse row would list 3,000,001
+terms, ``show S_30000`` and ``--json invariants S_2000``, explicit
+tables that store no product with the unit, a report of the file
+``ten.space`` (4,300 generators truncated at 10) against itself, which
+prints no basis count, and ``degree1-report -m T15000 -n S2``, whose
+dimensions differ, ``show`` of ``S`` followed by an Arabic-Indic three,
+of ``S03`` and of ``S`` followed by 5,000 ones and ``invariants T007``
+(family parameters that are not ASCII digits without a leading zero, or
+have more digits than ``int`` reads), ``degree1-report`` with a map whose
 spaces have the given names but other rings and with one naming an
 unknown space, both forms of ``degree1-report -m S2xS2 -n T4`` (whose
 range has cl = cat above the domain's cup-length) and of ``-m S3xS3 -n
@@ -177,7 +186,23 @@ def fixed_requests() -> list[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]
                 # 20,000 generators, whose rows of every basis element would hold 4 * 10^8 entries
                 (json + ("invariants", "S_10000"), ()),
                 # a basis count of more digits than Python prints
-                (json + ("degree1-report", "-m", "T15000", "-n", "T15000"), ())]
+                (json + ("degree1-report", "-m", "T15000", "-n", "T15000"), ()),
+                # a Morse row of 3,000,001 terms
+                (json + ("degree1-report", "-m", "S1000000xS1000000xS1000000",
+                         "-n", "S1000000xS1000000xS1000000"), ())]
+    # tables that store no unit row
+    out += [(("show", "S_30000"), ()), (("--json", "invariants", "S_2000"), ())]
+    # a report that prints no basis count of a ring that is not torsion-free, though
+    # its count, 10^4300, has more digits than Python prints; and a dimension error
+    # before the digit error
+    files = (("ten.space", "space Ten\ndim 38700\n" + "".join(
+        f"generator x{i} 1\ntruncate x{i} 10\n" for i in range(4300))),)
+    out += [(("degree1-report", "-m", "ten.space", "-n", "ten.space"), files),
+            (("degree1-report", "-m", "T15000", "-n", "S2"), ())]
+    # family parameters that are not ASCII digits without a leading zero, and
+    # one of more digits than int() reads
+    out += [(("show", "S\u0663"), ()), (("show", "S03"), ()), (("invariants", "T007"), ()),
+            (("show", "S" + "1" * 5000), ())]
     # a map between spaces named as -m/-n but with other rings, and one naming no space
     files = (("a.space", "space A\ndim 2\ngenerator a 1\ngenerator b 1\ntruncate a 2\n"
                          "truncate b 2\n"),
